@@ -77,15 +77,12 @@ fn render_fast_stats() -> String {
     s
 }
 
-/// Runs representative workloads on the fused engine — a compute
+/// Runs representative workloads on the default configuration — a compute
 /// countdown loop, a `getpid()` trap loop, and a fork/exec storm of one
 /// installed tool — and renders the per-family superinstruction hit
 /// histogram plus the exec-cache counters as a JSON document.
 fn render_fusion_json() -> String {
-    // The in-loop trap fast path would swallow single-process bursts via
-    // the step-based lane; this histogram profiles the fused engine, so
-    // force every slice through it.
-    let mut k = KernelBuilder::new().fast_path(false).build();
+    let mut k = KernelBuilder::new().build();
     micro::setup(&mut k);
 
     // Compute loop: one pair from every arithmetic fusion family per

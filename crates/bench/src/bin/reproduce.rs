@@ -21,7 +21,7 @@ use ia_bench::{
 const SMOKE_TOLERANCE: f64 = 0.20;
 
 /// Extracts a committed field of one scenario row — matched by name,
-/// scheduler, engine, and fast-path flag — from the `BENCH_1.json` text.
+/// engine, and fast-path flag — from the `BENCH_1.json` text.
 /// Hand-rolled: the workspace builds offline with no serialization
 /// dependency, and the document is our own line-per-scenario writer's
 /// output.
@@ -29,7 +29,6 @@ fn baseline_field(json: &str, name: &str, engine: &str, fast: bool, field: &str)
     json.lines()
         .find(|l| {
             l.contains(&format!("\"name\": \"{name}\""))
-                && l.contains("\"sched\": \"sliced\"")
                 && l.contains(&format!("\"engine\": \"{engine}\""))
                 && l.contains(&format!("\"fast_path\": {fast}"))
         })
@@ -39,16 +38,17 @@ fn baseline_field(json: &str, name: &str, engine: &str, fast: bool, field: &str)
         })
 }
 
-/// One smoke gate: compares the live guarded/reference throughput ratio
-/// against the committed one, failing beyond [`SMOKE_TOLERANCE`]. Both
-/// sides of each ratio are measured in the same host window, so a slow
-/// (or fast) CI host cancels out instead of tripping — or masking — the
-/// gate.
-fn smoke_gate(json: &str, what: &str, name: &str, fast: bool, field: &str, live: f64) -> bool {
-    let committed_guarded = baseline_field(json, name, "fused", fast, field);
+/// One smoke gate: compares the live throughput ratio of the default
+/// configuration (fused engine, fast path on) over the reference (plain
+/// engine, fast path off) against the committed one, failing beyond
+/// [`SMOKE_TOLERANCE`]. Both sides of each ratio are measured in the same
+/// host window, so a slow (or fast) CI host cancels out instead of
+/// tripping — or masking — the gate.
+fn smoke_gate(json: &str, what: &str, name: &str, field: &str, live: f64) -> bool {
+    let committed_guarded = baseline_field(json, name, "fused", true, field);
     let committed_reference = baseline_field(json, name, "plain", false, field);
     let (Some(guarded), Some(reference)) = (committed_guarded, committed_reference) else {
-        eprintln!("smoke: missing {name} fused/plain rows in BENCH_1.json");
+        eprintln!("smoke: missing {name} default/reference rows in BENCH_1.json");
         return false;
     };
     if reference <= 0.0 {
@@ -70,8 +70,9 @@ fn smoke_gate(json: &str, what: &str, name: &str, fast: bool, field: &str, live:
     true
 }
 
-/// Compares fresh runs of the trap and compute smoke scenarios — each
-/// normalized by a plain-engine reference measured in the same window —
+/// Compares fresh runs of the trap and compute smoke scenarios on the
+/// default configuration — each normalized by the reference measured in
+/// the same window —
 /// against the committed baseline ratios; exits non-zero on a regression
 /// beyond [`SMOKE_TOLERANCE`] on either.
 fn smoke() {
@@ -88,14 +89,12 @@ fn smoke() {
         &json,
         "traps/s",
         hostbench::SMOKE_SCENARIO,
-        true,
         "traps_per_sec",
         traps.traps_per_sec / traps_ref.traps_per_sec.max(1e-9),
     ) & smoke_gate(
         &json,
         "Minsns/s",
         hostbench::SMOKE_COMPUTE_SCENARIO,
-        false,
         "minsns_per_sec",
         compute.minsns_per_sec / compute_ref.minsns_per_sec.max(1e-9),
     );
@@ -114,8 +113,9 @@ fn main() {
     }
 
     if args.iter().any(|a| a == "--json") {
-        // Host-throughput mode: measure the interpreter hot path under both
-        // schedulers and emit the machine-readable baseline.
+        // Host-throughput mode: measure the interpreter hot path on the
+        // reference and the default configuration and emit the
+        // machine-readable baseline.
         let json = hostbench::render_json(&hostbench::run_all());
         print!("{json}");
         if let Err(e) = std::fs::write("BENCH_1.json", &json) {

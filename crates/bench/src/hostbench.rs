@@ -3,8 +3,9 @@
 //! Unlike everything else in this crate, these numbers are *host*
 //! wall-clock, not virtual time: how many simulated instructions and traps
 //! per second the interpreter-plus-scheduler retires on the machine
-//! running it. Each scenario runs under both the sliced hot-path scheduler
-//! and the per-instruction legacy scheduler in the same process, so the
+//! running it. Each scenario runs on the reference (plain engine, fast path
+//! off), on the fused engine with the fast path off, and on the default
+//! configuration (fused engine, fast path on) in the same process, so the
 //! reported speedups are measured in one environment rather than compared
 //! across commits.
 //!
@@ -18,9 +19,6 @@
 //! * the trap loop beneath a batchable pass-through observer (vectored
 //!   upcalls) and beneath a stack of three timex agents (flat dispatch
 //!   over a deep chain).
-//!
-//! Every scenario also runs with the trap fast path disabled, so the
-//! committed numbers carry the before/after of the fast-path work.
 
 use std::time::Instant;
 
@@ -44,11 +42,8 @@ const REPS: usize = 3;
 pub struct Scenario {
     /// Scenario key, e.g. `compute/no_agent`.
     pub name: String,
-    /// `"sliced"` or `"legacy"`.
-    pub sched: &'static str,
-    /// `"fused"` (superinstruction engine) or `"plain"` (single-step
-    /// reference). The legacy scheduler is per-instruction by construction
-    /// and always reports `"plain"`.
+    /// `"fused"` (production engine) or `"plain"` (single-step
+    /// reference).
     pub engine: &'static str,
     /// Whether the trap fast path (flat tables, in-loop answers, vectored
     /// upcalls) was enabled for the run.
@@ -112,13 +107,7 @@ fn compute_image(iters: u64) -> Image {
     b.build()
 }
 
-fn measure_once(
-    img: &Image,
-    agent: AgentCfg,
-    legacy: bool,
-    fast: bool,
-    fused: bool,
-) -> (u64, u64, f64) {
+fn measure_once(img: &Image, agent: AgentCfg, fast: bool, fused: bool) -> (u64, u64, f64) {
     let mut k = KernelBuilder::new()
         .fast_path(fast)
         .engine(if fused { Engine::Fused } else { Engine::Plain })
@@ -128,27 +117,16 @@ fn measure_once(
     let mut router = InterposedRouter::new();
     agent.install(&mut k, &mut router, pid);
     let t0 = Instant::now();
-    let outcome = if legacy {
-        k.run_with_legacy(&mut router)
-    } else {
-        k.run_with(&mut router)
-    };
+    let outcome = k.run_with(&mut router);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(outcome, RunOutcome::AllExited, "bench workload must finish");
     (k.total_insns, k.total_syscalls, secs)
 }
 
-fn scenario(
-    name: &str,
-    img: &Image,
-    agent: AgentCfg,
-    legacy: bool,
-    fast: bool,
-    fused: bool,
-) -> Scenario {
+fn scenario(name: &str, img: &Image, agent: AgentCfg, fast: bool, fused: bool) -> Scenario {
     let mut best: Option<(u64, u64, f64)> = None;
     for _ in 0..REPS {
-        let r = measure_once(img, agent, legacy, fast, fused);
+        let r = measure_once(img, agent, fast, fused);
         if best.as_ref().is_none_or(|b| r.2 < b.2) {
             best = Some(r);
         }
@@ -156,8 +134,7 @@ fn scenario(
     let (insns, traps, host_secs) = best.expect("REPS > 0");
     Scenario {
         name: name.to_string(),
-        sched: if legacy { "legacy" } else { "sliced" },
-        engine: if fused && !legacy { "fused" } else { "plain" },
+        engine: if fused { "fused" } else { "plain" },
         fast_path: fast,
         insns,
         traps,
@@ -167,10 +144,10 @@ fn scenario(
     }
 }
 
-/// Runs every scenario under both schedulers, the sliced scheduler under
-/// both execution engines, and the fused engine both with and without the
-/// trap fast path — each later column turning on one stage of the hot
-/// path, so the committed numbers carry each stage's before/after.
+/// Runs every scenario on the reference, on the fused engine without the
+/// trap fast path, and on the default configuration — each later column
+/// turning on one stage of the hot path, so the committed numbers carry
+/// each stage's before/after.
 #[must_use]
 pub fn run_all() -> Vec<Scenario> {
     let compute = compute_image(COMPUTE_ITERS);
@@ -188,30 +165,25 @@ pub fn run_all() -> Vec<Scenario> {
         ("traps/pass_through", &traps, AgentCfg::Observer),
         ("traps/stacked3", &traps, AgentCfg::Stacked3),
     ] {
-        for (legacy, fused, fast) in [
-            (true, false, false),
-            (false, false, false),
-            (false, true, false),
-            (false, true, true),
-        ] {
-            out.push(scenario(loop_name, img, agent, legacy, fast, fused));
+        for (fused, fast) in [(false, false), (true, false), (true, true)] {
+            out.push(scenario(loop_name, img, agent, fast, fused));
         }
     }
     out
 }
 
 /// The trap scenario the CI smoke check guards: the bare trap loop on the
-/// fully-enabled hot path (sliced scheduler, fused engine, fast path on).
+/// default configuration (fused engine, fast path on).
 pub const SMOKE_SCENARIO: &str = "traps/no_agent";
 
 /// The compute scenario the CI smoke check guards: the bare compute loop
-/// on the fused engine (sliced scheduler, no fast path — no traps to
-/// dispatch), gating interpreter throughput in Minsns/s.
+/// on the default configuration, gating interpreter throughput in
+/// Minsns/s.
 pub const SMOKE_COMPUTE_SCENARIO: &str = "compute/no_agent";
 
-/// Measures [`SMOKE_SCENARIO`] on the guarded hot path (fused engine,
-/// fast path on) *and* a plain-engine full-dispatch reference of the same
-/// loop, back to back in the same host window. The gate compares the
+/// Measures [`SMOKE_SCENARIO`] on the default configuration (fused engine,
+/// fast path on) *and* on the reference (plain engine, fast path off),
+/// back to back in the same host window. The gate compares the
 /// live guarded/reference *ratio* against the committed one: shared CI
 /// hosts swing absolute throughput by 2× between frequency windows, and
 /// a ratio divides the window out while still catching hot-path
@@ -222,33 +194,24 @@ pub fn run_smoke() -> (Scenario, Scenario) {
     let traps = micro::loop_image(MicroCall::Getpid, TRAP_ITERS);
     best_pair(|| {
         (
-            scenario(SMOKE_SCENARIO, &traps, AgentCfg::None, false, true, true),
-            scenario(SMOKE_SCENARIO, &traps, AgentCfg::None, false, false, false),
+            scenario(SMOKE_SCENARIO, &traps, AgentCfg::None, true, true),
+            scenario(SMOKE_SCENARIO, &traps, AgentCfg::None, false, false),
         )
     })
 }
 
-/// Measures [`SMOKE_COMPUTE_SCENARIO`] on the fused engine plus its
-/// plain-engine reference, same pairing and best-of discipline as
-/// [`run_smoke`].
+/// Measures [`SMOKE_COMPUTE_SCENARIO`] on the default configuration plus
+/// the reference, same pairing and best-of discipline as [`run_smoke`].
 #[must_use]
 pub fn run_smoke_compute() -> (Scenario, Scenario) {
     let compute = compute_image(COMPUTE_ITERS);
     best_pair(|| {
         (
+            scenario(SMOKE_COMPUTE_SCENARIO, &compute, AgentCfg::None, true, true),
             scenario(
                 SMOKE_COMPUTE_SCENARIO,
                 &compute,
                 AgentCfg::None,
-                false,
-                false,
-                true,
-            ),
-            scenario(
-                SMOKE_COMPUTE_SCENARIO,
-                &compute,
-                AgentCfg::None,
-                false,
                 false,
                 false,
             ),
@@ -266,20 +229,19 @@ fn best_pair(mut round: impl FnMut() -> (Scenario, Scenario)) -> (Scenario, Scen
         .expect("at least one round")
 }
 
-/// Renders the scenarios (plus sliced-over-legacy speedups) as the
+/// Renders the scenarios (plus per-stage speedups) as the
 /// `BENCH_1.json` document. Hand-rolled writer: the workspace is built
 /// offline with no serialization dependency.
 #[must_use]
 pub fn render_json(scenarios: &[Scenario]) -> String {
     let mut s = json_header("bench", "BENCH_1");
-    s.push_str("  \"description\": \"host throughput of the simulator hot path, sliced vs legacy scheduler, one environment\",\n");
+    s.push_str("  \"description\": \"host throughput of the simulator hot path, default configuration vs plain reference, one environment\",\n");
     s.push_str("  \"machine_profile\": \"i486_25\",\n");
     s.push_str("  \"scenarios\": [\n");
     for (i, sc) in scenarios.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"sched\": \"{}\", \"engine\": \"{}\", \"fast_path\": {}, \"insns\": {}, \"traps\": {}, \"host_secs\": {:.6}, \"minsns_per_sec\": {:.3}, \"traps_per_sec\": {:.1}}}{}\n",
+            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"fast_path\": {}, \"insns\": {}, \"traps\": {}, \"host_secs\": {:.6}, \"minsns_per_sec\": {:.3}, \"traps_per_sec\": {:.1}}}{}\n",
             json_escape(&sc.name),
-            sc.sched,
             sc.engine,
             sc.fast_path,
             sc.insns,
@@ -295,37 +257,31 @@ pub fn render_json(scenarios: &[Scenario]) -> String {
         v.dedup();
         v
     };
-    let of = |name: &str, sched: &str, engine: &str, fast: bool| {
-        scenarios.iter().find(|s| {
-            s.name == name && s.sched == sched && s.engine == engine && s.fast_path == fast
-        })
+    let of = |name: &str, engine: &str, fast: bool| {
+        scenarios
+            .iter()
+            .find(|s| s.name == name && s.engine == engine && s.fast_path == fast)
     };
     s.push_str("  ],\n");
     // Each ratio compares runs taken in this same process, turning on one
-    // hot-path stage at a time: scheduler, execution engine, trap fast
-    // path.
+    // hot-path stage at a time: execution engine, then trap fast path.
     for (section, num, den) in [
         (
-            "speedup_sliced_over_legacy",
-            ("legacy", "plain", false),
-            ("sliced", "plain", false),
-        ),
-        (
             "speedup_fused_over_plain",
-            ("sliced", "plain", false),
-            ("sliced", "fused", false),
+            ("plain", false),
+            ("fused", false),
         ),
         (
             "speedup_fast_over_nofast",
-            ("sliced", "fused", false),
-            ("sliced", "fused", true),
+            ("fused", false),
+            ("fused", true),
         ),
     ] {
         let rows: Vec<(&String, f64)> = names
             .iter()
             .filter_map(|name| {
-                let slow = of(name, num.0, num.1, num.2)?;
-                let quick = of(name, den.0, den.1, den.2)?;
+                let slow = of(name, num.0, num.1)?;
+                let quick = of(name, den.0, den.1)?;
                 Some((*name, slow.host_secs / quick.host_secs))
             })
             .collect();
@@ -360,10 +316,9 @@ mod tests {
         assert_eq!(k.total_insns, 1 + 50 * 3 + 1 + 1 + 2);
     }
 
-    fn fake(sched: &'static str, engine: &'static str, fast: bool, host_secs: f64) -> Scenario {
+    fn fake(engine: &'static str, fast: bool, host_secs: f64) -> Scenario {
         Scenario {
             name: "compute/no_agent".into(),
-            sched,
             engine,
             fast_path: fast,
             insns: 100,
@@ -377,19 +332,16 @@ mod tests {
     #[test]
     fn json_document_is_well_formed_enough() {
         let scenarios = vec![
-            fake("legacy", "plain", false, 0.2),
-            fake("sliced", "plain", false, 0.05),
-            fake("sliced", "fused", false, 0.025),
-            fake("sliced", "fused", true, 0.0125),
+            fake("plain", false, 0.05),
+            fake("fused", false, 0.025),
+            fake("fused", true, 0.0125),
         ];
         let j = render_json(&scenarios);
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
         assert!(j.contains("\"schema_version\": 1"));
-        assert_eq!(j.matches("\"name\"").count(), 4);
-        // legacy (0.2) over sliced plain (0.05) = 4; each later stage
-        // (fused engine, fast path) halves the time again.
-        assert!(j.contains("\"speedup_sliced_over_legacy\""));
-        assert!(j.contains("\"compute/no_agent\": 4.00"));
+        assert_eq!(j.matches("\"name\"").count(), 3);
+        assert!(!j.contains("sched"));
+        // Each stage (fused engine, fast path) halves the time.
         assert!(j.contains("\"speedup_fused_over_plain\""));
         assert!(j.contains("\"speedup_fast_over_nofast\""));
         assert_eq!(j.matches("\"compute/no_agent\": 2.00").count(), 2);
@@ -405,10 +357,9 @@ mod tests {
         // Regression: the old local escaper missed control characters
         // entirely (and the shared one must keep handling quotes and
         // backslashes in scenario names).
-        let odd = |sched: &'static str| Scenario {
+        let odd = |engine: &'static str| Scenario {
             name: "odd \"name\"\\with\ncontrols".into(),
-            sched,
-            engine: "plain",
+            engine,
             fast_path: false,
             insns: 1,
             traps: 0,
@@ -416,7 +367,7 @@ mod tests {
             minsns_per_sec: 0.0,
             traps_per_sec: 0.0,
         };
-        let scenarios = vec![odd("legacy"), odd("sliced")];
+        let scenarios = vec![odd("plain"), odd("fused")];
         let j = render_json(&scenarios);
         assert!(j.contains(r#"odd \"name\"\\with\ncontrols"#));
         assert!(!j.contains('\u{0}'));

@@ -1,61 +1,65 @@
-//! Differential test: the sliced hot-path scheduler against the
-//! per-instruction reference implementation.
+//! Differential test: the default configuration against the reference.
 //!
-//! The optimized scheduler batches virtual-clock accounting per slice and
-//! replaces process-table scans with a runnable queue and deadline heaps.
-//! None of that may be observable: for every workload × agent combination
-//! of the paper's tables, both schedulers must produce bit-identical
-//! virtual-clock totals, instruction counts, console output, syscall
-//! totals and router statistics.
+//! The default kernel runs the fused engine with the trap fast path on: it
+//! executes superinstructions, runs back-to-back turns in one burst, and
+//! answers `getpid`/`gettimeofday` without leaving the VM loop. The
+//! reference (`Engine::Plain`, fast path off) steps one instruction at a
+//! time and routes every trap. None of the difference may be observable:
+//! for every workload × agent row of the paper's Tables 3-2 and 3-3, both
+//! must produce bit-identical virtual-clock totals, instruction counts,
+//! console output, syscall totals and router statistics.
 
 use ia_kernel::{I486_25, VAX_6250};
 use ia_workloads::{run_workload_with, AgentKind, SchedKind, Workload};
 
-fn assert_schedulers_agree(workload: Workload, agent: AgentKind) {
+fn assert_default_matches_reference(workload: Workload, agent: AgentKind) {
     let profile = match workload {
         Workload::Scribe => VAX_6250,
         Workload::Make8 => I486_25,
     };
-    let legacy = run_workload_with(workload, profile, agent, SchedKind::Legacy);
+    let reference = run_workload_with(workload, profile, agent, SchedKind::Reference);
     let sliced = run_workload_with(workload, profile, agent, SchedKind::Sliced);
     let label = format!("{workload:?}/{}", agent.name());
     assert_eq!(
-        legacy.virtual_ns, sliced.virtual_ns,
+        reference.virtual_ns, sliced.virtual_ns,
         "{label}: virtual clock diverged"
     );
     assert_eq!(
-        legacy.total_insns, sliced.total_insns,
+        reference.total_insns, sliced.total_insns,
         "{label}: instruction totals diverged"
     );
     assert_eq!(
-        legacy.syscalls, sliced.syscalls,
+        reference.syscalls, sliced.syscalls,
         "{label}: syscall totals diverged"
     );
     assert_eq!(
-        legacy.intercepted, sliced.intercepted,
+        reference.intercepted, sliced.intercepted,
         "{label}: intercepted-trap counts diverged"
     );
     assert_eq!(
-        legacy.passthrough, sliced.passthrough,
+        reference.passthrough, sliced.passthrough,
         "{label}: passthrough-trap counts diverged"
     );
-    assert_eq!(legacy.outcome, sliced.outcome, "{label}: outcome diverged");
     assert_eq!(
-        legacy.console, sliced.console,
+        reference.outcome, sliced.outcome,
+        "{label}: outcome diverged"
+    );
+    assert_eq!(
+        reference.console, sliced.console,
         "{label}: console output diverged"
     );
 }
 
 #[test]
-fn scribe_is_identical_under_both_schedulers() {
+fn scribe_default_is_identical_to_the_reference() {
     for agent in AgentKind::TABLE_ROWS {
-        assert_schedulers_agree(Workload::Scribe, agent);
+        assert_default_matches_reference(Workload::Scribe, agent);
     }
 }
 
 #[test]
-fn make8_is_identical_under_both_schedulers() {
+fn make8_default_is_identical_to_the_reference() {
     for agent in AgentKind::TABLE_ROWS {
-        assert_schedulers_agree(Workload::Make8, agent);
+        assert_default_matches_reference(Workload::Make8, agent);
     }
 }

@@ -51,19 +51,19 @@ fn recorder_is_observably_inert_across_workloads_and_agents() {
 }
 
 #[test]
-fn recorder_is_inert_under_the_legacy_scheduler_too() {
+fn recorder_is_inert_under_the_reference_too() {
     let (bare_stats, bare_obs) = run_workload_observed(
         Workload::Scribe,
         ia_kernel::VAX_6250,
         AgentKind::Trace,
-        SchedKind::Legacy,
+        SchedKind::Reference,
         None,
     );
     let (rec_stats, rec_obs) = run_workload_observed(
         Workload::Scribe,
         ia_kernel::VAX_6250,
         AgentKind::Trace,
-        SchedKind::Legacy,
+        SchedKind::Reference,
         Some(256),
     );
     assert_eq!(bare_obs, rec_obs);

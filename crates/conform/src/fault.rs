@@ -132,7 +132,7 @@ pub fn fault_schedule(program: &Program) -> Vec<FaultCase> {
 /// client), so nothing else is compared.
 pub fn run_fault_case(program: &Program, case: FaultCase) -> Result<(), String> {
     // Fast path forced on: injected errors must stay consistent with flat
-    // dispatch and the in-loop answer lane engaged.
+    // dispatch and in-loop answers engaged.
     let mut k = KernelBuilder::new().fast_path(true).build();
     Program::setup(&mut k);
     let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");

@@ -12,7 +12,7 @@ use ia_fleet::{Fleet, FleetBase, Tenant};
 use ia_prng::Prng;
 
 use crate::gen::{sample, OpSet, Program};
-use crate::oracle::{describe_diff, run_stack, Observation, SchedKind, StackKind, MAX_STEPS};
+use crate::oracle::{describe_diff, run_stack, Observation, StackKind, MAX_STEPS};
 
 /// Quantum for fleet-conformance runs: small enough that every generated
 /// program is preempted and requeued many times.
@@ -89,7 +89,7 @@ pub fn check_fleet(
         .run(tenants);
 
     for (i, (seed, program)) in programs.iter().enumerate() {
-        let serial = run_stack(program, fleet_stack(*seed), SchedKind::Sliced);
+        let serial = run_stack(program, fleet_stack(*seed));
         let fleet = Observation {
             outcome: results[i].outcome.clone(),
             obs: results[i].obs.clone(),

@@ -9,9 +9,9 @@
 //!    sockets, chdir/permissions) whose output always terminates, even
 //!    under injected errors.
 //! 2. [`oracle`] — a differential executor running each program under
-//!    {bare, pass-through, batched, stacked} agents × {sliced, legacy}
-//!    schedulers × {fast path on, off} and asserting the observables
-//!    agree bit for bit.
+//!    {bare, pass-through, batched, stacked} agents × {fused, plain}
+//!    engines × {fast path on, off} and asserting the observables agree
+//!    bit for bit.
 //! 3. [`fault`] — systematic error injection at each interception point,
 //!    asserting the kernel stays consistent (no leaked descriptors or
 //!    pipes, wait converges, scheduler queues sane).
@@ -45,8 +45,8 @@ pub use fleet::{check_fleet, FleetStats};
 pub use flowsound::{check_flow_faults, check_flow_soundness, flow_spec, static_flows};
 pub use gen::{sample, ConfOp, OpSet, Program};
 pub use oracle::{
-    check_client_equiv, check_program, run_config, run_config_fast, run_stack, run_stack_fast,
-    Observation, SchedKind, StackKind,
+    check_client_equiv, check_program, run_config, run_config_full, run_stack, run_stack_full,
+    Observation, StackKind,
 };
 pub use shrink::shrink;
 pub use soundness::{check_soundness, static_footprint, SyscallRecorder};

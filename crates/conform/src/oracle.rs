@@ -3,9 +3,10 @@
 //!
 //! Two oracles compose here:
 //!
-//! * **Scheduler conformance** — for a fixed agent configuration, the
-//!   sliced scheduler and the per-instruction legacy scheduler must agree
-//!   on the *complete* observable state, virtual clock included.
+//! * **Engine conformance** — for a fixed agent configuration, the
+//!   default configuration (fused engine, trap fast path on) and the
+//!   reference (`Engine::Plain`, fast path off) must agree on the
+//!   *complete* observable state, virtual clock included.
 //! * **Transparency** (the paper's §3.1) — across agent configurations,
 //!   the *client-visible* state (console, exit statuses, filesystem
 //!   content) must agree, while clocks legitimately differ by the
@@ -13,22 +14,13 @@
 
 use ia_agents::{PassThrough, ProfileAgent, TimeSymbolic, TraceAgent};
 use ia_interpose::{wrap_process, Agent, InterposedRouter};
-use ia_kernel::{run, run_legacy, Engine, KernelBuilder, Observable, RunLimits, RunOutcome};
+use ia_kernel::{run, Engine, KernelBuilder, Observable, RunLimits, RunOutcome};
 
 use crate::gen::Program;
 
 /// Step budget for one conformance run; generated programs finish in well
 /// under a million instructions, so hitting this is itself a finding.
 pub const MAX_STEPS: u64 = 50_000_000;
-
-/// Which scheduler drives the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedKind {
-    /// The sliced hot path (`ia_kernel::run`).
-    Sliced,
-    /// The per-instruction reference (`ia_kernel::run_legacy`).
-    Legacy,
-}
 
 /// Which agent configuration wraps the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,33 +64,17 @@ pub struct Observation {
     pub leaks: Vec<String>,
 }
 
-/// Runs `program` once under `sched` with the given agents wrapped around
-/// the initial process, with the trap fast path on.
+/// Runs `program` once on the default configuration (fused engine, trap
+/// fast path on) with the given agents wrapped around the initial process.
 #[must_use]
-pub fn run_config(program: &Program, sched: SchedKind, agents: Vec<Box<dyn Agent>>) -> Observation {
-    run_config_fast(program, sched, true, agents)
+pub fn run_config(program: &Program, agents: Vec<Box<dyn Agent>>) -> Observation {
+    run_config_full(program, true, Engine::Fused, agents)
 }
 
-/// [`run_config`] with an explicit fast-path knob, for differential runs
-/// against the fully-dispatched slow path. Runs the default (fused) engine.
-#[must_use]
-pub fn run_config_fast(
-    program: &Program,
-    sched: SchedKind,
-    fast: bool,
-    agents: Vec<Box<dyn Agent>>,
-) -> Observation {
-    run_config_full(program, sched, fast, Engine::Fused, agents)
-}
-
-/// The fully-knobbed run: scheduler × fast path × execution engine. The
-/// engine selects the `run_slice` body, so it is inert under the legacy
-/// per-instruction scheduler — the matrix still runs those configurations
-/// to prove exactly that.
+/// The fully-knobbed run: fast path × execution engine.
 #[must_use]
 pub fn run_config_full(
     program: &Program,
-    sched: SchedKind,
     fast: bool,
     engine: Engine,
     agents: Vec<Box<dyn Agent>>,
@@ -113,10 +89,7 @@ pub fn run_config_full(
     let limits = RunLimits {
         max_steps: MAX_STEPS,
     };
-    let outcome = match sched {
-        SchedKind::Sliced => run(&mut k, &mut router, limits),
-        SchedKind::Legacy => run_legacy(&mut k, &mut router, limits),
-    };
+    let outcome = run(&mut k, &mut router, limits);
     let leaks = if outcome == RunOutcome::AllExited {
         k.check_quiescent()
     } else {
@@ -131,19 +104,8 @@ pub fn run_config_full(
 
 /// Convenience: [`run_config`] with a named pass-through stack.
 #[must_use]
-pub fn run_stack(program: &Program, stack: StackKind, sched: SchedKind) -> Observation {
-    run_config(program, sched, stack.agents())
-}
-
-/// Convenience: [`run_config_fast`] with a named pass-through stack.
-#[must_use]
-pub fn run_stack_fast(
-    program: &Program,
-    stack: StackKind,
-    sched: SchedKind,
-    fast: bool,
-) -> Observation {
-    run_config_fast(program, sched, fast, stack.agents())
+pub fn run_stack(program: &Program, stack: StackKind) -> Observation {
+    run_config(program, stack.agents())
 }
 
 /// Convenience: [`run_config_full`] with a named pass-through stack.
@@ -151,11 +113,10 @@ pub fn run_stack_fast(
 pub fn run_stack_full(
     program: &Program,
     stack: StackKind,
-    sched: SchedKind,
     fast: bool,
     engine: Engine,
 ) -> Observation {
-    run_config_full(program, sched, fast, engine, stack.agents())
+    run_config_full(program, fast, engine, stack.agents())
 }
 
 /// Renders console bytes for an error message, lossily and truncated.
@@ -243,12 +204,11 @@ fn completed(label: &str, o: &Observation) -> Result<(), String> {
 }
 
 /// The full oracle matrix for one program: four agent stacks ×
-/// {fused, plain} × {sliced, legacy} × {fast path on, off}. Per-stack,
-/// every configuration must agree on the *complete* observable state (the
-/// trap fast path, both schedulers, and both execution engines are
-/// bit-identical by design — the engine knob is inert under the legacy
-/// scheduler, and those runs prove it); across stacks, the client view must
-/// agree. Every run must terminate and leave the kernel leak-free.
+/// {fused, plain} × {fast path on, off}. Per-stack, every configuration
+/// must agree on the *complete* observable state (the trap fast path and
+/// both execution engines are bit-identical by design); across stacks, the
+/// client view must agree. Every run must terminate and leave the kernel
+/// leak-free.
 pub fn check_program(program: &Program) -> Result<(), String> {
     let mut baseline: Option<(&'static str, Observation)> = None;
     for (label, stack) in [
@@ -258,33 +218,29 @@ pub fn check_program(program: &Program) -> Result<(), String> {
         ("stacked", StackKind::Stacked),
     ] {
         let mut reference: Option<(String, Observation)> = None;
-        for (cfg, sched, fast, engine) in [
-            ("sliced+fast+fused", SchedKind::Sliced, true, Engine::Fused),
-            ("sliced+fused", SchedKind::Sliced, false, Engine::Fused),
-            ("sliced+fast", SchedKind::Sliced, true, Engine::Plain),
-            ("sliced", SchedKind::Sliced, false, Engine::Plain),
-            ("legacy+fast+fused", SchedKind::Legacy, true, Engine::Fused),
-            ("legacy+fused", SchedKind::Legacy, false, Engine::Fused),
-            ("legacy+fast", SchedKind::Legacy, true, Engine::Plain),
-            ("legacy", SchedKind::Legacy, false, Engine::Plain),
+        for (cfg, fast, engine) in [
+            ("fast+fused", true, Engine::Fused),
+            ("fused", false, Engine::Fused),
+            ("fast+plain", true, Engine::Plain),
+            ("plain", false, Engine::Plain),
         ] {
             let run_label = format!("{label}/{cfg}");
-            let o = run_stack_full(program, stack, sched, fast, engine);
+            let o = run_stack_full(program, stack, fast, engine);
             completed(&run_label, &o)?;
             match &reference {
                 None => reference = Some((run_label, o)),
                 Some((rlabel, r)) => {
                     if let Some(d) = describe_diff(rlabel, r, &run_label, &o) {
-                        return Err(format!("scheduler divergence: {d}"));
+                        return Err(format!("engine divergence: {d}"));
                     }
                 }
             }
         }
-        let (_, sliced_fast) = reference.expect("at least one config ran");
+        let (_, default) = reference.expect("at least one config ran");
         match &baseline {
-            None => baseline = Some((label, sliced_fast)),
+            None => baseline = Some((label, default)),
             Some((blabel, base)) => {
-                if let Some(d) = describe_client_diff(blabel, base, label, &sliced_fast) {
+                if let Some(d) = describe_client_diff(blabel, base, label, &default) {
                     return Err(format!("transparency violation: {d}"));
                 }
             }
@@ -303,9 +259,9 @@ pub fn check_client_equiv(
     agents: impl Fn() -> Vec<Box<dyn Agent>>,
     compare_fs: bool,
 ) -> Result<(), String> {
-    let bare = run_stack(program, StackKind::Bare, SchedKind::Sliced);
+    let bare = run_stack(program, StackKind::Bare);
     completed("bare", &bare)?;
-    let wrapped = run_config(program, SchedKind::Sliced, agents());
+    let wrapped = run_config(program, agents());
     completed("wrapped", &wrapped)?;
     let (ca, cb) = (&bare.obs.client, &wrapped.obs.client);
     if ca.console != cb.console {

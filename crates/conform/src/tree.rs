@@ -11,9 +11,9 @@
 //! [`restore_world`]. The injector follows the leaf's decision string;
 //! sites beyond the explored frontier pass through.
 //!
-//! Every leaf is executed twice — sliced scheduler with the trap fast
-//! path on, and the per-instruction legacy scheduler with it off — and
-//! the two observables must agree bit for bit (the conformance oracle,
+//! Every leaf is executed twice — on the default configuration (fused
+//! engine, trap fast path on) and on the reference (`Engine::Plain`, fast
+//! path off) — and the two observables must agree bit for bit (the conformance oracle,
 //! now under every fault pattern, not just the happy path). Every leaf
 //! must terminate and leave the kernel quiescent, and the all-pass leaf
 //! must be client-identical to a bare straight-line run.
@@ -26,12 +26,10 @@ use ia_interpose::{
     restore_world, snapshot_world, wrap_process, Agent, InterestSet, InterposedRouter, SysCtx,
     WorldSnapshot,
 };
-use ia_kernel::{
-    run, run_legacy, Engine, Kernel, KernelBuilder, RunLimits, RunOutcome, SysOutcome,
-};
+use ia_kernel::{run, Engine, Kernel, KernelBuilder, RunLimits, RunOutcome, SysOutcome};
 
 use crate::gen::Program;
-use crate::oracle::{describe_client_diff, describe_diff, Observation, SchedKind, StackKind};
+use crate::oracle::{describe_client_diff, describe_diff, Observation, StackKind};
 
 /// One tree-mode exploration target, replayable from a `.conf` file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,26 +113,19 @@ impl Agent for TreeInjector {
     }
 }
 
-/// One scheduler configuration's world: the live kernel+router pair and
+/// One kernel configuration's world: the live kernel+router pair and
 /// the pristine template every leaf branches from.
 struct TreeWorld {
     k: Kernel,
     router: InterposedRouter,
     template: WorldSnapshot,
-    sched: SchedKind,
     site: Arc<AtomicU64>,
     schedule: Arc<Mutex<Vec<bool>>>,
     injected: Arc<AtomicU64>,
 }
 
 impl TreeWorld {
-    fn new(
-        program: &Program,
-        case: TreeCase,
-        fast: bool,
-        sched: SchedKind,
-        engine: Engine,
-    ) -> TreeWorld {
+    fn new(program: &Program, case: TreeCase, fast: bool, engine: Engine) -> TreeWorld {
         let mut k = KernelBuilder::new().fast_path(fast).engine(engine).build();
         Program::setup(&mut k);
         let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
@@ -162,7 +153,6 @@ impl TreeWorld {
             k,
             router,
             template,
-            sched,
             site,
             schedule,
             injected,
@@ -184,10 +174,7 @@ impl TreeWorld {
         let limits = RunLimits {
             max_steps: crate::oracle::MAX_STEPS,
         };
-        let outcome = match self.sched {
-            SchedKind::Sliced => run(&mut self.k, &mut self.router, limits),
-            SchedKind::Legacy => run_legacy(&mut self.k, &mut self.router, limits),
-        };
+        let outcome = run(&mut self.k, &mut self.router, limits);
         if outcome != RunOutcome::AllExited {
             return Err(format!("wedged the machine: {outcome:?}"));
         }
@@ -237,8 +224,8 @@ fn explore_case(
     bare: &Observation,
     stats: &mut TreeStats,
 ) -> Result<(), String> {
-    let mut fast = TreeWorld::new(program, case, true, SchedKind::Sliced, Engine::Fused);
-    let mut slow = TreeWorld::new(program, case, false, SchedKind::Legacy, Engine::Plain);
+    let mut fast = TreeWorld::new(program, case, true, Engine::Fused);
+    let mut slow = TreeWorld::new(program, case, false, Engine::Plain);
     let snap_ids = (fast.snapshot_id(), slow.snapshot_id());
     let ctx = move |schedule: &[bool], extra: &str| {
         format!(
@@ -253,17 +240,17 @@ fn explore_case(
     while let Some(schedule) = pending.pop() {
         let (a, sites_a) = fast
             .run_leaf(&schedule)
-            .map_err(|e| ctx(&schedule, &format!("sliced+fast {e}")))?;
+            .map_err(|e| ctx(&schedule, &format!("default {e}")))?;
         let (b, sites_b) = slow
             .run_leaf(&schedule)
-            .map_err(|e| ctx(&schedule, &format!("legacy {e}")))?;
-        if let Some(d) = describe_diff("sliced+fast", &a, "legacy", &b) {
-            return Err(ctx(&schedule, &format!("scheduler divergence: {d}")));
+            .map_err(|e| ctx(&schedule, &format!("reference {e}")))?;
+        if let Some(d) = describe_diff("default", &a, "reference", &b) {
+            return Err(ctx(&schedule, &format!("engine divergence: {d}")));
         }
         if sites_a != sites_b {
             return Err(ctx(
                 &schedule,
-                &format!("decision sites diverged: sliced+fast={sites_a} vs legacy={sites_b}"),
+                &format!("decision sites diverged: default={sites_a} vs reference={sites_b}"),
             ));
         }
         if schedule.is_empty() {
@@ -290,7 +277,7 @@ fn explore_case(
 }
 
 fn bare_observation(program: &Program) -> Result<Observation, String> {
-    let bare = crate::oracle::run_stack(program, StackKind::Bare, SchedKind::Sliced);
+    let bare = crate::oracle::run_stack(program, StackKind::Bare);
     if bare.outcome != RunOutcome::AllExited || !bare.leaks.is_empty() {
         return Err(format!(
             "[bare] did not complete cleanly: {:?} {:?}",

@@ -390,8 +390,10 @@ impl SyscallRouter for InterposedRouter {
             }
             Some(chain) if chain.batchable.contains(nr) => {
                 // Vectored upcall path (always on, independent of the fast
-                // path and the scheduler): the kernel executes the call
-                // now; interested agents observe it later, in one batch.
+                // path and the engine): the kernel executes the call now;
+                // interested agents observe it later, in one batch. The
+                // fused burst answers these in-loop and hands them over
+                // through `absorb_batch` instead.
                 if chain.pending.as_ref().is_some_and(|b| b.nr != nr) {
                     chain.flush(k, pid);
                 }
@@ -416,7 +418,7 @@ impl SyscallRouter for InterposedRouter {
             }
             Some(chain) => {
                 // Which agent (if any) sees this trap: one indexed load
-                // from the flat table when it is trustworthy, the legacy
+                // from the flat table when it is trustworthy, the
                 // interest-union test plus chain walk otherwise.
                 let first = if k.fast_path && chain.fixed {
                     usize::from(chain.flat[(nr as usize).min(255)])
@@ -563,8 +565,9 @@ impl SyscallRouter for InterposedRouter {
             return;
         };
         if chain.pending.as_ref().is_some_and(|b| b.nr != nr) {
-            // The lane bails on number changes, so this cannot happen by
-            // construction; flushing keeps it correct anyway.
+            // The burst never collects across a number change, so this
+            // cannot happen by construction; flushing keeps it correct
+            // anyway.
             chain.flush(k, pid);
         }
         self.stats.intercepted += calls.len() as u64;

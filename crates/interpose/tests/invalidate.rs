@@ -8,7 +8,7 @@
 //! configurations in a single run — bare, a batchable observer, a
 //! non-batchable tap stacked on top, and back to the observer alone — and
 //! asserts the complete observable state is bit-identical with the fast
-//! path on, off, and under the legacy scheduler.
+//! path on, off, and on the reference (`Engine::Plain`, fast path off).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use ia_interpose::{
     SysCtx,
 };
 use ia_kernel::{
-    run, run_legacy, Kernel, KernelBuilder, Observable, RunLimits, RunOutcome, SysOutcome,
+    run, Engine, Kernel, KernelBuilder, Observable, RunLimits, RunOutcome, SysOutcome,
 };
 
 /// Batchable full-coverage observer (counts calls seen, per-call or
@@ -83,7 +83,7 @@ struct MutatedRun {
     fast_hits: u64,
 }
 
-fn run_mutating(fast: bool, legacy: bool) -> MutatedRun {
+fn run_mutating(fast: bool, engine: Engine) -> MutatedRun {
     // Loop counter in r10: syscall returns clobber r0..r2.
     let src = "
 main:   li r10, 400
@@ -94,19 +94,14 @@ loop:   addi r10, r10, -1
         sys exit
 ";
     let img = ia_vm::assemble(src).unwrap();
-    let mut k = KernelBuilder::new().fast_path(fast).build();
+    let mut k = KernelBuilder::new().fast_path(fast).engine(engine).build();
     let pid = k.spawn_image(&img, &[b"inv"], b"inv");
     let mut router = InterposedRouter::new();
     let calls = Arc::new(AtomicU64::new(0));
     let batches = Arc::new(AtomicU64::new(0));
 
     let drive = |k: &mut Kernel, router: &mut InterposedRouter, max_steps: u64| {
-        let limits = RunLimits { max_steps };
-        if legacy {
-            run_legacy(k, router, limits)
-        } else {
-            run(k, router, limits)
-        }
+        run(k, router, RunLimits { max_steps })
     };
 
     // Phase 1: bare — with the fast path on, getpid is answered in-loop.
@@ -165,7 +160,7 @@ struct SnapRun {
 /// rewind, deliberately build a *fresh* pending batch, rewind again (the
 /// live batch must be discarded, not replayed), and run the same span a
 /// second time.
-fn run_snapshot_restore(fast: bool, legacy: bool) -> SnapRun {
+fn run_snapshot_restore(fast: bool, engine: Engine) -> SnapRun {
     let src = "
 main:   li r10, 400
 loop:   addi r10, r10, -1
@@ -175,7 +170,7 @@ loop:   addi r10, r10, -1
         sys exit
 ";
     let img = ia_vm::assemble(src).unwrap();
-    let mut k = KernelBuilder::new().fast_path(fast).build();
+    let mut k = KernelBuilder::new().fast_path(fast).engine(engine).build();
     let pid = k.spawn_image(&img, &[b"snap"], b"snap");
     let mut router = InterposedRouter::new();
     let calls = Arc::new(AtomicU64::new(0));
@@ -192,12 +187,7 @@ loop:   addi r10, r10, -1
     );
 
     let drive = |k: &mut Kernel, router: &mut InterposedRouter, max_steps: u64| {
-        let limits = RunLimits { max_steps };
-        if legacy {
-            run_legacy(k, router, limits)
-        } else {
-            run(k, router, limits)
-        }
+        run(k, router, RunLimits { max_steps })
     };
 
     // Run into the middle of the loop: with batching on, a partial
@@ -242,9 +232,9 @@ loop:   addi r10, r10, -1
 
 #[test]
 fn snapshot_restore_invalidates_fast_state_identically() {
-    let fast = run_snapshot_restore(true, false);
-    let slow = run_snapshot_restore(false, false);
-    let legacy = run_snapshot_restore(false, true);
+    let fast = run_snapshot_restore(true, Engine::Fused);
+    let slow = run_snapshot_restore(false, Engine::Fused);
+    let reference = run_snapshot_restore(false, Engine::Plain);
 
     assert!(fast.first_delta > 0, "snapshot taken after the loop ended");
     assert_eq!(
@@ -252,10 +242,10 @@ fn snapshot_restore_invalidates_fast_state_identically() {
         "replay saw a different number of upcalls (stale batch leaked?)"
     );
     assert!(fast.watcher_batches > 0, "no vectored upcalls delivered");
-    assert!(fast.fast_hits > 0, "fast run never used the in-loop lane");
-    assert_eq!(slow.fast_hits, 0, "slow run must not use the lane");
+    assert!(fast.fast_hits > 0, "fast run never answered in-loop");
+    assert_eq!(slow.fast_hits, 0, "slow run must not answer in-loop");
 
-    for (label, other) in [("fast off", &slow), ("legacy", &legacy)] {
+    for (label, other) in [("fast off", &slow), ("reference", &reference)] {
         assert_eq!(fast.obs, other.obs, "observable state diverged vs {label}");
         assert_eq!(fast.first_delta, other.first_delta, "vs {label}");
         assert_eq!(fast.second_delta, other.second_delta, "vs {label}");
@@ -265,9 +255,9 @@ fn snapshot_restore_invalidates_fast_state_identically() {
 
 #[test]
 fn chain_mutation_invalidates_fast_state_identically() {
-    let fast = run_mutating(true, false);
-    let slow = run_mutating(false, false);
-    let legacy = run_mutating(false, true);
+    let fast = run_mutating(true, Engine::Fused);
+    let slow = run_mutating(false, Engine::Fused);
+    let reference = run_mutating(false, Engine::Plain);
 
     // The run actually exercised every configuration.
     assert!(
@@ -277,10 +267,10 @@ fn chain_mutation_invalidates_fast_state_identically() {
     );
     assert!(fast.watcher_batches > 0, "no vectored upcalls delivered");
     assert!(fast.intercepted > 0 && fast.unmanaged > 0);
-    assert!(fast.fast_hits > 0, "fast run never used the in-loop lane");
-    assert_eq!(slow.fast_hits, 0, "slow run must not use the lane");
+    assert!(fast.fast_hits > 0, "fast run never answered in-loop");
+    assert_eq!(slow.fast_hits, 0, "slow run must not answer in-loop");
 
-    for (label, other) in [("fast off", &slow), ("legacy", &legacy)] {
+    for (label, other) in [("fast off", &slow), ("reference", &reference)] {
         assert_eq!(fast.obs, other.obs, "observable state diverged vs {label}");
         assert_eq!(fast.watcher_calls, other.watcher_calls, "vs {label}");
         assert_eq!(fast.watcher_batches, other.watcher_batches, "vs {label}");

@@ -166,17 +166,17 @@ impl FastPathStats {
     }
 }
 
-/// Which body the sliced scheduler's execution burst runs.
-///
-/// The legacy per-instruction scheduler always steps the plain interpreter —
-/// it *is* the reference — so this knob only selects the `run_slice` body.
+/// Which loop the scheduler runs guest code in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The plain `run_slice` interpreter, retained as the differential
-    /// reference (the sliced/legacy split of PR 1, one level up).
+    /// The differential reference: one `run_slice` turn over the plain
+    /// `step` interpreter per scheduler round. Every trap is routed;
+    /// nothing is answered in-loop.
     Plain,
-    /// The superinstruction engine: `run_slice_fused` over the per-image
-    /// [`ia_vm::FusedProgram`]. Bit-identical accounting, fewer dispatches.
+    /// Production: `run_burst_fused` over the per-image
+    /// [`ia_vm::FusedProgram`], running back-to-back turns and (with the
+    /// fast path on) answering `getpid`/`gettimeofday` in-loop whenever
+    /// nothing could preempt. Bit-identical accounting, fewer dispatches.
     #[default]
     Fused,
 }
@@ -192,7 +192,7 @@ pub struct FusionStats {
 }
 
 impl FusionStats {
-    /// Folds one slice's hit counts in.
+    /// Folds one burst's hit counts in.
     pub(crate) fn add(&mut self, hits: &[u64; ia_vm::FUSED_KINDS]) {
         for (acc, h) in self.hits.iter_mut().zip(hits) {
             *acc += h;
@@ -260,13 +260,14 @@ pub struct Kernel {
     /// Flight recorder + per-layer metrics (ia-obs). Disabled by default;
     /// every hook is observably inert (never advances the virtual clock).
     pub obs: ia_obs::Obs,
-    /// Enables the trap fast path (flat dispatch tables and the in-loop
-    /// vDSO lane). On by default; the conform oracle turns it off to prove
-    /// the fast and slow paths are bit-identical.
+    /// Enables the trap fast path: flat dispatch tables on both engines,
+    /// and in-loop `getpid`/`gettimeofday` answers on the fused engine. On
+    /// by default; the conform oracle turns it off to prove the fast and
+    /// slow paths are bit-identical.
     pub fast_path: bool,
     /// Fast-path hit/miss counters (host-side; see [`FastPathStats`]).
     pub fast_stats: FastPathStats,
-    /// Which `run_slice` body the sliced scheduler executes (see [`Engine`]).
+    /// Which loop the scheduler executes guest code in (see [`Engine`]).
     /// Fused by default; the conform oracle pins it both ways to prove the
     /// engines are bit-identical.
     pub engine: Engine,
@@ -340,15 +341,16 @@ impl KernelBuilder {
         self
     }
 
-    /// Which `run_slice` body the sliced scheduler executes (default
+    /// Which loop the scheduler runs guest code in (default
     /// [`Engine::Fused`]).
     pub fn engine(mut self, engine: Engine) -> KernelBuilder {
         self.engine = engine;
         self
     }
 
-    /// The trap fast path — flat dispatch tables and the in-loop vDSO
-    /// lane (default on; the conform oracle pins it both ways).
+    /// The trap fast path — flat dispatch tables, plus in-loop
+    /// `getpid`/`gettimeofday` answers on the fused engine (default on;
+    /// the conform oracle pins it both ways).
     pub fn fast_path(mut self, on: bool) -> KernelBuilder {
         self.fast_path = on;
         self

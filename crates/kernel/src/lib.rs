@@ -37,8 +37,6 @@ pub use kernel::{
     SysOutcome, WakeEvent,
 };
 pub use process::{PendingTrap, Pid, ProcState, Process, SigAction, SigState, Usage, WaitChannel};
-pub use sched::{
-    run, run_legacy, FastSpec, KernelRouter, RunLimits, RunOutcome, SyscallRouter, SLICE,
-};
+pub use sched::{run, FastSpec, KernelRouter, RunLimits, RunOutcome, SyscallRouter, SLICE};
 pub use snapshot::{ClientView, KernelSnapshot, Observable};
 pub use socket::{SockState, Socket, SocketTable};

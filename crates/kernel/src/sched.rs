@@ -7,19 +7,23 @@
 //! registered traps through per-process agent chains first — Figures 1-2
 //! through 1-4.
 //!
-//! Two schedulers share all trap/signal machinery:
+//! [`run`] is the one scheduler. Each round picks a process from the
+//! kernel's runnable set, charges the virtual clock once by the batched
+//! retired count (bit-identical to per-instruction charging, since the
+//! per-instruction cost is a constant), and finds the next deadline
+//! through the timer and select heaps instead of scanning every process.
+//! The [`Engine`] picks the loop a round runs:
 //!
-//! * [`run`] — the hot path. Each turn executes a whole slice through
-//!   [`run_slice`] with the process borrowed once, charges the virtual
-//!   clock once by the batched retired count (bit-identical to per-insn
-//!   charging, since the per-instruction cost is a constant), and finds
-//!   the next process / next deadline through the kernel's runnable set
-//!   and timer heaps instead of scanning every process.
-//! * [`run_legacy`] — the original per-instruction, scan-everything loop,
-//!   kept verbatim as the reference implementation. The differential
-//!   tests in `crates/bench` run workloads under both and require
-//!   identical virtual-clock totals, console output and syscall counts;
-//!   `reproduce --json` uses it as the measured baseline.
+//! * [`Engine::Fused`] — production. When nothing could preempt between
+//!   turns, one gate hands the whole stretch to [`run_burst_fused`], which
+//!   runs back-to-back turns and answers `getpid`/`gettimeofday` from the
+//!   router's [`FastSpec`] without leaving the loop; otherwise it runs one
+//!   [`SLICE`] turn.
+//! * [`Engine::Plain`] — the differential reference: one [`run_slice`]
+//!   turn over `step` per round, every trap routed.
+//!
+//! The differential tests and `ia-conform` require the two to agree on the
+//! complete [`crate::Observable`], virtual clock included.
 
 use std::cmp::Reverse;
 
@@ -27,11 +31,8 @@ use ia_abi::signal::{DefaultAction, SigDisposition, Signal};
 use ia_abi::types::SigContext;
 use ia_abi::wire::Wire;
 use ia_abi::{Errno, RawArgs, Sysno};
-use ia_vm::fuse::{run_burst_fused, FUSED_KINDS};
-use ia_vm::machine::{
-    run_fast, run_slice, step, BatchCall, FastEnd, FastMode, FastParams, SliceEnd, SliceResult,
-    StepEvent,
-};
+use ia_vm::fuse::{run_burst_fused, AnswerTable, FusedBurst, FUSED_KINDS};
+use ia_vm::machine::{run_slice, BatchCall, FastMode, SliceEnd};
 
 use crate::kernel::{Engine, Kernel, SysOutcome, WakeEvent};
 use crate::process::{PendingTrap, Pid, ProcState, WaitChannel};
@@ -42,8 +43,8 @@ pub const SLICE: u32 = 100;
 /// The per-process answer table for the in-loop syscall fast path — the
 /// router's verdict on which fast-answerable numbers may be answered
 /// inside the VM loop for one process, computed from the installed agent
-/// chain at lane entry (and therefore invalidated for free on any chain
-/// mutation: the next lane entry recomputes it).
+/// chain at the entry of each answering burst (and therefore invalidated
+/// for free on any chain mutation: the next burst recomputes it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FastSpec {
     /// How `getpid` may be answered.
@@ -76,13 +77,6 @@ impl FastSpec {
         pending_len: 0,
         batch_cap: u32::MAX,
     };
-
-    /// True when at least one number is answerable, i.e. entering the
-    /// lane can make progress.
-    #[must_use]
-    pub fn lane_enabled(&self) -> bool {
-        self.getpid != FastMode::Off || self.gtod != FastMode::Off
-    }
 }
 
 /// How a trap reaches an implementation of the system interface.
@@ -111,9 +105,9 @@ pub trait SyscallRouter {
     /// cleanup, e.g. agent chains).
     fn on_process_exit(&mut self, _k: &mut Kernel, _pid: Pid) {}
 
-    /// The in-loop fast-path answer table for `pid`, consulted at each lane
-    /// entry. The conservative default keeps everything on the ordinary
-    /// dispatch path.
+    /// The in-loop fast-path answer table for `pid`, consulted at the entry
+    /// of each answering burst. The conservative default keeps everything
+    /// on the ordinary dispatch path.
     fn fast_spec(&mut self, _k: &Kernel, _pid: Pid) -> FastSpec {
         FastSpec::OFF
     }
@@ -184,11 +178,12 @@ pub enum RunOutcome {
 
 /// Runs the system until every process exits (or a limit/deadlock).
 ///
-/// Each turn borrows the chosen process once and executes a whole slice
-/// through [`run_slice`]; accounting (virtual clock, `user_insns`, total
-/// instruction count) is charged once per slice by the batched retired
-/// count. Scheduling decisions read the kernel's maintained runnable set
-/// and deadline heaps, so a turn costs O(log procs) rather than O(procs).
+/// Each round borrows the chosen process once and executes one slice (or,
+/// through the burst gate, a run of back-to-back slices) in the kernel's
+/// [`Engine`]; accounting (virtual clock, `user_insns`, total instruction
+/// count) is charged once per round by the batched retired count.
+/// Scheduling decisions read the kernel's maintained runnable set and
+/// deadline heaps, so a round costs O(log procs) rather than O(procs).
 pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) -> RunOutcome {
     let mut steps: u64 = 0;
     let mut last_pid: Pid = 0;
@@ -251,53 +246,34 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
             continue;
         }
 
-        // The in-loop fast path: when this is the only runnable process,
-        // nothing is observing, and no timer or timed select could fire
-        // mid-burst, traps with a fast answer table entry are handled
-        // inside the VM loop — no scheduler round, no dispatcher — with
-        // accounting bit-identical to the ordinary turns below.
-        if k.fast_path
-            && !k.obs.is_enabled()
-            && k.run_queue.len() == 1
-            && k.timer_heap.is_empty()
-            && k.select_heap.is_empty()
-        {
-            let spec = router.fast_spec(k, pid);
-            if spec.lane_enabled() {
-                let (used, ret) = fast_lane(k, router, pid, spec, limits.max_steps - steps);
-                steps += used;
-                if let Some(out) = ret {
-                    return out;
-                }
-                if steps >= limits.max_steps {
-                    return limit_outcome(k);
-                }
-                continue;
-            }
-        }
-
-        // Run one slice as a single burst. The budget never exceeds the
-        // remaining step allowance, so the legacy mid-slice limit check
+        // The one gate. When nothing could preempt between turns — fused
+        // engine, a single runnable process, no armed timer or timed
+        // select, no pending wakeup, observability off — the whole stretch
+        // runs as one [`run_burst_fused`] call of back-to-back turns, and
+        // with the fast path on, traps in the router's answer table are
+        // answered inside it. Per-turn slice boundaries, pair splits and
+        // accounting are preserved exactly; only the per-turn scheduler
+        // round and the answered dispatches are amortised. Otherwise one
+        // `SLICE` turn runs and every trap is routed. The budget never
+        // exceeds the remaining step allowance, so the step-limit check
         // falls out of the `Expired` arm below.
-        //
-        // When nothing could preempt between turns — fused engine, a single
-        // runnable process, no armed timer or timed select, no pending
-        // wakeup, observability off — the whole compute stretch runs as one
-        // [`run_burst_fused`] call of back-to-back turns. Per-turn slice
-        // boundaries, pair splits and accounting are preserved exactly;
-        // only the per-turn scheduler round is amortised.
         let remaining = limits.max_steps.saturating_sub(steps).max(1);
         let fused_engine = k.engine == Engine::Fused;
-        let burst_ok = fused_engine
+        let burst = fused_engine
             && k.run_queue.len() == 1
             && k.timer_heap.is_empty()
             && k.select_heap.is_empty()
             && k.wakeups.is_empty()
             && !k.obs.is_enabled();
-        let max = if burst_ok {
-            remaining
+        let (max, table) = if burst {
+            let table = if k.fast_path {
+                answer_table(k, pid, router.fast_spec(k, pid))
+            } else {
+                AnswerTable::default()
+            };
+            (remaining, table)
         } else {
-            u64::from(SLICE).min(remaining)
+            (u64::from(SLICE).min(remaining), AnswerTable::default())
         };
         let Some(p) = k.procs.get_mut(&pid) else {
             steps += 1;
@@ -307,53 +283,54 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
             continue;
         };
         let mut fuse_hits = [0u64; FUSED_KINDS];
-        let (res, turns, end_turn_retired) = if fused_engine {
-            let b = run_burst_fused(
+        let res = if fused_engine {
+            run_burst_fused(
                 &mut p.vm,
                 &mut p.mem,
                 &p.fused,
                 u64::from(SLICE),
                 max,
+                &table,
                 &mut fuse_hits,
-            );
-            (
-                SliceResult {
-                    retired: b.retired,
-                    end: b.end,
-                },
-                b.turns,
-                b.end_turn_retired,
             )
         } else {
-            let r = run_slice(&mut p.vm, &mut p.mem, &p.code, max);
-            let end_turn_retired = r.retired;
-            (r, 1, end_turn_retired)
+            run_slice(&mut p.vm, &mut p.mem, &p.code, max).into()
         };
         p.usage.user_insns += res.retired;
-        // Every completed turn before the burst's final one filled its
-        // slice and charges one involuntary switch, as its own round would.
-        p.usage.nivcsw += turns - 1;
+        // Every completed turn before the burst's final one ended on slice
+        // expiry or an answered trap; a full one charges one involuntary
+        // switch, as its own round would. Each answered trap is one
+        // syscall and one voluntary switch.
+        p.usage.nivcsw += res.full_turns;
+        p.usage.sys_ns += res.cost_ns;
+        p.usage.nsyscalls += res.answered;
+        p.usage.nvcsw += res.answered;
         if fused_engine {
             k.fusion_stats.add(&fuse_hits);
         }
-        k.perf.slices += turns;
-        k.perf.sched_iterations += turns - 1;
+        k.perf.slices += res.turns;
+        k.perf.sched_iterations += res.turns - 1;
         k.total_insns += res.retired;
-        k.clock.advance_ns(res.retired * k.profile.insn_ns);
+        k.total_syscalls += res.answered;
+        k.clock
+            .advance_ns(res.retired * k.profile.insn_ns + res.cost_ns);
         k.obs.slice(pid, res.retired, k.clock.elapsed_ns());
+        if res.answered > 0 {
+            note_answers(k, router, pid, &res);
+        }
 
         // A trailing halt or fault consumed a scheduler step without
-        // retiring an instruction (the legacy loop counted the attempt).
-        let iterations =
-            end_turn_retired + u64::from(matches!(res.end, SliceEnd::Halted | SliceEnd::Fault(_)));
-        steps += (res.retired - end_turn_retired) + iterations;
+        // retiring an instruction.
+        let iterations = res.end_turn_retired
+            + u64::from(matches!(res.end, SliceEnd::Halted | SliceEnd::Fault(_)));
+        steps += (res.retired - res.end_turn_retired) + iterations;
         let full_slice = iterations == u64::from(SLICE);
 
         match res.end {
             SliceEnd::Expired => {
                 if steps >= limits.max_steps {
-                    // The legacy loop returned from inside the slice here,
-                    // before the involuntary-switch accounting.
+                    // Out of steps: stop before charging the involuntary
+                    // switch.
                     return RunOutcome::StepLimit;
                 }
                 if let Some(p) = k.procs.get_mut(&pid) {
@@ -390,225 +367,46 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
     }
 }
 
-/// The original per-instruction scheduler, kept as the reference
-/// implementation: one [`step`] per loop iteration, full process-table
-/// scans for picking, timers and wakeups. Differential tests assert that
-/// [`run`] is observationally identical to this; `reproduce --json`
-/// measures it as the baseline.
-pub fn run_legacy<R: SyscallRouter>(
-    k: &mut Kernel,
-    router: &mut R,
-    limits: RunLimits,
-) -> RunOutcome {
-    let mut steps: u64 = 0;
-    let mut last_pid: Pid = 0;
-    loop {
-        fire_timers_legacy(k);
-        apply_wakeups_legacy(k);
-
-        let Some(pid) = pick_runnable_legacy(k, last_pid) else {
-            // Nobody runnable: maybe time just needs to pass.
-            if let Some(deadline) = earliest_deadline_legacy(k) {
-                let now = k.clock.elapsed_ns();
-                if deadline > now {
-                    k.clock.advance_ns(deadline - now);
-                }
-                fire_timers_legacy(k);
-                apply_wakeups_legacy(k);
-                wake_expired_selects_legacy(k);
-                continue;
-            }
-            let mut blocked: Vec<Pid> = k
-                .procs
-                .values()
-                .filter(|p| matches!(p.state, ProcState::Blocked(_)))
-                .map(|p| p.pid)
-                .collect();
-            blocked.sort_unstable();
-            if !blocked.is_empty() {
-                return RunOutcome::Deadlock { blocked };
-            }
-            if k.procs
-                .values()
-                .any(|p| matches!(p.state, ProcState::Stopped))
-            {
-                return RunOutcome::Stalled;
-            }
-            return RunOutcome::AllExited;
-        };
-        last_pid = pid;
-
-        // Deliver one pending signal before the process runs.
-        deliver_signals(k, router, pid);
-        if !is_runnable(k, pid) {
-            continue;
-        }
-
-        // A restarted trap takes precedence over stepping the machine.
-        if let Some(trap) = k.procs.get(&pid).and_then(|p| p.pending_trap) {
-            k.procs.get_mut(&pid).expect("exists").pending_trap = None;
-            dispatch(k, router, pid, trap.nr, trap.args, trap.restarts + 1);
-            steps += 1;
-            if steps >= limits.max_steps {
-                return RunOutcome::StepLimit;
-            }
-            continue;
-        }
-
-        // Run one slice, an instruction at a time.
-        let mut slice = SLICE;
-        while slice > 0 {
-            slice -= 1;
-            steps += 1;
-            let Some(p) = k.procs.get_mut(&pid) else {
-                break;
-            };
-            let code = p.code.clone();
-            let ev = step(&mut p.vm, &mut p.mem, &code);
-            match ev {
-                StepEvent::Continue => {
-                    p.usage.user_insns += 1;
-                    k.total_insns += 1;
-                    k.clock.advance_ns(k.profile.insn_ns);
-                }
-                StepEvent::Syscall { nr, args } => {
-                    p.usage.user_insns += 1;
-                    k.total_insns += 1;
-                    k.clock.advance_ns(k.profile.insn_ns);
-                    dispatch(k, router, pid, nr, args, 0);
-                    break; // end of turn after a trap
-                }
-                StepEvent::Halted => {
-                    // Halt is treated as exit(r0): convenient for small
-                    // hand-written programs and tests.
-                    let status = (p.vm.regs[0] & 0xff) as u8;
-                    k.terminate(pid, ia_abi::signal::wait_status_exited(status));
-                    router.on_process_exit(k, pid);
-                    break;
-                }
-                StepEvent::Fault(sig) => {
-                    handle_fault(k, router, pid, sig);
-                    break;
-                }
-            }
-            if steps >= limits.max_steps {
-                return RunOutcome::StepLimit;
-            }
-        }
-        if slice == 0 {
-            if let Some(p) = k.procs.get_mut(&pid) {
-                p.usage.nivcsw += 1;
-            }
-        }
-        if steps >= limits.max_steps {
-            return limit_outcome(k);
-        }
-    }
-}
-
-/// One fast-lane burst: runs [`run_fast`] on the chosen process and applies
-/// its totals to the kernel exactly as the equivalent sequence of ordinary
-/// turns would have (clock, rusage counters, syscall totals), then routes
-/// the router-visible effects through [`SyscallRouter::note_fast_direct`]
-/// and [`SyscallRouter::absorb_batch`] and dispatches any trailing event.
-///
-/// Returns `(steps_consumed, Some(outcome))` to end the run, or
-/// `(steps_consumed, None)` to continue the outer loop (the caller still
-/// performs the step-limit check, mirroring the ordinary turn epilogue).
-fn fast_lane<R: SyscallRouter>(
-    k: &mut Kernel,
-    router: &mut R,
-    pid: Pid,
-    spec: FastSpec,
-    remaining: u64,
-) -> (u64, Option<RunOutcome>) {
-    let params = FastParams {
-        slice: SLICE,
-        remaining,
+/// The burst's answer table for `pid`: the router's per-number verdicts
+/// plus the cost-profile and clock state the loop charges answers with.
+fn answer_table(k: &Kernel, pid: Pid, spec: FastSpec) -> AnswerTable {
+    AnswerTable {
+        getpid: spec.getpid,
+        gtod: spec.gtod,
+        pid: u64::from(pid),
+        getpid_cost_ns: k.profile.syscall_base_ns(Sysno::Getpid),
+        gtod_cost_ns: k.profile.syscall_base_ns(Sysno::Gettimeofday),
         insn_ns: k.profile.insn_ns,
         clock_base_ns: k.clock.elapsed_ns(),
         epoch_secs: k.clock.epoch_secs(),
-        pid: u64::from(pid),
-        getpid: spec.getpid,
-        gtod: spec.gtod,
-        getpid_cost_ns: k.profile.syscall_base_ns(Sysno::Getpid),
-        gtod_cost_ns: k.profile.syscall_base_ns(Sysno::Gettimeofday),
         pending_nr: spec.pending_nr,
         pending_len: spec.pending_len,
         batch_cap: spec.batch_cap,
-    };
-    let Some(p) = k.procs.get_mut(&pid) else {
-        // Mirrors the ordinary missing-process turn: one step, move on.
-        return (1, None);
-    };
-    let run = run_fast(&mut p.vm, &mut p.mem, &p.code, &params);
-    p.usage.user_insns += run.retired;
-    p.usage.sys_ns += run.cost_ns;
-    p.usage.nsyscalls += run.answered;
-    p.usage.nvcsw += run.answered;
-    p.usage.nivcsw += run.full_turns;
-    k.perf.slices += 1;
-    k.total_insns += run.retired;
-    k.total_syscalls += run.answered;
-    k.clock
-        .advance_ns(run.retired * k.profile.insn_ns + run.cost_ns);
-
-    if run.direct_getpid > 0 {
-        let nr = Sysno::Getpid.number();
-        k.fast_stats.note_hits(pid, nr, run.direct_getpid);
-        router.note_fast_direct(k, pid, nr, run.direct_getpid);
-    }
-    if run.direct_gtod > 0 {
-        let nr = Sysno::Gettimeofday.number();
-        k.fast_stats.note_hits(pid, nr, run.direct_gtod);
-        router.note_fast_direct(k, pid, nr, run.direct_gtod);
-    }
-    if !run.collected.is_empty() {
-        k.fast_stats
-            .note_hits(pid, run.collected_nr, run.collected.len() as u64);
-        router.absorb_batch(k, pid, run.collected_nr, &run.collected);
-    }
-
-    let charge_trailing_nivcsw = |k: &mut Kernel| {
-        if let Some(p) = k.procs.get_mut(&pid) {
-            p.usage.nivcsw += 1;
-        }
-    };
-    match run.end {
-        FastEnd::Trap { nr, args } => {
-            dispatch(k, router, pid, nr, args, 0);
-            if run.end_turn_full {
-                charge_trailing_nivcsw(k);
-            }
-            (run.steps, None)
-        }
-        FastEnd::Halted => {
-            let status = k
-                .procs
-                .get(&pid)
-                .map(|p| (p.vm.regs[0] & 0xff) as u8)
-                .unwrap_or(0);
-            k.terminate(pid, ia_abi::signal::wait_status_exited(status));
-            router.on_process_exit(k, pid);
-            if run.end_turn_full {
-                charge_trailing_nivcsw(k);
-            }
-            (run.steps, None)
-        }
-        FastEnd::Fault(sig) => {
-            handle_fault(k, router, pid, sig);
-            if run.end_turn_full {
-                charge_trailing_nivcsw(k);
-            }
-            (run.steps, None)
-        }
-        FastEnd::StepLimit => (run.steps, Some(limit_outcome(k))),
-        FastEnd::CapBail => (run.steps, None),
     }
 }
 
-/// Step-limit epilogue shared by both schedulers: only give up if there is
-/// really still work to do.
+/// Hands the router the effects of a burst's in-loop answers — pay-per-use
+/// counters for direct answers, the collected calls for its pending
+/// vectored batch — before any trailing trap is routed, so it sees calls in
+/// program order.
+fn note_answers<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid, res: &FusedBurst) {
+    for (nr, count) in [
+        (Sysno::Getpid.number(), res.direct_getpid),
+        (Sysno::Gettimeofday.number(), res.direct_gtod),
+    ] {
+        if count > 0 {
+            k.fast_stats.note_hits(pid, nr, count);
+            router.note_fast_direct(k, pid, nr, count);
+        }
+    }
+    if !res.collected.is_empty() {
+        k.fast_stats
+            .note_hits(pid, res.collected_nr, res.collected.len() as u64);
+        router.absorb_batch(k, pid, res.collected_nr, &res.collected);
+    }
+}
+
+/// Step-limit epilogue: only give up if there is really still work to do.
 fn limit_outcome(k: &Kernel) -> RunOutcome {
     if k.procs
         .values()
@@ -639,7 +437,8 @@ fn dispatch<R: SyscallRouter>(
     k.perf.trap_dispatches += 1;
     if nr == Sysno::Getpid.number() || nr == Sysno::Gettimeofday.number() {
         // A fast-answerable number took the ordinary path (fast path off,
-        // lane gate closed, mid-lane bail, or a legacy run): a miss.
+        // burst gate closed, plain engine, or not answerable in-loop): a
+        // miss.
         k.fast_stats.note_miss(pid, nr);
     }
     k.obs.trap_dispatch(pid, nr, restarts, k.clock.elapsed_ns());
@@ -800,9 +599,9 @@ fn select_entry_waiting(k: &Kernel, deadline: u64, pid: Pid) -> bool {
 ///
 /// An overdue periodic timer fires once and is rescheduled *past* `now`,
 /// preserving its phase: `next = deadline + interval * periods_elapsed`.
-/// (The legacy rearm advanced by a single period regardless of how far
-/// behind the timer was, so a long slice could leave the deadline still in
-/// the past and refire it once per scheduler pass until it caught up.)
+/// (Advancing by a single period regardless of how far behind the timer
+/// was could leave the deadline still in the past after a long slice and
+/// refire it once per scheduler pass until it caught up.)
 fn fire_timers(k: &mut Kernel) {
     let now = k.clock.elapsed_ns();
     while let Some(&Reverse((deadline, pid))) = k.timer_heap.peek() {
@@ -828,35 +627,6 @@ fn fire_timers(k: &mut Kernel) {
     }
 }
 
-/// Legacy timer pass: scans every process; an overdue periodic timer is
-/// rearmed one period past its old deadline (possibly still in the past).
-fn fire_timers_legacy(k: &mut Kernel) {
-    let now = k.clock.elapsed_ns();
-    let expired: Vec<Pid> = k
-        .procs
-        .values()
-        .filter(|p| {
-            !matches!(p.state, ProcState::Zombie(_))
-                && p.itimer.is_some_and(|(deadline, _)| deadline <= now)
-        })
-        .map(|p| p.pid)
-        .collect();
-    for pid in expired {
-        if let Some(p) = k.procs.get_mut(&pid) {
-            if let Some((deadline, interval)) = p.itimer {
-                p.itimer = if interval > 0 {
-                    let next = deadline + interval.max(1);
-                    k.timer_heap.push(Reverse((next, pid)));
-                    Some((next, interval))
-                } else {
-                    None
-                };
-            }
-        }
-        let _ = k.post_signal(pid, Signal::SIGALRM);
-    }
-}
-
 /// Moves blocked processes whose wakeup condition fired back to runnable.
 /// Only current waiters (the blocked queue) are examined.
 fn apply_wakeups(k: &mut Kernel) {
@@ -870,32 +640,6 @@ fn apply_wakeups(k: &mut Kernel) {
         .iter()
         .filter_map(|&pid| match k.procs.get(&pid).map(|p| p.state) {
             Some(ProcState::Blocked(ch)) => Some((pid, ch)),
-            _ => None,
-        })
-        .collect();
-    for (pid, ch) in blocked {
-        let woken = events.iter().any(|ev| wakes(*ev, ch, pid, k));
-        if woken {
-            if let Some(p) = k.procs.get_mut(&pid) {
-                p.state = ProcState::Runnable;
-            }
-            k.blocked_queue.remove(&pid);
-            k.run_queue.insert(pid);
-        }
-    }
-}
-
-/// Legacy wakeup pass: scans the whole process table for waiters.
-fn apply_wakeups_legacy(k: &mut Kernel) {
-    let events = k.take_wakeups();
-    if events.is_empty() {
-        return;
-    }
-    let blocked: Vec<(Pid, WaitChannel)> = k
-        .procs
-        .values()
-        .filter_map(|p| match p.state {
-            ProcState::Blocked(ch) => Some((p.pid, ch)),
             _ => None,
         })
         .collect();
@@ -952,26 +696,6 @@ fn wake_expired_selects(k: &mut Kernel) {
     }
 }
 
-/// Legacy variant: scans the whole process table for expired selects.
-fn wake_expired_selects_legacy(k: &mut Kernel) {
-    let now = k.clock.elapsed_ns();
-    let expired: Vec<Pid> = k
-        .procs
-        .values()
-        .filter(|p| {
-            matches!(p.state, ProcState::Blocked(WaitChannel::Select { deadline_ns }) if deadline_ns <= now)
-        })
-        .map(|p| p.pid)
-        .collect();
-    for pid in expired {
-        if let Some(p) = k.procs.get_mut(&pid) {
-            p.state = ProcState::Runnable;
-        }
-        k.blocked_queue.remove(&pid);
-        k.run_queue.insert(pid);
-    }
-}
-
 /// Earliest future event that pure time passage will trigger: the minimum
 /// of the valid tops of the timer and select heaps.
 fn earliest_deadline(k: &mut Kernel) -> Option<u64> {
@@ -1004,25 +728,6 @@ fn earliest_deadline(k: &mut Kernel) -> Option<u64> {
     }
 }
 
-/// Legacy variant: scans every process for timer and select deadlines.
-fn earliest_deadline_legacy(k: &Kernel) -> Option<u64> {
-    let mut best: Option<u64> = None;
-    for p in k.procs.values() {
-        if matches!(p.state, ProcState::Zombie(_)) {
-            continue;
-        }
-        if let Some((deadline, _)) = p.itimer {
-            best = Some(best.map_or(deadline, |b: u64| b.min(deadline)));
-        }
-        if let ProcState::Blocked(WaitChannel::Select { deadline_ns }) = p.state {
-            if deadline_ns != u64::MAX {
-                best = Some(best.map_or(deadline_ns, |b: u64| b.min(deadline_ns)));
-            }
-        }
-    }
-    best
-}
-
 /// Round-robin pick from the runnable queue: the lowest runnable pid
 /// strictly greater than `last`, wrapping to the lowest runnable pid.
 /// Entries that are no longer runnable (which the queue invariants should
@@ -1043,24 +748,6 @@ fn pick_runnable(k: &mut Kernel, last: Pid) -> Option<Pid> {
     }
 }
 
-/// Legacy round-robin pick: full scan of the process table.
-fn pick_runnable_legacy(k: &Kernel, last: Pid) -> Option<Pid> {
-    let mut first: Option<Pid> = None;
-    let mut next: Option<Pid> = None;
-    for p in k.procs.values() {
-        if !matches!(p.state, ProcState::Runnable) {
-            continue;
-        }
-        if first.is_none_or(|f| p.pid < f) {
-            first = Some(p.pid);
-        }
-        if p.pid > last && next.is_none_or(|n| p.pid < n) {
-            next = Some(p.pid);
-        }
-    }
-    next.or(first)
-}
-
 impl Kernel {
     /// Convenience: run with the identity router until completion.
     pub fn run_to_completion(&mut self) -> RunOutcome {
@@ -1071,18 +758,10 @@ impl Kernel {
     pub fn run_with<R: SyscallRouter>(&mut self, router: &mut R) -> RunOutcome {
         run(self, router, RunLimits::default())
     }
-
-    /// Convenience: run under the legacy reference scheduler.
-    pub fn run_to_completion_legacy(&mut self) -> RunOutcome {
-        run_legacy(self, &mut KernelRouter, RunLimits::default())
-    }
-
-    /// Convenience: run a custom router under the legacy reference
-    /// scheduler.
-    pub fn run_with_legacy<R: SyscallRouter>(&mut self, router: &mut R) -> RunOutcome {
-        run_legacy(self, router, RunLimits::default())
-    }
 }
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -1119,13 +798,83 @@ mod tests {
         assert_eq!(k.perf.timer_fires, 1);
     }
 
+    /// Runs `img` to completion on the default builder and on the
+    /// reference (`Engine::Plain`, fast path off); returns both kernels and
+    /// the initial pid after asserting they agree on the full
+    /// [`crate::Observable`].
+    fn run_default_and_reference(img: &ia_vm::Image) -> (Kernel, Kernel, Pid) {
+        let run_one = |b: KernelBuilder| {
+            let mut k = b.build();
+            let pid = k.spawn_image(img, &[b"t"], b"t");
+            assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+            (k, pid)
+        };
+        let (k, pid) = run_one(KernelBuilder::new());
+        let (r, _) = run_one(KernelBuilder::new().engine(Engine::Plain).fast_path(false));
+        assert_eq!(k.observable(), r.observable());
+        (k, r, pid)
+    }
+
     #[test]
-    fn on_time_periodic_timer_rearm_matches_legacy() {
+    fn on_time_periodic_timer_rearm_matches_the_reference() {
         let (mut k, pid) = kernel_with_idle_proc();
         arm_timer(&mut k, pid, 1_000, 250);
         k.clock.advance_ns(1_000); // exactly at the deadline
         fire_timers(&mut k);
         assert_eq!(k.proc(pid).unwrap().itimer, Some((1_250, 250)));
+
+        // End to end: a 1 ms periodic timer whose deadlines fall on
+        // instruction boundaries (200 × 5 µs) interrupts a compute loop;
+        // the handler counts SIGALRMs, and the count is the exit status.
+        let img = ia_vm::assemble(
+            r#"
+            .data
+            act: .space 16
+            it:  .space 32
+            cnt: .space 8
+            .text
+            main:
+                jmp setup
+            pad: nop
+            handler:
+                la r8, cnt
+                ld r9, (r8)
+                addi r9, r9, 1
+                st r9, (r8)
+                mov r0, r1
+                sys sigreturn
+            setup:
+                li r3, 2
+                la r1, act
+                st r3, (r1)
+                li r0, 14
+                la r1, act
+                li r2, 0
+                sys sigaction
+                la r1, it
+                li r3, 1000
+                st r3, 8(r1)
+                st r3, 24(r1)
+                li r0, 0
+                la r1, it
+                li r2, 0
+                sys setitimer
+                li r10, 9000
+            loop:
+                addi r10, r10, -1
+                jnz r10, loop
+                la r8, cnt
+                ld r0, (r8)
+                sys exit
+            "#,
+        )
+        .unwrap();
+        let (k, _, pid) = run_default_and_reference(&img);
+        let status = ia_abi::signal::WaitStatus::decode(k.exit_status(pid).unwrap());
+        assert!(
+            matches!(status, Some(ia_abi::signal::WaitStatus::Exited(n)) if n > 0),
+            "the periodic timer fired: {status:?}"
+        );
     }
 
     #[test]
@@ -1163,29 +912,37 @@ mod tests {
     }
 
     #[test]
-    fn sliced_and_legacy_schedulers_agree_on_accounting() {
-        // A compute loop with a couple of traps, run to completion under
-        // both schedulers: the virtual clock, instruction totals and
-        // rusage-visible counters must be bit-identical.
+    fn default_and_reference_agree_on_accounting() {
+        // A compute loop with a trap per lap: the default configuration
+        // answers every getpid inside the fused burst, the reference
+        // routes each one. The virtual clock, instruction and syscall
+        // totals and the rusage counters (written to the console) must be
+        // bit-identical.
         let src = "
-main:   li r1, 2500
-loop:   addi r1, r1, -1
+.data
+ru:     .space 80
+.text
+main:   li r9, 2500
+loop:   addi r9, r9, -1
         sys getpid
-        jnz r1, loop
+        jnz r9, loop
+        li r0, 0
+        la r1, ru
+        sys getrusage
+        li r0, 1
+        la r1, ru
+        li r2, 80
+        sys write
         halt
 ";
         let img = ia_vm::assemble(src).unwrap();
-        let run_one = |legacy: bool| {
-            let mut k = KernelBuilder::new().build();
-            k.spawn_image(&img, &[b"spin"], b"spin");
-            let outcome = if legacy {
-                k.run_to_completion_legacy()
-            } else {
-                k.run_to_completion()
-            };
-            assert_eq!(outcome, RunOutcome::AllExited);
-            (k.clock.elapsed_ns(), k.total_insns, k.total_syscalls)
-        };
-        assert_eq!(run_one(true), run_one(false));
+        let (k, r, _) = run_default_and_reference(&img);
+        assert_eq!(k.fast_stats.hits(), 2500, "answered in the burst");
+        assert_eq!(r.fast_stats.hits(), 0, "the reference answers nothing");
+        assert_eq!(r.perf.trap_dispatches, 2502, "getpids + getrusage + write");
+        assert_eq!(
+            k.perf.trap_dispatches, 2,
+            "only getrusage and write leave the loop"
+        );
     }
 }

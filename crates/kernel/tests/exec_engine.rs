@@ -247,3 +247,63 @@ fn fused_and_plain_engines_agree_end_to_end() {
     );
     assert!(!out_f.is_empty(), "the itimer actually fired");
 }
+
+/// One process mixing compute with `getpid` and `gettimeofday`, on the
+/// default builder: a single run must both execute superinstructions and
+/// answer every fast-answerable trap inside the VM loop, and still match
+/// the reference (`Engine::Plain`, fast path off) on the full observable
+/// state.
+#[test]
+fn default_run_fuses_and_answers_traps_in_one_loop() {
+    let src = r#"
+        .data
+        tv: .space 16
+        .text
+        main:
+            li r10, 300
+        loop:
+            li r11, 50
+        inner:
+            addi r11, r11, -1
+            jnz r11, inner
+            sys getpid
+            add r12, r12, r0
+            la r0, tv
+            li r1, 0
+            sys gettimeofday
+            la r9, tv
+            ld r4, 8(r9)
+            add r13, r13, r4
+            addi r10, r10, -1
+            jnz r10, loop
+            li r0, 1
+            la r1, tv
+            li r2, 16
+            sys write
+            mov r0, r13
+            sys exit
+    "#;
+    let img = assemble(src).unwrap();
+    let run = |builder: KernelBuilder| {
+        let mut k = builder.build();
+        k.spawn_image(&img, &[b"mix"], b"mix");
+        assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+        k
+    };
+    let k = run(KernelBuilder::new());
+    let reference = run(KernelBuilder::new().engine(Engine::Plain).fast_path(false));
+
+    assert!(
+        k.fusion_stats.total() > 0,
+        "compute ran on superinstructions"
+    );
+    assert_eq!(
+        k.fast_stats.hits(),
+        600,
+        "every getpid and gettimeofday answered in-loop"
+    );
+    assert_eq!(k.fast_stats.misses(), 0);
+    assert_eq!(k.observable(), reference.observable());
+    assert_eq!(reference.fusion_stats.total(), 0);
+    assert_eq!(reference.fast_stats.hits(), 0);
+}

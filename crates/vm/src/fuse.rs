@@ -1,14 +1,18 @@
-//! Superinstruction fusion — stage 2 of the staged engine rebuild.
+//! Superinstruction fusion and the fused burst, the production execution
+//! loop.
 //!
 //! [`FusedProgram::fuse`] runs once per decoded image and rewrites the hot
 //! adjacent pairs the ia-obs histograms surface (`cmp`+conditional-branch,
 //! `li r7,n`+`sys`, `addi`+branch loop edges, load+ALU) into single
-//! [`FusedOp`] superinstructions. [`run_slice_fused`] then executes the
+//! [`FusedOp`] superinstructions. [`run_burst_fused`] then executes the
 //! rewritten program with one flat `match` per dispatch — the
-//! threaded-dispatch inner loop — while keeping the pc and retired count in
-//! locals for the whole burst. [`run_burst_fused`] extends one turn to a
-//! whole run of back-to-back turns in a single call, so the scheduler can
-//! amortise its per-turn round over uninterruptible compute stretches.
+//! threaded-dispatch inner loop — keeping the pc and register file in
+//! locals across a whole run of back-to-back turns and answering `getpid`
+//! and `gettimeofday` traps from an [`AnswerTable`] without leaving the
+//! loop, so the scheduler can amortise its per-turn round over
+//! uninterruptible compute and trap stretches. It is the one production
+//! execution loop; [`run_slice`](crate::machine::run_slice) over `step` is
+//! its reference.
 //!
 //! Two invariants make the rewrite invisible:
 //!
@@ -29,10 +33,13 @@
 //! parks the pc at its start with zero constituents retired — the same
 //! state the plain engine leaves.
 
-use ia_abi::Signal;
+use ia_abi::{RawArgs, Signal, SysResult, Sysno, Timeval, Timezone};
 
 use crate::insn::{Insn, NREGS, SP};
-use crate::machine::{exec_insn, SliceEnd, SliceResult, StepEvent, VmState, SYS_NR_REG};
+use crate::machine::{
+    exec_insn, set_sysret, BatchCall, FastMode, SliceEnd, SliceResult, StepEvent, VmState,
+    SYS_NR_REG,
+};
 use crate::mem::AddressSpace;
 
 /// The superinstruction families, in hit-counter order.
@@ -392,82 +399,170 @@ impl FusedProgram {
     }
 }
 
-/// One multi-turn fused burst: the exact totals of N consecutive
-/// [`run_slice_fused`] turns executed back to back without syncing the
-/// machine state between them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedBurst {
-    /// Constituents retired across the whole burst.
-    pub retired: u64,
-    /// Turns consumed, including the final (ending) one. Every turn before
-    /// the last filled its whole slice — only slice expiry continues a
-    /// burst.
-    pub turns: u64,
-    /// Constituents retired by the final turn alone (each earlier turn
-    /// retired exactly one slice).
-    pub end_turn_retired: u64,
-    /// Why the burst stopped, in [`run_slice_fused`]'s terms.
-    pub end: SliceEnd,
+/// The in-loop answer table for one burst: the router's verdict on which
+/// stateless, read-mostly calls (`getpid`, `gettimeofday`) may be answered
+/// without leaving the loop — the vDSO of this machine — plus the cost and
+/// clock state needed to charge each answer exactly as the kernel's
+/// handler would. The default table answers nothing: every trap ends the
+/// burst.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AnswerTable {
+    /// How `getpid` traps may be answered.
+    pub getpid: FastMode,
+    /// How `gettimeofday` traps may be answered.
+    pub gtod: FastMode,
+    /// The process id — the `getpid` answer.
+    pub pid: u64,
+    /// Base virtual cost of one `getpid`, from the machine profile.
+    pub getpid_cost_ns: u64,
+    /// Base virtual cost of one `gettimeofday`, from the machine profile.
+    pub gtod_cost_ns: u64,
+    /// Virtual nanoseconds charged per retired instruction.
+    pub insn_ns: u64,
+    /// Virtual-clock reading (elapsed ns) at burst entry.
+    pub clock_base_ns: u64,
+    /// Virtual epoch in seconds, added to `gettimeofday` answers.
+    pub epoch_secs: i64,
+    /// Syscall number of a vectored batch already pending at the router,
+    /// if any: a collected call of another number would force a flush at
+    /// that exact clock point, so it leaves the loop instead.
+    pub pending_nr: Option<u32>,
+    /// Number of calls already in the router's pending batch.
+    pub pending_len: u32,
+    /// Batch capacity. The call that would fill the batch leaves the loop,
+    /// so the router flushes the vectored upcall at the same virtual-clock
+    /// point as when every call is routed.
+    pub batch_cap: u32,
 }
 
-/// [`run_slice`](crate::machine::run_slice) over a fused program: same
-/// contract, same accounting, one flat dispatch per (super)instruction.
-///
-/// `hits` accumulates executed superinstructions per family (indexed like
-/// [`FUSED_KIND_NAMES`]); each hit stands for two retired constituents.
-pub fn run_slice_fused(
-    vm: &mut VmState,
-    mem: &mut AddressSpace,
-    prog: &FusedProgram,
-    max: u64,
-    hits: &mut [u64; FUSED_KINDS],
-) -> SliceResult {
-    let b = run_burst_fused(vm, mem, prog, max, max, hits);
-    SliceResult {
-        retired: b.retired,
-        end: b.end,
+/// One fused burst: the exact totals of consecutive turns executed back to
+/// back without syncing the machine state between them, where a turn ends
+/// on slice expiry or on a trap answered from the [`AnswerTable`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FusedBurst {
+    /// Constituents retired across the whole burst (answered traps
+    /// included).
+    pub retired: u64,
+    /// Turns consumed, including the final (ending) one.
+    pub turns: u64,
+    /// Turns before the final one that ran a whole slice: every expired
+    /// turn, plus each answered-trap turn whose trap was the slice's last
+    /// instruction. Each is one involuntary context switch.
+    pub full_turns: u64,
+    /// Constituents retired by the final turn alone.
+    pub end_turn_retired: u64,
+    /// Why the burst stopped, in
+    /// [`run_slice`](crate::machine::run_slice)'s terms.
+    pub end: SliceEnd,
+    /// Traps answered in-loop; each is one syscall and one voluntary
+    /// context switch.
+    pub answered: u64,
+    /// Total virtual base cost of the answered calls.
+    pub cost_ns: u64,
+    /// `getpid` traps answered in [`FastMode::Direct`].
+    pub direct_getpid: u64,
+    /// `gettimeofday` traps answered in [`FastMode::Direct`].
+    pub direct_gtod: u64,
+    /// Calls answered in [`FastMode::Collect`], in order, for the router to
+    /// absorb into its pending vectored batch.
+    pub collected: Vec<BatchCall>,
+    /// Syscall number of `collected` (meaningful when non-empty).
+    pub collected_nr: u32,
+}
+
+impl From<SliceResult> for FusedBurst {
+    /// A one-turn burst that answered nothing — how a plain-engine slice
+    /// reads in burst terms.
+    fn from(r: SliceResult) -> FusedBurst {
+        FusedBurst {
+            retired: r.retired,
+            turns: 1,
+            full_turns: 0,
+            end_turn_retired: r.retired,
+            end: r.end,
+            answered: 0,
+            cost_ns: 0,
+            direct_getpid: 0,
+            direct_gtod: 0,
+            collected: Vec::new(),
+            collected_nr: 0,
+        }
     }
+}
+
+/// The `gettimeofday` answer at virtual time `vns`, written through the
+/// guest pointers exactly as the kernel's handler writes them.
+fn gettimeofday_at(t: &AnswerTable, vns: u64, args: &RawArgs, mem: &mut AddressSpace) -> SysResult {
+    let now = Timeval {
+        sec: t.epoch_secs + (vns / 1_000_000_000) as i64,
+        usec: ((vns % 1_000_000_000) / 1_000) as i64,
+    };
+    if args[0] != 0 {
+        mem.write_struct(args[0], &now)?;
+    }
+    if args[1] != 0 {
+        mem.write_struct(args[1], &Timezone::default())?;
+    }
+    Ok([0, 0])
 }
 
 /// Runs up to `max` constituents as consecutive `slice`-sized turns in one
 /// call, keeping the pc and register file in host locals across turn
-/// boundaries. Bit-identical to calling [`run_slice_fused`] in a loop with
-/// budget `min(slice, max - retired_so_far)` until a turn ends in anything
-/// but [`SliceEnd::Expired`]: turn boundaries land on the same retired
-/// counts, so a superinstruction pair straddling a boundary still splits
-/// and retires through [`exec_insn`] exactly as the one-turn-per-call path
-/// would (and, like there, a split pair is not a fusion hit).
+/// boundaries. Bit-identical to calling the reference
+/// [`run_slice`](crate::machine::run_slice) over the unfused code in a loop
+/// with budget `min(slice, max - retired_so_far)` until a turn ends in
+/// anything but [`SliceEnd::Expired`]: turn boundaries land on the same
+/// retired counts, so a superinstruction pair straddling a boundary splits
+/// and retires its first constituent through [`exec_insn`] exactly where
+/// the reference's slice expires (and a split pair is not a fusion hit).
+/// With `max <= slice` it runs exactly one turn.
+///
+/// A trap whose number has a non-[`FastMode::Off`] entry in `table` is
+/// answered right here instead of ending the burst: the result lands in
+/// the return registers, the call's base cost is added to
+/// [`FusedBurst::cost_ns`], and the trap ends its turn exactly as a
+/// dispatched trap would. `gettimeofday` reads
+/// `clock_base_ns + retired·insn_ns + cost_so_far`, the clock the kernel's
+/// handler would read, because the scheduler charges each turn's
+/// instructions before dispatching its trap and the handler charges the
+/// call's base cost before reading the clock. A trap that would exhaust
+/// the budget, extend a foreign pending batch, or fill the batch is not
+/// answered, so the caller routes it at the same clock point as usual.
 ///
 /// The scheduler uses this to amortise its per-turn round (runnable pick,
 /// process-table lookup, clock and rusage bookkeeping) over whole compute
-/// bursts when nothing — timer, wakeup, other runnable process, observer —
-/// could preempt between turns.
-#[allow(clippy::too_many_lines)]
+/// and answered-trap bursts when nothing — timer, wakeup, other runnable
+/// process, observer — could preempt between turns.
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 pub fn run_burst_fused(
     vm: &mut VmState,
     mem: &mut AddressSpace,
     prog: &FusedProgram,
     slice: u64,
     max: u64,
+    table: &AnswerTable,
     hits: &mut [u64; FUSED_KINDS],
 ) -> FusedBurst {
-    if vm.halted {
-        return FusedBurst {
-            retired: 0,
-            turns: 1,
-            end_turn_retired: 0,
-            end: SliceEnd::Halted,
-        };
-    }
     let mut pc = vm.pc;
     let mut retired = 0u64;
     // Turn bookkeeping: the current turn expires when `retired` reaches
     // `turn_end`; `synced` counts constituents already recorded in
     // `vm.insns_retired` by split-pair fallbacks to `exec_insn`.
     let mut turns = 1u64;
+    let mut full_turns = 0u64;
     let mut turn_start = 0u64;
     let mut turn_end = slice.min(max);
     let mut synced = 0u64;
+    // Answer-table totals.
+    let nr_getpid = Sysno::Getpid.number();
+    let nr_gtod = Sysno::Gettimeofday.number();
+    let mut answered = 0u64;
+    let mut cost_ns = 0u64;
+    let mut direct = [0u64; 2];
+    let mut collected: Vec<BatchCall> = Vec::new();
+    let mut collected_nr = 0u32;
+    let mut batch_nr = table.pending_nr;
+    let mut batch_len = u64::from(table.pending_len);
     // Local hit counters, flushed into `hits` on every exit, so the hot
     // arms bump a register instead of writing through the borrow.
     let mut h = [0u64; FUSED_KINDS];
@@ -481,27 +576,34 @@ pub fn run_burst_fused(
         };
     }
 
-    // Syncs the locals back into `vm` and returns. On a fault the pc stays
-    // parked at the faulting (super)instruction, which at that point has
-    // retired none of its constituents — identical to the plain engine.
-    macro_rules! flush_hits {
-        () => {
+    // Syncs the locals back into `vm` and returns. `$halt` adds the halt's
+    // pseudo-step, which `step` counts in `insns_retired` but not in the
+    // slice's `retired`. On a fault the pc stays parked at the faulting
+    // (super)instruction, which at that point has retired none of its
+    // constituents — identical to the plain engine.
+    macro_rules! finish {
+        ($end:expr) => {
+            finish!($end, 0)
+        };
+        ($end:expr, $halt:expr) => {{
+            vm.pc = pc;
+            vm.regs = regs;
+            vm.insns_retired += retired - synced + $halt;
             for (total, local) in hits.iter_mut().zip(h.iter()) {
                 *total += local;
             }
-        };
-    }
-    macro_rules! finish {
-        ($end:expr) => {{
-            vm.pc = pc;
-            vm.regs = regs;
-            vm.insns_retired += retired - synced;
-            flush_hits!();
             return FusedBurst {
                 retired,
                 turns,
+                full_turns,
                 end_turn_retired: retired - turn_start,
                 end: $end,
+                answered,
+                cost_ns,
+                direct_getpid: direct[0],
+                direct_gtod: direct[1],
+                collected,
+                collected_nr,
             };
         }};
     }
@@ -513,7 +615,60 @@ pub fn run_burst_fused(
             }
         };
     }
+    // A retired trap (pc already past it): answer it from the table and
+    // start the next turn, or end the burst with it.
+    macro_rules! trap {
+        () => {{
+            let nr = regs[SYS_NR_REG] as u32;
+            let args = [regs[0], regs[1], regs[2], regs[3], regs[4], regs[5]];
+            let mode = if nr == nr_getpid {
+                table.getpid
+            } else if nr == nr_gtod {
+                table.gtod
+            } else {
+                FastMode::Off
+            };
+            let collect = mode == FastMode::Collect;
+            if mode == FastMode::Off
+                || retired >= max
+                || (collect
+                    && (batch_nr.is_some_and(|b| b != nr)
+                        || batch_len + 1 >= u64::from(table.batch_cap)))
+            {
+                finish!(SliceEnd::Syscall { nr, args });
+            }
+            let ret = if nr == nr_getpid {
+                cost_ns += table.getpid_cost_ns;
+                Ok([table.pid, 0])
+            } else {
+                cost_ns += table.gtod_cost_ns;
+                let vns = table.clock_base_ns + retired * table.insn_ns + cost_ns;
+                gettimeofday_at(table, vns, &args, mem)
+            };
+            set_sysret(&mut regs, ret);
+            answered += 1;
+            if collect {
+                collected.push(BatchCall { args, ret });
+                collected_nr = nr;
+                batch_nr = Some(nr);
+                batch_len += 1;
+            } else {
+                direct[usize::from(nr != nr_getpid)] += 1;
+            }
+            // The answered trap ends its turn; the next one starts here.
+            if retired - turn_start == slice {
+                full_turns += 1;
+            }
+            turns += 1;
+            turn_start = retired;
+            turn_end = retired + slice.min(max - retired);
+            continue;
+        }};
+    }
 
+    if vm.halted {
+        finish!(SliceEnd::Halted);
+    }
     loop {
         // One headroom compare guards the whole cold edge: turn rollover
         // (no budget left) and pair splitting (one left). The hot path
@@ -522,11 +677,12 @@ pub fn run_burst_fused(
         if turn_end - retired < 2 {
             if retired >= turn_end {
                 // The turn expired: end the burst when the total budget is
-                // spent, else roll straight into the next turn.
+                // spent, else roll straight into the next (full) turn.
                 if retired >= max {
                     finish!(SliceEnd::Expired);
                 }
                 turns += 1;
+                full_turns += 1;
                 turn_start = retired;
                 turn_end = retired + slice.min(max - retired);
                 continue;
@@ -709,32 +865,12 @@ pub fn run_burst_fused(
             F::Sys => {
                 pc += 1;
                 retired += 1;
-                vm.pc = pc;
-                vm.regs = regs;
-                vm.insns_retired += retired - synced;
-                flush_hits!();
-                let (nr, args) = vm.trap_args();
-                return FusedBurst {
-                    retired,
-                    turns,
-                    end_turn_retired: retired - turn_start,
-                    end: SliceEnd::Syscall { nr, args },
-                };
+                trap!();
             }
             F::Halt => {
-                // `step` counts the halt in `insns_retired` but not in the
-                // slice's `retired`, and leaves the pc on the halt.
+                // `step` leaves the pc on the halt.
                 vm.halted = true;
-                vm.pc = pc;
-                vm.regs = regs;
-                vm.insns_retired += retired - synced + 1;
-                flush_hits!();
-                return FusedBurst {
-                    retired,
-                    turns,
-                    end_turn_retired: retired - turn_start,
-                    end: SliceEnd::Halted,
-                };
+                finish!(SliceEnd::Halted, 1);
             }
             F::Nop => {
                 pc += 1;
@@ -807,17 +943,7 @@ pub fn run_burst_fused(
                 pc += 2;
                 retired += 2;
                 h[FusedKind::LiSys as usize] += 1;
-                vm.pc = pc;
-                vm.regs = regs;
-                vm.insns_retired += retired - synced;
-                flush_hits!();
-                let (nr, args) = vm.trap_args();
-                return FusedBurst {
-                    retired,
-                    turns,
-                    end_turn_retired: retired - turn_start,
-                    end: SliceEnd::Syscall { nr, args },
-                };
+                trap!();
             }
             F::LdAlu {
                 alu,
@@ -853,6 +979,22 @@ mod tests {
     use crate::insn::Reg;
     use crate::machine::run_slice;
     use Insn::*;
+
+    /// One fused turn of at most `max` constituents, answering nothing:
+    /// the fused counterpart of [`run_slice`].
+    fn run_slice_fused(
+        vm: &mut VmState,
+        mem: &mut AddressSpace,
+        prog: &FusedProgram,
+        max: u64,
+        hits: &mut [u64; FUSED_KINDS],
+    ) -> SliceResult {
+        let b = run_burst_fused(vm, mem, prog, max, max, &AnswerTable::default(), hits);
+        SliceResult {
+            retired: b.retired,
+            end: b.end,
+        }
+    }
 
     /// Runs `code` to completion (halt/fault) under both engines with the
     /// given slice budget, dispatching every trap with a canned `Ok([7, 0])`
@@ -1209,7 +1351,15 @@ mod tests {
         let mut vm_b = VmState::new(0, 4096);
         let mut mem_b = AddressSpace::new(4096, 64);
         let mut hits_b = [0u64; FUSED_KINDS];
-        let burst = run_burst_fused(&mut vm_b, &mut mem_b, &prog, slice, max, &mut hits_b);
+        let burst = run_burst_fused(
+            &mut vm_b,
+            &mut mem_b,
+            &prog,
+            slice,
+            max,
+            &AnswerTable::default(),
+            &mut hits_b,
+        );
 
         let mut vm_t = VmState::new(0, 4096);
         let mut mem_t = AddressSpace::new(4096, 64);
@@ -1228,6 +1378,7 @@ mod tests {
 
         assert_eq!(burst.retired, retired, "total retired diverged");
         assert_eq!(burst.turns, turns, "turn count diverged");
+        assert_eq!(burst.full_turns, turns - 1, "only expiry continues");
         assert_eq!(burst.end, last.end, "end event diverged");
         assert_eq!(burst.end_turn_retired, last.retired, "final turn diverged");
         assert_eq!(hits_b, hits_t, "fusion hit counters diverged");
@@ -1273,7 +1424,15 @@ mod tests {
         let mut vm = VmState::new(0, 256);
         let mut mem = AddressSpace::new(256, 0);
         let mut hits = [0u64; FUSED_KINDS];
-        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, &mut hits);
+        let b = run_burst_fused(
+            &mut vm,
+            &mut mem,
+            &prog,
+            100,
+            u64::MAX,
+            &AnswerTable::default(),
+            &mut hits,
+        );
         // 1 li + 149 fused countdown pairs = 299 retired over three turns.
         assert_eq!(b.retired, 299);
         assert_eq!(b.turns, 3);
@@ -1281,5 +1440,219 @@ mod tests {
         assert_eq!(b.end, SliceEnd::Halted);
         assert!(vm.halted);
         assert_eq!(vm.insns_retired, 300, "halt adds the pseudo-step");
+    }
+
+    fn table(getpid: FastMode, gtod: FastMode) -> AnswerTable {
+        AnswerTable {
+            getpid,
+            gtod,
+            pid: 42,
+            getpid_cost_ns: 25_000,
+            gtod_cost_ns: 47_000,
+            insn_ns: 5_000,
+            clock_base_ns: 3_000_000_000,
+            epoch_secs: 600_000_000,
+            pending_nr: None,
+            pending_len: 0,
+            batch_cap: 32,
+        }
+    }
+
+    fn nr(s: Sysno) -> u64 {
+        u64::from(s.number())
+    }
+
+    /// Compute mixed with `getpid` and `gettimeofday(&tv, 0)`, then a
+    /// trap the table never answers (`exit`).
+    fn mixed_trap_loop() -> Vec<Insn> {
+        vec![
+            Li(13, 40),
+            Addi(13, 13, -1), // 1: outer loop
+            Li(7, nr(Sysno::Getpid)),
+            Sys,
+            Add(6, 6, 0),
+            Li(0, 256),
+            Li(1, 0),
+            Li(7, nr(Sysno::Gettimeofday)),
+            Sys,
+            Li(9, 256),
+            Ld(4, 9, 8),
+            Add(5, 5, 4),
+            Li(12, 9),
+            Addi(12, 12, -1), // 13: inner compute loop
+            Jnz(12, 13),
+            Jnz(13, 1),
+            Li(7, 1),
+            Sys,
+            Halt,
+        ]
+    }
+
+    /// Runs `code` as one answering burst and as a loop of plain
+    /// `run_slice` turns that answers each table-covered trap the way the
+    /// kernel does (clock = entry + instructions + base costs so far),
+    /// asserting identical machine state, memory, totals and turn
+    /// accounting.
+    fn assert_answering_burst_matches_routed_turns(
+        code: &[Insn],
+        slice: u64,
+        t: &AnswerTable,
+    ) -> FusedBurst {
+        let prog = FusedProgram::fuse(code);
+        let mut vm_b = VmState::new(0, 4096);
+        let mut mem_b = AddressSpace::new(4096, 64);
+        let mut hits = [0u64; FUSED_KINDS];
+        let b = run_burst_fused(&mut vm_b, &mut mem_b, &prog, slice, u64::MAX, t, &mut hits);
+
+        let mut vm = VmState::new(0, 4096);
+        let mut mem = AddressSpace::new(4096, 64);
+        let (mut retired, mut cost, mut turns, mut full, mut answered) = (0, 0, 0, 0, 0);
+        let last = loop {
+            let r = run_slice(&mut vm, &mut mem, code, slice);
+            retired += r.retired;
+            turns += 1;
+            let SliceEnd::Syscall { nr: n, args } = r.end else {
+                if r.end != SliceEnd::Expired {
+                    break r;
+                }
+                full += 1;
+                continue;
+            };
+            let ret = if n == Sysno::Getpid.number() && t.getpid != FastMode::Off {
+                cost += t.getpid_cost_ns;
+                Ok([t.pid, 0])
+            } else if n == Sysno::Gettimeofday.number() && t.gtod != FastMode::Off {
+                cost += t.gtod_cost_ns;
+                let vns = t.clock_base_ns + retired * t.insn_ns + cost;
+                gettimeofday_at(t, vns, &args, &mut mem)
+            } else {
+                break r;
+            };
+            vm.apply_sysret(ret);
+            answered += 1;
+            if r.retired == slice {
+                full += 1;
+            }
+        };
+
+        assert_eq!(b.end, last.end, "end event diverged (slice {slice})");
+        assert_eq!(b.retired, retired, "retired diverged (slice {slice})");
+        assert_eq!(b.turns, turns, "turns diverged (slice {slice})");
+        assert_eq!(b.full_turns, full, "full turns diverged (slice {slice})");
+        assert_eq!(b.end_turn_retired, last.retired);
+        assert_eq!(b.answered, answered);
+        assert_eq!(b.cost_ns, cost);
+        assert_eq!(vm_b, vm, "vm state diverged (slice {slice})");
+        for addr in (0..4096).step_by(8) {
+            assert_eq!(mem_b.read_u64(addr), mem.read_u64(addr));
+        }
+        b
+    }
+
+    #[test]
+    fn answering_burst_matches_routing_every_trap() {
+        let t = table(FastMode::Direct, FastMode::Direct);
+        for slice in [100, 7, 3, 2] {
+            let b = assert_answering_burst_matches_routed_turns(&mixed_trap_loop(), slice, &t);
+            assert_eq!(b.direct_getpid, 40);
+            assert_eq!(b.direct_gtod, 40);
+            assert!(b.collected.is_empty());
+            assert!(
+                matches!(b.end, SliceEnd::Syscall { nr: 1, .. }),
+                "exit leaves the loop"
+            );
+        }
+        // With only one number in the table, the other one ends the burst.
+        let t = table(FastMode::Direct, FastMode::Off);
+        let b = assert_answering_burst_matches_routed_turns(&mixed_trap_loop(), 100, &t);
+        assert_eq!((b.answered, b.direct_getpid), (1, 1));
+        assert!(matches!(b.end, SliceEnd::Syscall { nr: 116, .. }));
+    }
+
+    #[test]
+    fn gettimeofday_answer_reads_the_handler_clock() {
+        // li r0; li r1; li r7; sys — the trap retires as the 4th
+        // instruction, then the call's base cost is charged.
+        let code = [
+            Li(0, 256),
+            Li(1, 272),
+            Li(7, nr(Sysno::Gettimeofday)),
+            Sys,
+            Halt,
+        ];
+        let t = table(FastMode::Off, FastMode::Direct);
+        let mut vm = VmState::new(0, 4096);
+        let mut mem = AddressSpace::new(4096, 64);
+        let mut hits = [0u64; FUSED_KINDS];
+        let b = run_burst_fused(
+            &mut vm,
+            &mut mem,
+            &FusedProgram::fuse(&code),
+            100,
+            u64::MAX,
+            &t,
+            &mut hits,
+        );
+        assert_eq!(b.end, SliceEnd::Halted);
+        assert_eq!((b.retired, b.turns, b.answered), (4, 2, 1));
+        let vns: u64 = 3_000_000_000 + 4 * 5_000 + 47_000;
+        let tv: Timeval = mem.read_struct(256).unwrap();
+        assert_eq!(tv.sec, 600_000_003);
+        assert_eq!(tv.usec, ((vns % 1_000_000_000) / 1_000) as i64);
+        assert_eq!(
+            mem.read_struct::<Timezone>(272).unwrap(),
+            Timezone::default()
+        );
+        assert_eq!((vm.regs[0], vm.regs[1]), (0, 0), "success sysret");
+        assert_eq!(
+            hits[FusedKind::LiSys as usize],
+            1,
+            "answered pairs still fuse"
+        );
+    }
+
+    #[test]
+    fn collected_calls_stop_short_of_the_batch_cap() {
+        // An unbounded getpid loop in Collect mode with two calls already
+        // pending: 29 more are collected, and the call that would fill the
+        // 32-call batch leaves the loop so the router flushes on routing it.
+        let code = [Li(7, nr(Sysno::Getpid)), Sys, Jmp(1)];
+        let mut t = table(FastMode::Collect, FastMode::Off);
+        t.pending_nr = Some(Sysno::Getpid.number());
+        t.pending_len = 2;
+        let mut vm = VmState::new(0, 4096);
+        let mut mem = AddressSpace::new(4096, 0);
+        let mut hits = [0u64; FUSED_KINDS];
+        let prog = FusedProgram::fuse(&code);
+        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, &t, &mut hits);
+        assert_eq!(b.collected.len(), 29);
+        assert_eq!(b.collected_nr, 20);
+        assert!(b.collected.iter().all(|c| c.ret == Ok([42, 0])));
+        assert_eq!((b.direct_getpid, b.answered), (0, 29));
+        assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
+
+        // A batch of another number pending: nothing may be collected.
+        t.pending_nr = Some(Sysno::Gettimeofday.number());
+        let mut vm = VmState::new(0, 4096);
+        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, &t, &mut hits);
+        assert_eq!(b.answered, 0);
+        assert_eq!(b.retired, 2, "li + sys retired before leaving");
+        assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
+    }
+
+    #[test]
+    fn a_trap_that_spends_the_budget_is_routed_not_answered() {
+        let code = [Li(7, nr(Sysno::Getpid)), Sys, Jmp(1)];
+        let t = table(FastMode::Direct, FastMode::Direct);
+        let prog = FusedProgram::fuse(&code);
+        // li+sys (2), then sys+jmp laps of 2: budget 6 ends on a trap.
+        let mut vm = VmState::new(0, 4096);
+        let mut mem = AddressSpace::new(4096, 0);
+        let mut hits = [0u64; FUSED_KINDS];
+        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, 6, &t, &mut hits);
+        assert_eq!(b.retired, 6);
+        assert_eq!(b.answered, 2);
+        assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
+        assert_eq!(vm.pc, 2, "pc past the unanswered trap");
     }
 }

@@ -39,11 +39,14 @@ pub mod mem;
 pub use asm::{assemble, AsmError};
 pub use builder::ProgramBuilder;
 pub use disasm::{disasm_insn, disassemble};
-pub use fuse::{run_slice_fused, FusedKind, FusedOp, FusedProgram, FUSED_KINDS, FUSED_KIND_NAMES};
+pub use fuse::{
+    run_burst_fused, AnswerTable, FusedBurst, FusedKind, FusedOp, FusedProgram, FUSED_KINDS,
+    FUSED_KIND_NAMES,
+};
 pub use image::{Image, DATA_BASE, IMAGE_MAGIC};
 pub use insn::{Insn, Reg};
 pub use machine::{
-    BatchCall, FastEnd, FastMode, FastParams, FastRun, SliceEnd, SliceResult, StepEvent, VmState,
-    SYSRET_ERRNO, SYSRET_RV0, SYSRET_RV1, SYS_NR_REG,
+    BatchCall, FastMode, SliceEnd, SliceResult, StepEvent, VmState, SYSRET_ERRNO, SYSRET_RV0,
+    SYSRET_RV1, SYS_NR_REG,
 };
 pub use mem::{AddressSpace, DEFAULT_MEM_SIZE};

@@ -1,9 +1,9 @@
-//! The interpreter: registers, stepping, traps and faults — plus the
-//! in-loop syscall fast path ([`run_fast`]), which answers stateless
-//! read-mostly calls (`getpid`, `gettimeofday`) from a per-process answer
-//! table without ever leaving the VM loop.
+//! The interpreter: registers, stepping, traps and faults. [`run_slice`]
+//! over [`step`] is the plain reference engine: every trap leaves the loop.
+//! The in-loop answer table entries ([`FastMode`], [`BatchCall`]) are
+//! consumed by the fused burst ([`crate::fuse::run_burst_fused`]).
 
-use ia_abi::{RawArgs, Signal, SysResult, Sysno, Timeval, Timezone};
+use ia_abi::{RawArgs, Signal, SysResult};
 
 use crate::insn::{Insn, NREGS, SP};
 use crate::mem::AddressSpace;
@@ -47,18 +47,7 @@ impl VmState {
     /// Applies a syscall result to the return registers, the inverse of the
     /// trap: `r0 ← rv[0]`, `r1 ← errno` (0 on success), `r2 ← rv[1]`.
     pub fn apply_sysret(&mut self, res: SysResult) {
-        match res {
-            Ok([rv0, rv1]) => {
-                self.regs[SYSRET_RV0] = rv0;
-                self.regs[SYSRET_ERRNO] = 0;
-                self.regs[SYSRET_RV1] = rv1;
-            }
-            Err(e) => {
-                self.regs[SYSRET_RV0] = u64::MAX;
-                self.regs[SYSRET_ERRNO] = u64::from(e.code());
-                self.regs[SYSRET_RV1] = 0;
-            }
-        }
+        set_sysret(&mut self.regs, res);
     }
 
     /// The trap arguments at a `Sys` instruction: `(number, r0..r5)`.
@@ -75,6 +64,23 @@ impl VmState {
                 self.regs[5],
             ],
         )
+    }
+}
+
+/// [`VmState::apply_sysret`] on a bare register file.
+#[inline]
+pub(crate) fn set_sysret(regs: &mut [u64; NREGS], res: SysResult) {
+    match res {
+        Ok([rv0, rv1]) => {
+            regs[SYSRET_RV0] = rv0;
+            regs[SYSRET_ERRNO] = 0;
+            regs[SYSRET_RV1] = rv1;
+        }
+        Err(e) => {
+            regs[SYSRET_RV0] = u64::MAX;
+            regs[SYSRET_ERRNO] = u64::from(e.code());
+            regs[SYSRET_RV1] = 0;
+        }
     }
 }
 
@@ -342,276 +348,6 @@ pub enum FastMode {
     Collect,
 }
 
-/// Inputs to [`run_fast`]: the answer table plus the cost and budget state
-/// the loop needs to charge virtual time exactly as a sequence of ordinary
-/// one-trap-per-turn scheduler rounds would.
-#[derive(Debug, Clone, Copy)]
-pub struct FastParams {
-    /// Scheduling slice length in instructions (one virtual turn).
-    pub slice: u32,
-    /// Remaining global scheduler-step allowance; the lane never consumes
-    /// more than this many steps.
-    pub remaining: u64,
-    /// Virtual nanoseconds charged per retired instruction.
-    pub insn_ns: u64,
-    /// Virtual-clock reading (elapsed ns) at lane entry.
-    pub clock_base_ns: u64,
-    /// Virtual epoch in seconds, added to `gettimeofday` answers.
-    pub epoch_secs: i64,
-    /// The process id — the `getpid` answer.
-    pub pid: u64,
-    /// How `getpid` traps may be answered.
-    pub getpid: FastMode,
-    /// How `gettimeofday` traps may be answered.
-    pub gtod: FastMode,
-    /// Base virtual cost of one `getpid`, from the machine profile.
-    pub getpid_cost_ns: u64,
-    /// Base virtual cost of one `gettimeofday`, from the machine profile.
-    pub gtod_cost_ns: u64,
-    /// Syscall number of a vectored batch already pending at the router,
-    /// if any: collected calls must extend that batch or bail out so the
-    /// router can flush at exactly the point the slow path would.
-    pub pending_nr: Option<u32>,
-    /// Number of calls already in the router's pending batch.
-    pub pending_len: u32,
-    /// Batch capacity: the lane ends with [`FastEnd::CapBail`] once
-    /// pending + collected reaches this, so the router delivers the
-    /// vectored upcall at the same virtual-clock point as the slow path.
-    pub batch_cap: u32,
-}
-
-/// Why [`run_fast`] handed control back to the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FastEnd {
-    /// A trap the lane cannot answer; the scheduler dispatches it as an
-    /// ordinary turn-ending syscall.
-    Trap {
-        /// Raw syscall number from `r7`.
-        nr: u32,
-        /// Raw argument registers `r0..r5`.
-        args: RawArgs,
-    },
-    /// The program executed `Halt` (pseudo-step included in the totals).
-    Halted,
-    /// The program faulted (pseudo-step included in the totals); the pc is
-    /// parked on the faulting instruction.
-    Fault(Signal),
-    /// The global step allowance ran out; the scheduler returns its
-    /// step-limit outcome.
-    StepLimit,
-    /// The collected batch reached capacity; the scheduler absorbs it
-    /// (triggering the router's flush) and may re-enter the lane.
-    CapBail,
-}
-
-/// What one [`run_fast`] burst did, in the scheduler's units: every field
-/// is the exact total the equivalent sequence of ordinary one-trap-per-turn
-/// rounds would have charged.
-#[derive(Debug, Clone)]
-pub struct FastRun {
-    /// Instructions retired (trap instructions included; halt/fault not).
-    pub retired: u64,
-    /// Scheduler steps consumed, including the trailing segment and the
-    /// halt/fault pseudo-step.
-    pub steps: u64,
-    /// Involuntary context switches to charge: completed turns that ran a
-    /// full slice, including the turn of each answered trap.
-    pub full_turns: u64,
-    /// Whether the *trailing* segment filled a whole slice; the scheduler
-    /// charges this `nivcsw` only after dispatching the trailing event,
-    /// mirroring the ordinary turn order.
-    pub end_turn_full: bool,
-    /// Traps answered in-loop (each is one syscall, one voluntary switch).
-    pub answered: u64,
-    /// Total virtual syscall cost charged (`sys_ns` and clock).
-    pub cost_ns: u64,
-    /// `getpid` traps answered in [`FastMode::Direct`].
-    pub direct_getpid: u64,
-    /// `gettimeofday` traps answered in [`FastMode::Direct`].
-    pub direct_gtod: u64,
-    /// Calls answered in [`FastMode::Collect`], for the router to absorb.
-    pub collected: Vec<BatchCall>,
-    /// Syscall number of `collected` (meaningful when non-empty).
-    pub collected_nr: u32,
-    /// Why the burst ended.
-    pub end: FastEnd,
-}
-
-/// Runs the in-loop syscall fast path: like repeated [`run_slice`] turns,
-/// but traps whose number has a non-[`FastMode::Off`] entry in the answer
-/// table are answered right here — no scheduler round, no dispatcher, no
-/// chain walk — while charging virtual time bit-identically to the ordinary
-/// path (per-turn instruction charges, per-call base cost, `getrusage`
-/// counters via the returned totals).
-///
-/// `gettimeofday` answers are computed incrementally from
-/// `clock_base_ns + retired·insn_ns + cost_so_far`, which equals the clock
-/// value the ordinary path would read inside the handler, because the
-/// scheduler charges each turn's instructions before dispatching its trap
-/// and the handler charges the call's base cost before reading the clock.
-pub fn run_fast(
-    vm: &mut VmState,
-    mem: &mut AddressSpace,
-    code: &[Insn],
-    p: &FastParams,
-) -> FastRun {
-    let slice = u64::from(p.slice);
-    let nr_getpid = Sysno::Getpid.number();
-    let nr_gtod = Sysno::Gettimeofday.number();
-
-    let mut remaining = p.remaining;
-    let mut retired = 0u64;
-    let mut steps = 0u64;
-    let mut full_turns = 0u64;
-    let mut answered = 0u64;
-    let mut cost_ns = 0u64;
-    let mut direct_getpid = 0u64;
-    let mut direct_gtod = 0u64;
-    let mut collected: Vec<BatchCall> = Vec::new();
-    let mut collected_nr = 0u32;
-    let mut batch_nr = p.pending_nr;
-    let mut batch_len = u64::from(p.pending_len);
-
-    macro_rules! finish {
-        ($turn_full:expr, $end:expr) => {
-            return FastRun {
-                retired,
-                steps,
-                full_turns,
-                end_turn_full: $turn_full,
-                answered,
-                cost_ns,
-                direct_getpid,
-                direct_gtod,
-                collected,
-                collected_nr,
-                end: $end,
-            }
-        };
-    }
-
-    loop {
-        // One virtual turn, up to a slice (or the step limit) long.
-        let budget = slice.min(remaining.max(1));
-        let mut turn = 0u64;
-        let event = loop {
-            if turn >= budget {
-                break None;
-            }
-            match step(vm, mem, code) {
-                StepEvent::Continue => turn += 1,
-                StepEvent::Syscall { nr, args } => {
-                    turn += 1;
-                    break Some(StepEvent::Syscall { nr, args });
-                }
-                ev => break Some(ev),
-            }
-        };
-        match event {
-            None | Some(StepEvent::Continue) => {
-                // Slice expired with no event, exactly like an ordinary
-                // `SliceEnd::Expired` turn.
-                retired += turn;
-                steps += turn;
-                remaining -= turn;
-                if remaining == 0 {
-                    finish!(false, FastEnd::StepLimit);
-                }
-                // Not at the limit, so the budget was a full slice.
-                full_turns += 1;
-            }
-            Some(StepEvent::Halted) => {
-                let iterations = turn + 1;
-                retired += turn;
-                steps += iterations;
-                finish!(iterations == slice, FastEnd::Halted);
-            }
-            Some(StepEvent::Fault(sig)) => {
-                let iterations = turn + 1;
-                retired += turn;
-                steps += iterations;
-                finish!(iterations == slice, FastEnd::Fault(sig));
-            }
-            Some(StepEvent::Syscall { nr, args }) => {
-                let mut mode = if nr == nr_getpid {
-                    p.getpid
-                } else if nr == nr_gtod {
-                    p.gtod
-                } else {
-                    FastMode::Off
-                };
-                if mode == FastMode::Collect && batch_nr.is_some_and(|b| b != nr) {
-                    // Extending a different batch would require a flush at
-                    // this exact clock point; trap out and let the router
-                    // do it on the slow path.
-                    mode = FastMode::Off;
-                }
-                retired += turn;
-                steps += turn;
-                remaining -= turn;
-                if mode == FastMode::Off {
-                    finish!(turn == slice, FastEnd::Trap { nr, args });
-                }
-
-                // Answer in-loop: charge the call's base cost, replicate
-                // the handler's effects, apply the result.
-                answered += 1;
-                let cost = if nr == nr_getpid {
-                    p.getpid_cost_ns
-                } else {
-                    p.gtod_cost_ns
-                };
-                cost_ns += cost;
-                let ret: SysResult = if nr == nr_getpid {
-                    Ok([p.pid, 0])
-                } else {
-                    let vns = p.clock_base_ns + retired * p.insn_ns + cost_ns;
-                    let now = Timeval {
-                        sec: p.epoch_secs + (vns / 1_000_000_000) as i64,
-                        usec: ((vns % 1_000_000_000) / 1_000) as i64,
-                    };
-                    let r = (|| {
-                        if args[0] != 0 {
-                            mem.write_struct(args[0], &now)?;
-                        }
-                        if args[1] != 0 {
-                            mem.write_struct(args[1], &Timezone::default())?;
-                        }
-                        Ok(())
-                    })();
-                    match r {
-                        Ok(()) => Ok([0, 0]),
-                        Err(e) => Err(e),
-                    }
-                };
-                vm.apply_sysret(ret);
-                if mode == FastMode::Collect {
-                    collected.push(BatchCall { args, ret });
-                    collected_nr = nr;
-                    batch_nr = Some(nr);
-                    batch_len += 1;
-                } else if nr == nr_getpid {
-                    direct_getpid += 1;
-                } else {
-                    direct_gtod += 1;
-                }
-                // An answered trap ends its turn; the ordinary path
-                // charges a full-slice `nivcsw` after the dispatch and
-                // before the step-limit check.
-                if turn == slice {
-                    full_turns += 1;
-                }
-                if remaining == 0 {
-                    finish!(false, FastEnd::StepLimit);
-                }
-                if mode == FastMode::Collect && batch_len >= u64::from(p.batch_cap) {
-                    finish!(false, FastEnd::CapBail);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,99 +565,6 @@ mod tests {
         assert_eq!(r.retired, 2, "faulting instruction not counted");
         assert_eq!(r.end, SliceEnd::Fault(Signal::SIGFPE));
         assert_eq!(vm.pc, 2, "pc parked on the faulting instruction");
-    }
-
-    #[test]
-    fn run_fast_answers_getpid_like_the_slow_path() {
-        // i = 5; while i != 0 { getpid(); i -= 1 }; halt — the lane must
-        // retire the same instructions, answer every trap with the pid,
-        // and park the machine in the same state as a manual loop.
-        let code = [
-            Li(7, 20),
-            Li(6, 5),
-            Jz(6, 7),
-            Sys,
-            Addi(6, 6, -1),
-            Jmp(2),
-            Nop,
-            Halt,
-        ];
-        let params = FastParams {
-            slice: 100,
-            remaining: 1_000_000,
-            insn_ns: 5_000,
-            clock_base_ns: 0,
-            epoch_secs: 0,
-            pid: 42,
-            getpid: FastMode::Direct,
-            gtod: FastMode::Off,
-            getpid_cost_ns: 25_000,
-            gtod_cost_ns: 47_000,
-            pending_nr: None,
-            pending_len: 0,
-            batch_cap: 32,
-        };
-        let mut a = VmState::new(0, 4096);
-        let mut am = AddressSpace::new(4096, 0);
-        let r = run_fast(&mut a, &mut am, &code, &params);
-        assert_eq!(r.answered, 5);
-        assert_eq!(r.direct_getpid, 5);
-        assert_eq!(r.cost_ns, 5 * 25_000);
-        assert_eq!(r.end, FastEnd::Halted);
-        assert_eq!(r.retired + 1, r.steps, "halt pseudo-step counted");
-
-        let mut b = VmState::new(0, 4096);
-        let mut bm = AddressSpace::new(4096, 0);
-        let mut retired = 0u64;
-        loop {
-            match step(&mut b, &mut bm, &code) {
-                StepEvent::Continue => retired += 1,
-                StepEvent::Syscall { nr, .. } => {
-                    retired += 1;
-                    assert_eq!(nr, 20);
-                    b.apply_sysret(Ok([42, 0]));
-                }
-                StepEvent::Halted | StepEvent::Fault(_) => break,
-            }
-        }
-        assert_eq!(r.retired, retired);
-        assert_eq!(a, b, "lane and manual loop park identical machines");
-    }
-
-    #[test]
-    fn run_fast_bails_at_batch_capacity_and_on_foreign_traps() {
-        // An unbounded getpid loop in Collect mode must end at the cap.
-        let code = [Li(7, 20), Sys, Jmp(1)];
-        let params = FastParams {
-            slice: 100,
-            remaining: 1_000_000,
-            insn_ns: 5_000,
-            clock_base_ns: 0,
-            epoch_secs: 0,
-            pid: 7,
-            getpid: FastMode::Collect,
-            gtod: FastMode::Off,
-            getpid_cost_ns: 25_000,
-            gtod_cost_ns: 47_000,
-            pending_nr: None,
-            pending_len: 2,
-            batch_cap: 32,
-        };
-        let mut vm = VmState::new(0, 4096);
-        let mut mem = AddressSpace::new(4096, 0);
-        let r = run_fast(&mut vm, &mut mem, &code, &params);
-        assert_eq!(r.end, FastEnd::CapBail);
-        assert_eq!(r.collected.len(), 30, "pending 2 + 30 collected = cap");
-        assert_eq!(r.collected_nr, 20);
-        assert!(r.collected.iter().all(|c| c.ret == Ok([7, 0])));
-
-        // A trap with no table entry ends the lane as an ordinary trap.
-        let code = [Li(7, 4), Li(0, 9), Sys, Halt];
-        let mut vm = VmState::new(0, 4096);
-        let r = run_fast(&mut vm, &mut mem, &code, &params);
-        assert_eq!(r.answered, 0);
-        assert_eq!(r.retired, 3, "trap instruction retired");
-        assert!(matches!(r.end, FastEnd::Trap { nr: 4, .. }));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use ia_agents::{DfsTraceAgent, ProfileAgent, TimeSymbolic, Timex, TraceAgent, UnionAgent};
 use ia_interpose::InterposedRouter;
-use ia_kernel::{KernelBuilder, MachineProfile, Observable, RunOutcome};
+use ia_kernel::{Engine, KernelBuilder, MachineProfile, Observable, RunOutcome};
 
 /// Which workload to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,13 +57,14 @@ impl AgentKind {
     }
 }
 
-/// Which scheduler drives a run.
+/// Which kernel configuration drives a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedKind {
-    /// The sliced hot-path scheduler (`ia_kernel::run`).
+    /// The default `KernelBuilder`: fused engine, trap fast path on.
     Sliced,
-    /// The per-instruction reference scheduler (`ia_kernel::run_legacy`).
-    Legacy,
+    /// The differential reference: `Engine::Plain` with the fast path off,
+    /// so every trap is routed and nothing is answered in-loop.
+    Reference,
 }
 
 /// What a run produced.
@@ -105,9 +106,9 @@ pub fn run_workload(workload: Workload, profile: MachineProfile, agent: AgentKin
     run_workload_with(workload, profile, agent, SchedKind::Sliced)
 }
 
-/// [`run_workload`] with an explicit scheduler choice — the seam the
-/// differential tests and the baseline benchmark use to compare the sliced
-/// scheduler against the per-instruction reference implementation.
+/// [`run_workload`] with an explicit configuration — the seam the
+/// differential tests use to compare the default configuration against
+/// the reference.
 #[must_use]
 pub fn run_workload_with(
     workload: Workload,
@@ -129,7 +130,11 @@ pub fn run_workload_observed(
     sched: SchedKind,
     recorder_capacity: Option<usize>,
 ) -> (RunStats, Observable) {
-    let mut k = KernelBuilder::new().profile(profile).build();
+    let builder = KernelBuilder::new().profile(profile);
+    let mut k = match sched {
+        SchedKind::Sliced => builder.build(),
+        SchedKind::Reference => builder.engine(Engine::Plain).fast_path(false).build(),
+    };
     if let Some(cap) = recorder_capacity {
         k.obs.enable(cap);
     }
@@ -172,10 +177,7 @@ pub fn run_workload_observed(
         }
     }
 
-    let outcome = match sched {
-        SchedKind::Sliced => k.run_with(&mut router),
-        SchedKind::Legacy => k.run_with_legacy(&mut router),
-    };
+    let outcome = k.run_with(&mut router);
     let stats = RunStats {
         virtual_secs: k.clock.elapsed_secs(),
         virtual_ns: k.clock.elapsed_ns(),

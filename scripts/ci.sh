@@ -8,9 +8,10 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --release -- -D warnings
 ./scripts/tier1.sh
-# Bench smoke check: trap throughput (fast path) and compute throughput
-# (fused engine) must both stay within 20% of the committed BENCH_1
-# baseline. Runs before --json below rewrites the file.
+# Bench smoke check: the default configuration's trap and compute
+# throughput, each over the plain reference measured in the same window,
+# must both stay within 20% of the committed BENCH_1 ratios. Runs before
+# --json below rewrites the file.
 cargo run --release -p ia-bench --bin reproduce -- --smoke
 cargo run --release -p ia-bench --bin reproduce -- --json
 # Fleet smoke gate: 256 tenants on a work-stealing pool — solo-vs-fleet

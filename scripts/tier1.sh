@@ -33,8 +33,9 @@ cargo run --release -p ia-bench --bin ia-stats -- --selftest
 cargo run --release -p ia-conform -- --seeds 200
 
 # Fault-tree sweep: snapshot/restore-driven exploration of every
-# fault/pass decision prefix (depth 2) per surface syscall x errno, fast
-# vs legacy stack per leaf. Failures land as tree-case .conf repros.
+# fault/pass decision prefix (depth 2) per surface syscall x errno, the
+# default configuration vs the reference (plain engine, fast path off) per
+# leaf. Failures land as tree-case .conf repros.
 cargo run --release -p ia-conform -- --tree --depth 2 --seeds 50
 
 # Fleet conformance sweep: each seed's program runs as one tenant in a

@@ -9,7 +9,7 @@
 //! chmod, chdir, truncate, dup) exercises the agents' path and data
 //! interception.
 
-use ia_conform::{check_client_equiv, run_config, sample, ConfOp, OpSet, Program, SchedKind};
+use ia_conform::{check_client_equiv, run_config, sample, ConfOp, OpSet, Program};
 use interposition_agents::agents::{CryptAgent, UnionAgent, ZipAgent};
 use interposition_agents::interpose::{wrap_process, InterposedRouter};
 use interposition_agents::kernel::{KernelBuilder, RunOutcome};
@@ -73,12 +73,8 @@ fn crypt_changes_the_at_rest_digest() {
             ConfOp::ReadEcho { file: 0 },
         ],
     };
-    let bare = run_config(&p, SchedKind::Sliced, Vec::new());
-    let crypted = run_config(
-        &p,
-        SchedKind::Sliced,
-        vec![CryptAgent::boxed(b"/tmp/mix", KEY)],
-    );
+    let bare = run_config(&p, Vec::new());
+    let crypted = run_config(&p, vec![CryptAgent::boxed(b"/tmp/mix", KEY)]);
     assert_eq!(bare.outcome, RunOutcome::AllExited);
     assert_eq!(crypted.outcome, RunOutcome::AllExited);
     assert_eq!(
