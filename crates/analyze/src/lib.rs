@@ -60,7 +60,7 @@ pub use cfg::Cfg;
 pub use domain::AbsVal;
 pub use flow::{analyze_flow, FlowAnalysis, FlowLabel, FlowSpec, SinkFlow, SourceFlow};
 pub use interp::{RegState, SysSite, SyscallSet, ValueFinding};
-pub use report::{render_flow_json, render_json, render_text, Finding, Severity, SCHEMA_VERSION};
+pub use report::{flow_json, lint_json, render_text, Finding, Severity, SCHEMA_VERSION};
 pub use taint::Taint;
 
 use ia_abi::{Errno, Sysno};

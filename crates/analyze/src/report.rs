@@ -1,9 +1,11 @@
-//! Lint findings and report rendering (text and JSON).
+//! Lint findings and report rendering (text, and JSON through the shared
+//! writer in [`ia_obs::report`]).
 
 use crate::flow::FlowAnalysis;
 use crate::interp::SyscallSet;
 use crate::ImageAnalysis;
 use ia_abi::Sysno;
+use ia_obs::report::{Json, Layout};
 use ia_vm::{disasm_insn, Insn};
 use std::fmt::Write as _;
 
@@ -146,144 +148,78 @@ pub fn render_footprint(a: &ImageAnalysis) -> String {
     names.join(", ")
 }
 
-/// Minimal JSON string escaping.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// One finding as a JSON row (lint and flow reports share the shape).
+fn finding_json(f: &Finding) -> Json {
+    Json::inline()
+        .field("severity", f.severity.label())
+        .field("kind", f.kind)
+        .field("at", f.at)
+        .field("message", &f.message)
 }
 
-/// Renders the report as a stable JSON document (hand-rolled; the workspace
-/// deliberately has no serde dependency).
-#[must_use]
-pub fn render_json(name: &str, a: &ImageAnalysis) -> String {
-    let mut out = ia_obs::report::json_header("image", name);
-    let _ = writeln!(out, "  \"insns\": {},", a.code.len());
-    let _ = writeln!(out, "  \"data_bytes\": {},", a.data_len);
-    let _ = writeln!(out, "  \"entry\": {},", a.entry);
-    let _ = writeln!(out, "  \"errors\": {},", a.count(Severity::Error));
-    let _ = writeln!(out, "  \"warnings\": {},", a.count(Severity::Warning));
+fn findings_json(findings: &[Finding]) -> Json {
+    Json::array(Layout::Block, findings.iter().map(finding_json))
+}
 
-    let _ = writeln!(out, "  \"footprint\": {{");
-    let _ = writeln!(out, "    \"exact\": {},", a.footprint.exact);
-    let nrs: Vec<String> = a.footprint.nrs.iter().map(u32::to_string).collect();
-    let _ = writeln!(out, "    \"numbers\": [{}],", nrs.join(", "));
-    let names: Vec<String> = a
+/// The lint report as a stamped JSON document (see
+/// [`ia_obs::report::Json`]; `.render()` gives its text).
+#[must_use]
+pub fn lint_json(name: &str, a: &ImageAnalysis) -> Json {
+    let names = a
         .footprint
         .nrs
         .iter()
         .filter_map(|&v| Sysno::from_u32(v))
-        .map(|s| format!("\"{}\"", s.name()))
-        .collect();
-    let _ = writeln!(out, "    \"names\": [{}]", names.join(", "));
-    let _ = writeln!(out, "  }},");
-
-    let _ = writeln!(out, "  \"sites\": [");
-    for (i, site) in a.sites.iter().enumerate() {
+        .map(Sysno::name);
+    let sites = a.sites.iter().map(|site| {
         let nrs = match &site.nrs {
-            SyscallSet::Top => "\"top\"".to_string(),
-            SyscallSet::Exact(vs) => {
-                let vs: Vec<String> = vs.iter().map(u32::to_string).collect();
-                format!("[{}]", vs.join(", "))
-            }
+            SyscallSet::Top => Json::from("top"),
+            SyscallSet::Exact(vs) => Json::array(Layout::Inline, vs.iter().copied()),
         };
-        let comma = if i + 1 < a.sites.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{\"at\": {}, \"nrs\": {nrs}}}{comma}", site.at);
-    }
-    let _ = writeln!(out, "  ],");
-
-    let _ = writeln!(out, "  \"findings\": [");
-    for (i, f) in a.findings.iter().enumerate() {
-        let at = match f.at {
-            Some(at) => at.to_string(),
-            None => "null".to_string(),
-        };
-        let comma = if i + 1 < a.findings.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"severity\": \"{}\", \"kind\": \"{}\", \"at\": {at}, \"message\": \"{}\"}}{comma}",
-            f.severity.label(),
-            f.kind,
-            esc(&f.message)
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
+        Json::inline().field("at", site.at).field("nrs", nrs)
+    });
+    Json::document("image", name)
+        .field("insns", a.code.len())
+        .field("data_bytes", a.data_len)
+        .field("entry", a.entry)
+        .field("errors", a.count(Severity::Error))
+        .field("warnings", a.count(Severity::Warning))
+        .field(
+            "footprint",
+            Json::block()
+                .field("exact", a.footprint.exact)
+                .field(
+                    "numbers",
+                    Json::array(Layout::Inline, a.footprint.nrs.iter().copied()),
+                )
+                .field("names", Json::array(Layout::Inline, names)),
+        )
+        .field("sites", Json::array(Layout::Block, sites))
+        .field("findings", findings_json(&a.findings))
 }
 
-/// Renders one image's information-flow analysis as a stable JSON document
-/// (same hand-rolled style as [`render_json`]).
+/// One image's information-flow analysis as a stamped JSON document.
 #[must_use]
-pub fn render_flow_json(name: &str, fa: &FlowAnalysis) -> String {
-    let mut out = ia_obs::report::json_header("image", name);
-    let _ = writeln!(out, "  \"clean\": {},", fa.is_clean());
-    let _ = writeln!(out, "  \"widened\": {},", fa.widened);
-    match &fa.cause {
-        Some(c) => {
-            let _ = writeln!(out, "  \"cause\": \"{}\",", esc(c));
-        }
-        None => {
-            let _ = writeln!(out, "  \"cause\": null,");
-        }
-    }
-    let labels: Vec<String> = fa
-        .spec
-        .labels
-        .iter()
-        .map(|l| format!("\"{}\"", esc(&l.name)))
-        .collect();
-    let _ = writeln!(out, "  \"labels\": [{}],", labels.join(", "));
-
-    let _ = writeln!(out, "  \"sources\": [");
-    for (i, s) in fa.sources.iter().enumerate() {
-        let comma = if i + 1 < fa.sources.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"at\": {}, \"labels\": {}, \"call\": \"{}\"}}{comma}",
-            s.at, s.labels, s.kind
-        );
-    }
-    let _ = writeln!(out, "  ],");
-
-    let _ = writeln!(out, "  \"sinks\": [");
-    for (i, s) in fa.sinks.iter().enumerate() {
-        let comma = if i + 1 < fa.sinks.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"at\": {}, \"data_labels\": {}, \"ambient_labels\": {}}}{comma}",
-            s.at, s.data.labels, s.ambient.labels
-        );
-    }
-    let _ = writeln!(out, "  ],");
-
-    let _ = writeln!(out, "  \"findings\": [");
-    for (i, f) in fa.findings.iter().enumerate() {
-        let at = match f.at {
-            Some(at) => at.to_string(),
-            None => "null".to_string(),
-        };
-        let comma = if i + 1 < fa.findings.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"severity\": \"{}\", \"kind\": \"{}\", \"at\": {at}, \"message\": \"{}\"}}{comma}",
-            f.severity.label(),
-            f.kind,
-            esc(&f.message)
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push_str("}\n");
-    out
+pub fn flow_json(name: &str, fa: &FlowAnalysis) -> Json {
+    let labels = fa.spec.labels.iter().map(|l| l.name.as_str());
+    let sources = fa.sources.iter().map(|s| {
+        Json::inline()
+            .field("at", s.at)
+            .field("labels", s.labels)
+            .field("call", s.kind)
+    });
+    let sinks = fa.sinks.iter().map(|s| {
+        Json::inline()
+            .field("at", s.at)
+            .field("data_labels", s.data.labels)
+            .field("ambient_labels", s.ambient.labels)
+    });
+    Json::document("image", name)
+        .field("clean", fa.is_clean())
+        .field("widened", fa.widened)
+        .field("cause", fa.cause.as_deref())
+        .field("labels", Json::array(Layout::Inline, labels))
+        .field("sources", Json::array(Layout::Block, sources))
+        .field("sinks", Json::array(Layout::Block, sinks))
+        .field("findings", findings_json(&fa.findings))
 }

@@ -2,18 +2,23 @@
 //! regenerated from the simulation.
 //!
 //! ```text
-//! cargo run -p ia-bench --release --bin reproduce            # everything
-//! cargo run -p ia-bench --release --bin reproduce table-3-2  # one table
-//! cargo run -p ia-bench --release --bin reproduce -- --json  # BENCH_{1,2,3}.json
-//! cargo run -p ia-bench --release --bin reproduce -- --json2 # BENCH_2.json only
-//! cargo run -p ia-bench --release --bin reproduce -- --json3 # BENCH_3.json only
-//! cargo run -p ia-bench --release --bin reproduce -- --smoke # CI gate
+//! cargo run -p ia-bench --release --bin reproduce             # everything
+//! cargo run -p ia-bench --release --bin reproduce table-3-2   # one table
+//! cargo run -p ia-bench --release --bin reproduce overhead    # BENCH_2 table + fast-path probe
+//! cargo run -p ia-bench --release --bin reproduce -- --json   # BENCH_{1,2,3}.json
+//! cargo run -p ia-bench --release --bin reproduce -- --json2  # BENCH_2.json only
+//! cargo run -p ia-bench --release --bin reproduce -- --json3  # BENCH_3.json only
+//! cargo run -p ia-bench --release --bin reproduce -- --fusion # fusion-hit histogram
+//! cargo run -p ia-bench --release --bin reproduce -- --smoke  # CI gate
 //! ```
+//!
+//! Any other argument prints the usage and exits 2. A `BENCH_*.json`
+//! that cannot be written exits 1.
 
 use ia_bench::{
-    ablation_pay_per_use, dfs_trace_comparison, fleetbench, hostbench, overhead, render_ablation,
-    render_dfs, render_table_3_1, render_table_3_4, render_table_3_5, render_timing, snapbench,
-    table_3_1, table_3_2, table_3_3, table_3_4, table_3_5,
+    ablation_pay_per_use, dfs_trace_comparison, fleetbench, fusion, hostbench, overhead,
+    render_ablation, render_dfs, render_table_3_1, render_table_3_4, render_table_3_5,
+    render_timing, snapbench, table_3_1, table_3_2, table_3_3, table_3_4, table_3_5,
 };
 
 /// Largest tolerated drop of the smoke scenario's normalized throughput
@@ -104,66 +109,97 @@ fn smoke() {
     println!("smoke: ok");
 }
 
+/// The report's sections, in print order.
+const TABLES: [&str; 8] = [
+    "table-3-1",
+    "table-3-2",
+    "table-3-3",
+    "table-3-4",
+    "table-3-5",
+    "dfs-trace",
+    "ablation",
+    "overhead",
+];
+
+const USAGE: &str = "usage: reproduce [all | table-3-1 | table-3-2 | table-3-3 | table-3-4 | \
+                     table-3-5 | dfs-trace | ablation | overhead]...\n       \
+                     reproduce --json | --json2 | --json3 | --fusion | --smoke";
+
+/// Writes one benchmark document into the working directory; a file CI
+/// cannot write must fail the run, not leave a stale artifact behind.
+fn write_bench(path: &str, json: &str) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("reproduce: could not write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Measures the snapshot-cost + fleet document. Fleet first: spin-up
+/// latency is allocator-sensitive, so measure it on a fresh heap before
+/// the snapshot sweep churns it.
+fn bench3() -> String {
+    let fleet = fleetbench::run_all();
+    snapbench::render_json(&snapbench::run_all(), &fleet)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let modes = ["--smoke", "--json", "--json2", "--json3", "--fusion"];
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !(*a == "all" || modes.contains(&a.as_str()) || TABLES.contains(&a.as_str())))
+    {
+        eprintln!("reproduce: unknown argument {bad}\n{USAGE}");
+        std::process::exit(2);
+    }
 
-    if args.iter().any(|a| a == "--smoke") {
+    if flag("--smoke") {
         smoke();
         return;
     }
 
-    if args.iter().any(|a| a == "--json") {
+    if flag("--json") {
         // Host-throughput mode: measure the interpreter hot path on the
         // reference and the default configuration and emit the
         // machine-readable baseline.
         let json = hostbench::render_json(&hostbench::run_all());
         print!("{json}");
-        if let Err(e) = std::fs::write("BENCH_1.json", &json) {
-            eprintln!("warning: could not write BENCH_1.json: {e}");
-        }
+        write_bench("BENCH_1.json", &json);
         // Per-agent syscall overhead table (paper §6 shape), from the
         // ia-obs metrics registry.
-        let json2 = overhead::render_json(&overhead::run_all());
-        if let Err(e) = std::fs::write("BENCH_2.json", &json2) {
-            eprintln!("warning: could not write BENCH_2.json: {e}");
-        }
+        write_bench("BENCH_2.json", &overhead::render_json(&overhead::run_all()));
         // Snapshot cost vs VFS size, branch-based txn sessions, and the
-        // multi-tenant fleet scaling sweep. Fleet first: spin-up latency
-        // is allocator-sensitive, so measure it on a fresh heap before
-        // the snapshot sweep churns it.
-        let fleet = fleetbench::run_all();
-        let json3 = snapbench::render_json(&snapbench::run_all(), &fleet);
-        if let Err(e) = std::fs::write("BENCH_3.json", &json3) {
-            eprintln!("warning: could not write BENCH_3.json: {e}");
-        }
+        // multi-tenant fleet scaling sweep.
+        write_bench("BENCH_3.json", &bench3());
         return;
     }
 
-    if args.iter().any(|a| a == "--json2") {
+    if flag("--json2") {
         // Just the per-agent overhead table — virtual-time measurement,
         // cheap and deterministic.
         let json2 = overhead::render_json(&overhead::run_all());
         print!("{json2}");
-        if let Err(e) = std::fs::write("BENCH_2.json", &json2) {
-            eprintln!("warning: could not write BENCH_2.json: {e}");
-        }
+        write_bench("BENCH_2.json", &json2);
         return;
     }
 
-    if args.iter().any(|a| a == "--json3") {
+    if flag("--json3") {
         // Just the snapshot-cost + fleet document — much cheaper than the
-        // full throughput sweep, and the one CI re-measures per push.
-        // Fleet first (fresh-heap spin-up measurement, as in --json).
-        let fleet = fleetbench::run_all();
-        let json3 = snapbench::render_json(&snapbench::run_all(), &fleet);
+        // full throughput sweep.
+        let json3 = bench3();
         print!("{json3}");
-        if let Err(e) = std::fs::write("BENCH_3.json", &json3) {
-            eprintln!("warning: could not write BENCH_3.json: {e}");
-        }
+        write_bench("BENCH_3.json", &json3);
         return;
     }
 
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
+    if flag("--fusion") {
+        let (stats, exec_cache) = fusion::profile();
+        print!("{}", fusion::render_json(&stats, exec_cache));
+        return;
+    }
+
+    let want = |name: &str| args.is_empty() || flag(name) || flag("all");
 
     println!("Interposition Agents (Jones, SOSP '93) — reproduction report");
     println!("=============================================================\n");
@@ -202,5 +238,9 @@ fn main() {
     }
     if want("ablation") {
         println!("{}", render_ablation(&ablation_pay_per_use()));
+    }
+    if want("overhead") {
+        print!("{}", overhead::render_text(&overhead::run_all()));
+        println!("{}", overhead::render_fast_path_probe());
     }
 }

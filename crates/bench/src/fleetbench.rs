@@ -15,7 +15,8 @@
 
 use std::time::Instant;
 
-use ia_fleet::{workload, Fleet, FleetBase, Tenant};
+use ia_fleet::{workload, Fleet};
+use ia_obs::report::{Json, Layout};
 
 /// Fleet sizes swept (tenant counts). The top size is the acceptance
 /// bar: the pool must sustain 10k+ concurrent tenants.
@@ -43,40 +44,11 @@ pub struct FleetSample {
     pub steals: u64,
 }
 
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(8)
-}
-
-/// Builds the shared base with the standard tenant binary pool.
-fn build_base() -> FleetBase {
-    let mut base = FleetBase::new();
-    for p in 0..POOL {
-        base.install_image(
-            format!("/bin/t{p}").as_bytes(),
-            &workload::tenant_image(p as u64),
-        );
-    }
-    base
-}
-
 /// Measures one (tenants, threads) point: spin-up, then drive.
 fn measure(tenants: usize, threads: usize) -> FleetSample {
-    let base = build_base();
+    let base = workload::pool_base(POOL);
     let t0 = Instant::now();
-    let fleet: Vec<Tenant> = (0..tenants)
-        .map(|i| {
-            let path = format!("/bin/t{}", i % POOL);
-            Tenant::spawn_path(
-                &base,
-                i,
-                path.as_bytes(),
-                &[b"tenant"],
-                workload::tenant_agents(),
-            )
-        })
-        .collect();
+    let fleet = workload::spawn_pool(&base, tenants, POOL, workload::tenant_agents);
     let spin_up = t0.elapsed().as_nanos() as f64 / tenants.max(1) as f64;
     let (_, report) = Fleet::new(threads).run(fleet);
     FleetSample {
@@ -98,7 +70,7 @@ fn measure(tenants: usize, threads: usize) -> FleetSample {
 /// acceptance point must run on the fresh heap.
 #[must_use]
 pub fn run_all() -> Vec<FleetSample> {
-    let par = host_threads();
+    let par = workload::host_threads();
     let mut out = Vec::new();
     for tenants in FLEET_SIZES.iter().rev().copied() {
         if par > 1 {
@@ -110,27 +82,25 @@ pub fn run_all() -> Vec<FleetSample> {
     out
 }
 
-/// Renders the `"fleet"` section body (the JSON array lines, without the
-/// key) for splicing into `BENCH_3.json`.
+/// Renders the `"fleet"` section of `BENCH_3.json`.
 #[must_use]
-pub fn render_section(samples: &[FleetSample]) -> String {
-    let mut s = String::new();
-    for (i, f) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"tenants\": {}, \"threads\": {}, \"spin_up_ns_per_tenant\": {:.0}, \
-             \"wall_ms\": {:.1}, \"syscalls_per_sec\": {:.0}, \"insns_per_sec\": {:.0}, \
-             \"steals\": {}}}{}\n",
-            f.tenants,
-            f.threads,
-            f.spin_up_ns_per_tenant,
-            f.wall_ms,
-            f.syscalls_per_sec,
-            f.insns_per_sec,
-            f.steals,
-            if i + 1 < samples.len() { "," } else { "" },
-        ));
-    }
-    s
+pub fn render_section(samples: &[FleetSample]) -> Json {
+    Json::array(
+        Layout::Block,
+        samples.iter().map(|f| {
+            Json::inline()
+                .field("tenants", f.tenants)
+                .field("threads", f.threads)
+                .field(
+                    "spin_up_ns_per_tenant",
+                    Json::fixed(f.spin_up_ns_per_tenant, 0),
+                )
+                .field("wall_ms", Json::fixed(f.wall_ms, 1))
+                .field("syscalls_per_sec", Json::fixed(f.syscalls_per_sec, 0))
+                .field("insns_per_sec", Json::fixed(f.insns_per_sec, 0))
+                .field("steals", f.steals)
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -138,13 +108,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_point_measures_and_renders() {
+    fn one_point_measures() {
         let s = measure(32, 1);
         assert_eq!(s.tenants, 32);
         assert!(s.syscalls_per_sec > 0.0);
         assert!(s.spin_up_ns_per_tenant > 0.0);
-        let sect = render_section(&[s]);
-        assert!(sect.contains("\"tenants\": 32"));
-        assert_eq!(sect.matches('{').count(), sect.matches('}').count());
     }
 }

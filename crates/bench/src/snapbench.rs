@@ -29,6 +29,7 @@ use std::time::Instant;
 use ia_agents::TxnAgent;
 use ia_interpose::InterposedRouter;
 use ia_kernel::{Kernel, KernelBuilder, RunOutcome};
+use ia_obs::report::{Json, Layout};
 use ia_vm::assemble;
 
 /// VFS sizes (file counts) swept by every metric.
@@ -203,30 +204,15 @@ pub fn run_all() -> Vec<Sample> {
 }
 
 /// Renders the samples — plus the multi-tenant fleet sweep — as the
-/// `BENCH_3.json` document. Hand-rolled like `BENCH_1`/`BENCH_2`: the
-/// workspace builds offline with no serialization dependency.
+/// `BENCH_3.json` document.
 #[must_use]
 pub fn render_json(samples: &[Sample], fleet: &[crate::fleetbench::FleetSample]) -> String {
-    let mut s = ia_obs::report::json_header("bench", "BENCH_3");
-    s.push_str(
-        "  \"description\": \"snapshot cost vs VFS size: persistent-trie capture vs eager copy, \
-         full-kernel capture, branch-based txn sessions, and multi-tenant fleet scaling\",\n",
-    );
-    s.push_str("  \"machine_profile\": \"i486_25\",\n");
-    s.push_str("  \"fleet\": [\n");
-    s.push_str(&crate::fleetbench::render_section(fleet));
-    s.push_str("  ],\n");
-    s.push_str("  \"samples\": [\n");
-    for (i, sm) in samples.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"metric\": \"{}\", \"vfs_files\": {}, \"ns\": {:.1}}}{}\n",
-            sm.metric,
-            sm.vfs_files,
-            sm.ns,
-            if i + 1 < samples.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
+    let rows = samples.iter().map(|sm| {
+        Json::inline()
+            .field("metric", sm.metric)
+            .field("vfs_files", sm.vfs_files)
+            .field("ns", Json::fixed(sm.ns, 1))
+    });
     // The O(1) acceptance check, made explicit so CI and readers need no
     // arithmetic: snapshot ns at the smallest and largest swept size.
     let snap = |files: usize| {
@@ -235,19 +221,26 @@ pub fn render_json(samples: &[Sample], fleet: &[crate::fleetbench::FleetSample])
             .find(|s| s.metric == "vfs_snapshot_ns" && s.vfs_files == files)
             .map_or(f64::NAN, |s| s.ns)
     };
-    let (lo, hi) = (snap(SIZES[0]), snap(SIZES[SIZES.len() - 1]));
-    s.push_str(&format!(
-        "  \"snapshot_o1_check\": {{\"ns_at_{}_files\": {:.1}, \"ns_at_{}_files\": {:.1}, \
-         \"growth_ratio\": {:.2}, \"under_1us\": {}}}\n",
-        SIZES[0],
-        lo,
-        SIZES[SIZES.len() - 1],
-        hi,
-        hi / lo,
-        lo < 1_000.0 && hi < 1_000.0,
-    ));
-    s.push_str("}\n");
-    s
+    let (first, last) = (SIZES[0], SIZES[SIZES.len() - 1]);
+    let (lo, hi) = (snap(first), snap(last));
+    Json::document("bench", "BENCH_3")
+        .field(
+            "description",
+            "snapshot cost vs VFS size: persistent-trie capture vs eager copy, \
+             full-kernel capture, branch-based txn sessions, and multi-tenant fleet scaling",
+        )
+        .field("machine_profile", "i486_25")
+        .field("fleet", crate::fleetbench::render_section(fleet))
+        .field("samples", Json::array(Layout::Block, rows))
+        .field(
+            "snapshot_o1_check",
+            Json::inline()
+                .field(&format!("ns_at_{first}_files"), Json::fixed(lo, 1))
+                .field(&format!("ns_at_{last}_files"), Json::fixed(hi, 1))
+                .field("growth_ratio", Json::fixed(hi / lo, 2))
+                .field("under_1us", lo < 1_000.0 && hi < 1_000.0),
+        )
+        .render()
 }
 
 #[cfg(test)]
@@ -277,27 +270,5 @@ mod tests {
         let c = txn_session_ns(SIZES[0], true, 1);
         let a = txn_session_ns(SIZES[0], false, 1);
         assert!(c > 0.0 && a > 0.0);
-    }
-
-    #[test]
-    fn json_document_is_well_formed_enough() {
-        let samples = vec![
-            Sample {
-                metric: "vfs_snapshot_ns",
-                vfs_files: 10,
-                ns: 100.0,
-            },
-            Sample {
-                metric: "vfs_snapshot_ns",
-                vfs_files: 10_000,
-                ns: 120.0,
-            },
-        ];
-        let j = render_json(&samples, &[]);
-        assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"snapshot_o1_check\""));
-        assert!(j.contains("\"under_1us\": true"));
-        assert!(j.contains("\"growth_ratio\": 1.20"));
     }
 }

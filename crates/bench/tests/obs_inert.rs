@@ -69,3 +69,43 @@ fn recorder_is_inert_under_the_reference_too() {
     assert_eq!(bare_obs, rec_obs);
     assert_eq!(bare_stats.virtual_ns, rec_stats.virtual_ns);
 }
+
+/// A call no agent registered interest in must cross zero interposition
+/// machinery: with the recorder on, the flat dispatch table sends it
+/// straight to the kernel, so the ring must contain no `interpose` frame
+/// for it.
+#[test]
+fn no_phantom_interpose_frames_on_bypassed_calls() {
+    use ia_abi::Sysno;
+    use ia_kernel::{KernelBuilder, ObsEvent, RunOutcome};
+    use ia_workloads::micro::{self, MicroCall};
+
+    let mut k = KernelBuilder::new().build();
+    micro::setup(&mut k);
+    let img = micro::loop_image(MicroCall::Getpid, 64);
+    let pid = k.spawn_image(&img, &[b"st"], b"st");
+    let mut router = ia_interpose::InterposedRouter::new();
+    // Timex registers interest only in gettimeofday; getpid is bypassed.
+    ia_interpose::wrap_process(&mut k, &mut router, pid, ia_agents::Timex::boxed(60), &[]);
+    k.obs.enable(8192);
+    assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
+    let getpid = Sysno::Getpid.number();
+    let mut dispatched = 0u64;
+    for ev in k.obs.events() {
+        match ev.event {
+            ObsEvent::TrapDispatch { nr, .. } if nr == getpid => dispatched += 1,
+            ObsEvent::LayerEnter { layer, nr, .. } | ObsEvent::LayerExit { layer, nr, .. } => {
+                assert!(
+                    !(nr == getpid && k.obs.layer_name(layer) == "interpose"),
+                    "bypassed getpid produced a phantom interpose frame"
+                );
+            }
+            _ => {}
+        }
+    }
+    assert!(dispatched >= 64, "probe loop must actually have run");
+    assert!(
+        router.stats.passthrough >= 64,
+        "bypassed calls must count as passthrough"
+    );
+}

@@ -19,66 +19,47 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ia_fleet::{solo_observable, workload, Fleet, FleetBase, Tenant};
-use ia_interpose::Agent;
+use ia_fleet::workload::{self, host_threads, pool_base, pool_path, spawn_pool};
+use ia_fleet::{solo_observable, Fleet, FleetReport};
+use ia_kernel::ia_obs::report::Json;
 
-/// Tenant agent chains for the run.
-fn agents_for(bare: bool) -> Vec<Box<dyn Agent>> {
-    if bare {
-        workload::bare_agents()
-    } else {
-        workload::tenant_agents()
-    }
-}
-
-/// Builds the shared base with `pool` distinct tenant binaries installed.
-fn build_base(pool: usize) -> FleetBase {
-    let mut base = FleetBase::new();
-    for p in 0..pool {
-        base.install_image(
-            format!("/bin/t{p}").as_bytes(),
-            &workload::tenant_image(p as u64),
-        );
-    }
-    base
-}
-
-/// Spins up `tenants` tenants over `base` (image `i % pool`), returning
-/// them plus the mean spin-up nanoseconds.
-fn spawn_all(base: &FleetBase, tenants: usize, pool: usize, bare: bool) -> (Vec<Tenant>, f64) {
-    let start = Instant::now();
-    let fleet: Vec<Tenant> = (0..tenants)
-        .map(|i| {
-            let path = format!("/bin/t{}", i % pool);
-            Tenant::spawn_path(base, i, path.as_bytes(), &[b"tenant"], agents_for(bare))
-        })
-        .collect();
-    let ns = start.elapsed().as_nanos() as f64 / tenants.max(1) as f64;
-    (fleet, ns)
-}
-
-fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// The `--json` line: one run's throughput and exec-cache counters.
+fn render_json(report: &FleetReport, spin_up_ns: f64, (hits, misses): (u64, u64)) -> String {
+    Json::inline()
+        .field("tenants", report.tenants)
+        .field("threads", report.threads)
+        .field("spin_up_ns_per_tenant", Json::fixed(spin_up_ns, 0))
+        .field("wall_ms", Json::fixed(report.wall_ns as f64 / 1e6, 1))
+        .field(
+            "syscalls_per_sec",
+            Json::fixed(report.syscalls_per_sec(), 0),
+        )
+        .field("insns_per_sec", Json::fixed(report.insns_per_sec(), 0))
+        .field("turns", report.total_turns)
+        .field("steals", report.steals)
+        .field(
+            "exec_cache",
+            Json::inline().field("hits", hits).field("misses", misses),
+        )
+        .render()
 }
 
 fn smoke() -> ExitCode {
     const TENANTS: usize = 256;
     const POOL: usize = 16;
-    let threads = host_threads().min(8);
-    let base = build_base(POOL);
+    let threads = host_threads();
+    let base = pool_base(POOL);
 
     // Determinism spot check: every 32nd tenant solo vs in-fleet. The
     // solo reference runs on a *private* base built identically to the
     // shared one (same image pool, its own exec cache) — base content is
     // part of the Observable (VFS digest, file counts), so it must match.
-    let (tenants, _) = spawn_all(&base, TENANTS, POOL, false);
+    let tenants = spawn_pool(&base, TENANTS, POOL, workload::tenant_agents);
     let (results, par) = Fleet::new(threads).run(tenants);
     for id in (0..TENANTS).step_by(32) {
-        let solo_base = build_base(POOL);
-        let path = format!("/bin/t{}", id % POOL);
         let (outcome, obs) = solo_observable(
-            &solo_base,
-            path.as_bytes(),
+            &pool_base(POOL),
+            pool_path(id % POOL).as_bytes(),
             &[b"tenant"],
             workload::tenant_agents(),
             u64::MAX,
@@ -90,7 +71,7 @@ fn smoke() -> ExitCode {
     }
 
     // Scaling ratio: same fleet at 1 thread vs `threads`.
-    let (serial_tenants, _) = spawn_all(&base, TENANTS, POOL, false);
+    let serial_tenants = spawn_pool(&base, TENANTS, POOL, workload::tenant_agents);
     let (_, ser) = Fleet::new(1).run(serial_tenants);
     let ratio = par.syscalls_per_sec() / ser.syscalls_per_sec().max(1e-9);
     let floor = 0.7 * threads as f64;
@@ -123,15 +104,22 @@ fn main() -> ExitCode {
             .unwrap_or(default)
     };
     let tenants = flag("--tenants", 1_000) as usize;
-    let threads = flag("--threads", host_threads().min(8) as u64) as usize;
+    let threads = flag("--threads", host_threads() as u64) as usize;
     let seed = flag("--seed", 0x1af1_ee75_eed5);
     let quantum = flag("--quantum", 50_000);
     let pool = (flag("--pool", 16) as usize).clamp(1, tenants.max(1));
     let bare = args.iter().any(|a| a == "--bare");
     let json = args.iter().any(|a| a == "--json");
 
-    let base = build_base(pool);
-    let (fleet_tenants, spin_up_ns) = spawn_all(&base, tenants, pool, bare);
+    let agents = if bare {
+        workload::bare_agents
+    } else {
+        workload::tenant_agents
+    };
+    let base = pool_base(pool);
+    let start = Instant::now();
+    let fleet_tenants = spawn_pool(&base, tenants, pool, agents);
+    let spin_up_ns = start.elapsed().as_nanos() as f64 / tenants.max(1) as f64;
     let (results, report) = Fleet::new(threads)
         .seed(seed)
         .quantum(quantum)
@@ -143,19 +131,7 @@ fn main() -> ExitCode {
         .count();
     let (hits, misses) = (base.exec_cache.hits(), base.exec_cache.misses());
     if json {
-        println!(
-            "{{\"tenants\": {}, \"threads\": {}, \"spin_up_ns_per_tenant\": {:.0}, \
-             \"wall_ms\": {:.1}, \"syscalls_per_sec\": {:.0}, \"insns_per_sec\": {:.0}, \
-             \"turns\": {}, \"steals\": {}, \"exec_cache\": {{\"hits\": {hits}, \"misses\": {misses}}}}}",
-            report.tenants,
-            report.threads,
-            spin_up_ns,
-            report.wall_ns as f64 / 1e6,
-            report.syscalls_per_sec(),
-            report.insns_per_sec(),
-            report.total_turns,
-            report.steals,
-        );
+        print!("{}", render_json(&report, spin_up_ns, (hits, misses)));
     } else {
         println!(
             "fleet: {} tenants on {} threads",
@@ -186,4 +162,26 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_line_matches_golden() {
+        let report = FleetReport {
+            tenants: 200,
+            threads: 2,
+            wall_ns: 42_123_456,
+            total_syscalls: 23_017,
+            total_insns: 7_466_123,
+            total_turns: 249,
+            steals: 26,
+        };
+        assert_eq!(
+            render_json(&report, 30_771.4, (184, 16)),
+            include_str!("../../tests/golden/fleet.json")
+        );
+    }
 }

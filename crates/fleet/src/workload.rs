@@ -15,6 +15,8 @@ use ia_interpose::Agent;
 use ia_prng::Prng;
 use ia_vm::{Image, ProgramBuilder};
 
+use crate::{FleetBase, Tenant};
+
 /// Builds the deterministic workload image for `seed`.
 #[must_use]
 pub fn tenant_image(seed: u64) -> Image {
@@ -79,6 +81,48 @@ pub fn tenant_agents() -> Vec<Box<dyn Agent>> {
 #[must_use]
 pub fn bare_agents() -> Vec<Box<dyn Agent>> {
     Vec::new()
+}
+
+/// Path of pool image `p` inside a [`pool_base`].
+#[must_use]
+pub fn pool_path(p: usize) -> String {
+    format!("/bin/t{p}")
+}
+
+/// Builds a shared base with `pool` distinct tenant binaries installed:
+/// [`tenant_image`]`(p)` at [`pool_path`]`(p)`.
+#[must_use]
+pub fn pool_base(pool: usize) -> FleetBase {
+    let mut base = FleetBase::new();
+    for p in 0..pool {
+        base.install_image(pool_path(p).as_bytes(), &tenant_image(p as u64));
+    }
+    base
+}
+
+/// Spawns `tenants` tenants over a [`pool_base`] of `pool` images:
+/// tenant `i` runs image `i % pool` beneath a fresh `agents()` chain.
+#[must_use]
+pub fn spawn_pool(
+    base: &FleetBase,
+    tenants: usize,
+    pool: usize,
+    agents: fn() -> Vec<Box<dyn Agent>>,
+) -> Vec<Tenant> {
+    (0..tenants)
+        .map(|i| {
+            let path = pool_path(i % pool);
+            Tenant::spawn_path(base, i, path.as_bytes(), &[b"tenant"], agents())
+        })
+        .collect()
+}
+
+/// Worker threads for a fleet run on this host: its cores, at most 8.
+#[must_use]
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(8)
 }
 
 #[cfg(test)]

@@ -36,30 +36,8 @@ const SEEDS: usize = 32;
 const POOL: usize = 32; // one distinct image per seed
 const THREADS: usize = 8;
 
-fn build_base() -> FleetBase {
-    let mut base = FleetBase::new();
-    for p in 0..POOL {
-        base.install_image(
-            format!("/bin/t{p}").as_bytes(),
-            &workload::tenant_image(p as u64),
-        );
-    }
-    base
-}
-
 fn spawn_fleet(base: &FleetBase) -> Vec<Tenant> {
-    (0..SEEDS)
-        .map(|i| {
-            let path = format!("/bin/t{i}");
-            Tenant::spawn_path(
-                base,
-                i,
-                path.as_bytes(),
-                &[b"tenant"],
-                workload::tenant_agents(),
-            )
-        })
-        .collect()
+    workload::spawn_pool(base, SEEDS, POOL, workload::tenant_agents)
 }
 
 /// 32 distinct tenant seeds, run solo (private base, uninterrupted) and
@@ -69,7 +47,7 @@ fn spawn_fleet(base: &FleetBase) -> Vec<Tenant> {
 /// bit.
 #[test]
 fn thirty_two_seeds_solo_vs_eight_thread_fleet() {
-    let base = build_base();
+    let base = workload::pool_base(POOL);
     let (results, report) = Fleet::new(THREADS).quantum(2_000).run(spawn_fleet(&base));
     assert_eq!(results.len(), SEEDS);
     // A tiny quantum must actually fragment the runs into many turns,
@@ -80,11 +58,9 @@ fn thirty_two_seeds_solo_vs_eight_thread_fleet() {
     );
 
     for (i, r) in results.iter().enumerate() {
-        let solo_base = build_base();
-        let path = format!("/bin/t{i}");
         let (outcome, obs) = solo_observable(
-            &solo_base,
-            path.as_bytes(),
+            &workload::pool_base(POOL),
+            workload::pool_path(i).as_bytes(),
             &[b"tenant"],
             workload::tenant_agents(),
             u64::MAX,
@@ -98,7 +74,7 @@ fn thirty_two_seeds_solo_vs_eight_thread_fleet() {
 /// host-side policy and must not leak into any tenant's `Observable`.
 #[test]
 fn schedule_policy_is_unobservable() {
-    let base = build_base();
+    let base = workload::pool_base(POOL);
     let (a, _) = Fleet::new(1).quantum(u64::MAX).run(spawn_fleet(&base));
     let (b, _) = Fleet::new(THREADS).quantum(1_000).run(spawn_fleet(&base));
     let (c, _) = Fleet::new(3)
@@ -117,7 +93,7 @@ fn schedule_policy_is_unobservable() {
 /// the determinism assertions above are vacuous.
 #[test]
 fn seeds_produce_distinct_observables() {
-    let base = build_base();
+    let base = workload::pool_base(POOL);
     let (results, _) = Fleet::new(2).run(spawn_fleet(&base));
     for w in results.windows(2) {
         assert_ne!(

@@ -13,11 +13,11 @@
 //!   [`Event`]s, each stamped with a monotone sequence number and the
 //!   virtual clock at record time. When full, the oldest event is
 //!   overwritten; [`Obs::dropped`] counts the casualties.
-//! * a **metrics registry** — per `(layer, syscall)` counters and
-//!   log2-bucket latency histograms of both *virtual* ns (simulated cost)
-//!   and *host* ns (wall time spent inside the layer). Attribution is
-//!   *exclusive*: time spent in layers below is subtracted out via a frame
-//!   stack, so a pass-through agent shows only its own dispatch cost.
+//! * a **metrics registry** — per `(layer, syscall)` call counts and
+//!   total *virtual* ns (simulated cost) and *host* ns (wall time spent
+//!   inside the layer). Attribution is *exclusive*: time spent in layers
+//!   below is subtracted out via a frame stack, so a pass-through agent
+//!   shows only its own dispatch cost.
 //!
 //! Invariants the rest of the workspace relies on:
 //!
@@ -35,11 +35,6 @@ pub mod report;
 /// Process id, mirrored from `ia-kernel` (which this crate cannot depend
 /// on without a cycle).
 pub type Pid = u32;
-
-/// Number of log2 latency buckets: bucket `i` counts samples with
-/// `2^(i-1) <= ns < 2^i` (bucket 0 is exactly 0 ns). 48 buckets cover
-/// ~3.2 days in nanoseconds, far beyond any simulated run.
-pub const HIST_BUCKETS: usize = 48;
 
 /// How a trap left a layer, as seen by the metrics hooks. A reduced
 /// mirror of the kernel's `SysOutcome` (which ia-obs cannot name).
@@ -92,35 +87,6 @@ pub struct Stamped {
     pub event: Event,
 }
 
-/// Log2 histogram of nanosecond samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hist(pub [u64; HIST_BUCKETS]);
-
-impl Default for Hist {
-    fn default() -> Hist {
-        Hist([0; HIST_BUCKETS])
-    }
-}
-
-impl Hist {
-    /// Bucket index for a sample: 0 for 0 ns, else `ceil(log2(ns)) + 1`
-    /// clamped into range.
-    #[must_use]
-    pub fn bucket(ns: u64) -> usize {
-        (64 - ns.leading_zeros() as usize).min(HIST_BUCKETS - 1)
-    }
-
-    fn record(&mut self, ns: u64) {
-        self.0[Self::bucket(ns)] += 1;
-    }
-
-    /// Total samples across all buckets.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.iter().sum()
-    }
-}
-
 /// Counters for one `(layer, syscall)` pair.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallStat {
@@ -131,10 +97,6 @@ pub struct CallStat {
     pub virt_ns: u64,
     /// Exclusive host ns spent in the layer (children subtracted).
     pub host_ns: u64,
-    /// Histogram of per-entry exclusive virtual ns.
-    pub virt_hist: Hist,
-    /// Histogram of per-entry exclusive host ns.
-    pub host_hist: Hist,
 }
 
 /// Sorted, borrow-free copy of the registry for report generation.
@@ -143,18 +105,6 @@ pub struct MetricsSnapshot {
     /// One entry per `(layer name, syscall nr)` with any samples,
     /// sorted by layer then nr.
     pub rows: Vec<(String, u32, CallStat)>,
-}
-
-impl MetricsSnapshot {
-    /// Sum of `count` over every row of `layer`.
-    #[must_use]
-    pub fn layer_calls(&self, layer: &str) -> u64 {
-        self.rows
-            .iter()
-            .filter(|(l, _, _)| l == layer)
-            .map(|(_, _, s)| s.count)
-            .sum()
-    }
 }
 
 /// In-flight layer entry used for exclusive attribution.
@@ -339,8 +289,6 @@ impl Obs {
         stat.count += 1;
         stat.virt_ns += excl_v;
         stat.host_ns += excl_h;
-        stat.virt_hist.record(excl_v);
-        stat.host_hist.record(excl_h);
         if let Some(parent) = inner.frames.last_mut() {
             parent.child_v += inclusive_v;
             parent.child_h += inclusive_h;
@@ -459,6 +407,7 @@ mod tests {
         o.layer_enter("kernel", 1, 20, 0);
         o.layer_exit("kernel", 1, 20, Outcome::Ok, 10);
         o.slice(1, 100, 20);
+        o.trap_dispatch(1, 20, 0, 30);
         assert!(!o.is_enabled());
         assert!(o.events().is_empty());
         assert_eq!(o.recorded(), 0);
@@ -476,9 +425,13 @@ mod tests {
         assert_eq!(ev.len(), 4);
         assert_eq!(o.recorded(), 10);
         assert_eq!(o.dropped(), 6);
-        // Oldest-first, strictly increasing sequence numbers 6..=9.
+        // Oldest-first, strictly increasing sequence numbers 6..=9, and
+        // the virtual clock never regresses along the ring.
         let seqs: Vec<u64> = ev.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9]);
+        for w in ev.windows(2) {
+            assert!(w[0].vclock_ns <= w[1].vclock_ns, "vclock must not regress");
+        }
         assert!(matches!(ev[3].event, Event::Slice { retired: 9, .. }));
     }
 
@@ -520,17 +473,6 @@ mod tests {
         let (_, _, s) = &m.rows[0];
         assert_eq!(s.count, 2);
         assert_eq!(s.virt_ns, 20 + 20);
-        assert_eq!(s.virt_hist.count(), 2);
-    }
-
-    #[test]
-    fn hist_buckets_are_log2() {
-        assert_eq!(Hist::bucket(0), 0);
-        assert_eq!(Hist::bucket(1), 1);
-        assert_eq!(Hist::bucket(2), 2);
-        assert_eq!(Hist::bucket(3), 2);
-        assert_eq!(Hist::bucket(4), 3);
-        assert_eq!(Hist::bucket(u64::MAX), HIST_BUCKETS - 1);
     }
 
     #[test]

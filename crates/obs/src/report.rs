@@ -1,8 +1,9 @@
-//! Report rendering: the shared JSON string escaper (used by every
-//! hand-rolled JSON writer in the workspace) plus text/JSON renderers for
-//! flight-recorder dumps and the metrics registry.
+//! Report rendering: the one JSON writer every machine-readable document
+//! in the workspace goes through (lint and flow reports, `BENCH_1/2/3.json`,
+//! the fusion histogram, `ia-fleet --json`), plus the text renderer for
+//! flight-recorder dumps.
 
-use crate::{Event, MetricsSnapshot, Obs, Outcome};
+use crate::{Event, Obs, Outcome};
 use std::fmt::Write as _;
 
 /// Version stamp carried by every JSON document the workspace renders
@@ -10,17 +11,196 @@ use std::fmt::Write as _;
 /// downstream consumers can detect shape changes in one place.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Opens a hand-rolled JSON document: `{`, the [`SCHEMA_VERSION`] stamp,
-/// and one identifying tag field. Every JSON emitter in the workspace
-/// starts its document here so the stamp cannot be forgotten (BENCH_1/2/3
-/// once shipped without it).
-#[must_use]
-pub fn json_header(tag_key: &str, tag: &str) -> String {
-    format!(
-        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"{}\": \"{}\",\n",
-        json_escape(tag_key),
-        json_escape(tag)
-    )
+/// How a JSON container places its entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One entry per line, indented two spaces per nesting level, the
+    /// closing bracket on its own line.
+    Block,
+    /// Every entry on the opening line, separated by `, `.
+    Inline,
+}
+
+/// A JSON value with its layout fixed, so a document renders to the same
+/// bytes every time. The workspace builds offline with no serialization
+/// dependency; this is its one writer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Number text, written verbatim (see [`Json::fixed`]).
+    Num(String),
+    /// A string, escaped by [`json_escape`] on output.
+    Str(String),
+    /// An array.
+    Arr(Layout, Vec<Json>),
+    /// An object; keys keep their insertion order.
+    Obj(Layout, Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An empty object whose entries go one per line.
+    #[must_use]
+    pub fn block() -> Json {
+        Json::Obj(Layout::Block, Vec::new())
+    }
+
+    /// An empty object written on one line.
+    #[must_use]
+    pub fn inline() -> Json {
+        Json::Obj(Layout::Inline, Vec::new())
+    }
+
+    /// A stamped document: a block object opening with the
+    /// [`SCHEMA_VERSION`] stamp and one identifying tag field, so the
+    /// stamp cannot be forgotten (BENCH_1/2/3 once shipped without it).
+    #[must_use]
+    pub fn document(tag_key: &str, tag: &str) -> Json {
+        Json::block()
+            .field("schema_version", SCHEMA_VERSION)
+            .field(tag_key, tag)
+    }
+
+    /// An array of `items` in `layout`.
+    #[must_use]
+    pub fn array<T: Into<Json>>(layout: Layout, items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(layout, items.into_iter().map(Into::into).collect())
+    }
+
+    /// `v` with exactly `decimals` digits after the point.
+    #[must_use]
+    pub fn fixed(v: f64, decimals: usize) -> Json {
+        Json::Num(format!("{v:.decimals$}"))
+    }
+
+    /// Appends `key: value` to an object.
+    ///
+    /// # Panics
+    /// If `self` is not an object.
+    #[must_use]
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
+        let Json::Obj(_, fields) = &mut self else {
+            panic!("Json::field on a non-object");
+        };
+        fields.push((key.to_owned(), value.into()));
+        self
+    }
+
+    /// The value as a document: its text plus a final newline.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+            Json::Num(text) => out.push_str(text),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(layout, items) => {
+                write_seq(out, depth, *layout, ('[', ']'), items, |out, item| {
+                    item.write(out, depth + 1);
+                });
+            }
+            Json::Obj(layout, fields) => {
+                write_seq(out, depth, *layout, ('{', '}'), fields, |out, (k, v)| {
+                    write_str(out, k);
+                    out.push_str(": ");
+                    v.write(out, depth + 1);
+                });
+            }
+        }
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&json_escape(s));
+    out.push('"');
+}
+
+/// Writes a bracketed sequence at nesting `depth`: entries separated by
+/// `,` plus a newline and indent (block) or by `, ` (inline).
+fn write_seq<T>(
+    out: &mut String,
+    depth: usize,
+    layout: Layout,
+    (open, close): (char, char),
+    entries: &[T],
+    mut entry: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, e) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match layout {
+            Layout::Block => newline(out, depth + 1),
+            Layout::Inline if i > 0 => out.push(' '),
+            Layout::Inline => {}
+        }
+        entry(out, e);
+    }
+    if layout == Layout::Block {
+        newline(out, depth);
+    }
+    out.push(close);
+}
+
+fn newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n.to_string())
+            }
+        }
+    )*};
+}
+json_from_int!(u32, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<&String> for Json {
+    fn from(s: &String) -> Json {
+        Json::Str(s.clone())
+    }
+}
+
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
 }
 
 /// Escapes `s` for inclusion inside a JSON string literal.
@@ -125,61 +305,6 @@ pub fn render_events_text(obs: &Obs) -> String {
     out
 }
 
-/// Renders the metrics registry as an aligned text table: one row per
-/// `(layer, call)` with counts and exclusive virtual/host totals.
-#[must_use]
-pub fn render_metrics_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:<14} {:>10} {:>14} {:>14} {:>12}",
-        "layer", "call", "count", "virt-ns", "virt-ns/call", "host-ns"
-    );
-    for (layer, nr, stat) in &snap.rows {
-        let per_call = stat.virt_ns.checked_div(stat.count).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "{:<14} {:<14} {:>10} {:>14} {:>14} {:>12}",
-            layer,
-            sys_name(*nr),
-            stat.count,
-            stat.virt_ns,
-            per_call,
-            stat.host_ns
-        );
-    }
-    out
-}
-
-/// Renders the metrics registry as a JSON array of row objects, including
-/// the non-empty prefix of each log2 histogram.
-#[must_use]
-pub fn render_metrics_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("[\n");
-    for (i, (layer, nr, stat)) in snap.rows.iter().enumerate() {
-        let hist = |h: &crate::Hist| {
-            let last = h.0.iter().rposition(|&c| c != 0).map_or(0, |p| p + 1);
-            let cells: Vec<String> = h.0[..last].iter().map(u64::to_string).collect();
-            format!("[{}]", cells.join(","))
-        };
-        let _ = writeln!(
-            out,
-            "  {{\"layer\": \"{}\", \"call\": \"{}\", \"nr\": {}, \"count\": {}, \"virt_ns\": {}, \"host_ns\": {}, \"virt_hist_log2\": {}, \"host_hist_log2\": {}}}{}",
-            json_escape(layer),
-            json_escape(&sys_name(*nr)),
-            nr,
-            stat.count,
-            stat.virt_ns,
-            stat.host_ns,
-            hist(&stat.virt_hist),
-            hist(&stat.host_hist),
-            if i + 1 == snap.rows.len() { "" } else { "," }
-        );
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,14 +324,62 @@ mod tests {
     }
 
     #[test]
-    fn json_header_opens_a_stamped_document() {
-        let h = json_header("bench", "BENCH_1");
+    fn writer_escapes_keys_and_string_values() {
+        // A scenario name with quotes, a backslash and a raw newline must
+        // come out escaped wherever the writer places it.
+        let odd = "odd \"name\"\\with\ncontrols";
+        let doc = Json::document("bench", "BENCH_1")
+            .field(
+                "rows",
+                Json::array(Layout::Block, [Json::inline().field("name", odd)]),
+            )
+            .field(odd, 1u32)
+            .render();
+        assert_eq!(doc.matches(r#""odd \"name\"\\with\ncontrols""#).count(), 2);
+        assert!(!doc.contains(odd));
+        assert!(!doc.contains('\u{0}'));
+    }
+
+    #[test]
+    fn document_opens_with_the_stamp() {
+        let doc = Json::document("bench", "BENCH_1").render();
         assert_eq!(
-            h,
-            "{\n  \"schema_version\": 1,\n  \"bench\": \"BENCH_1\",\n"
+            doc,
+            "{\n  \"schema_version\": 1,\n  \"bench\": \"BENCH_1\"\n}\n"
         );
         // Tag values pass through the shared escaper.
-        assert!(json_header("image", "a\"b").contains(r#""a\"b""#));
+        assert!(Json::document("image", "a\"b")
+            .render()
+            .contains(r#""a\"b""#));
+    }
+
+    #[test]
+    fn block_and_inline_layouts_nest() {
+        let doc = Json::block()
+            .field("list", Json::array(Layout::Inline, [1u64, 2, 3]))
+            .field(
+                "rows",
+                Json::array(
+                    Layout::Block,
+                    [
+                        Json::inline().field("a", true).field("b", Json::Null),
+                        Json::inline()
+                            .field("c", Json::fixed(1.0 / 3.0, 2))
+                            .field("d", Json::array(Layout::Inline, Vec::<Json>::new())),
+                    ],
+                ),
+            )
+            .field("empty", Json::array(Layout::Block, Vec::<Json>::new()))
+            .field(
+                "nested",
+                Json::block().field("x", Some("y")).field("z", None::<u32>),
+            );
+        assert_eq!(
+            doc.render(),
+            "{\n  \"list\": [1, 2, 3],\n  \"rows\": [\n    {\"a\": true, \"b\": null},\n    \
+             {\"c\": 0.33, \"d\": []}\n  ],\n  \"empty\": [\n  ],\n  \"nested\": {\n    \
+             \"x\": \"y\",\n    \"z\": null\n  }\n}\n"
+        );
     }
 
     #[test]
@@ -216,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_events_and_metrics() {
+    fn renders_events() {
         let mut o = Obs::new();
         o.enable(16);
         o.trap_dispatch(1, ia_abi::Sysno::Getpid.number(), 0, 100);
@@ -232,12 +405,5 @@ mod tests {
         assert!(text.contains("trap   pid=1 nr=getpid restarts=0"));
         assert!(text.contains("enter  pid=1 layer=kernel nr=getpid"));
         assert!(text.contains("outcome=ok"));
-        let snap = o.metrics();
-        let table = render_metrics_text(&snap);
-        assert!(table.contains("kernel"));
-        assert!(table.contains("getpid"));
-        let json = render_metrics_json(&snap);
-        assert!(json.contains("\"layer\": \"kernel\""));
-        assert!(json.contains("\"virt_ns\": 60"));
     }
 }

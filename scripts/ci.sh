@@ -20,4 +20,4 @@ cargo run --release -p ia-bench --bin reproduce -- --json
 cargo run --release -p ia-fleet -- --smoke
 # Fusion-hit histogram: which superinstruction families representative
 # workloads actually execute, uploaded as a CI artifact.
-cargo run --release -p ia-bench --bin ia-stats -- --fusion > target/fusion-hist.json
+cargo run --release -p ia-bench --bin reproduce -- --fusion > target/fusion-hist.json

@@ -21,10 +21,6 @@ cargo run --release --bin ia-lint -- --builtin --deny-warnings --json \
 cargo run --release --bin ia-lint -- --builtin \
     --flow-json target/flow-report.json --out /dev/null
 
-# Observability gate: recorder/metrics invariants, the shared JSON
-# escaper, and a recorder-inertness differential on a real workload.
-cargo run --release -p ia-bench --bin ia-stats -- --selftest
-
 # Conformance smoke sweep: differential oracle + fault schedules over
 # generated programs, plus the static-footprint and dynamic-taint flow
 # soundness checks per seed (recorded flows must stay inside the static

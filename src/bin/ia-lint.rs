@@ -18,9 +18,9 @@
 
 use ia_analyze::flow::{analyze_flow, FlowAnalysis, FlowSpec};
 use ia_analyze::{
-    analyze_bytes, analyze_image, render_flow_json, render_json, render_text, ImageAnalysis,
-    Severity,
+    analyze_bytes, analyze_image, flow_json, lint_json, render_text, ImageAnalysis, Severity,
 };
+use ia_obs::report::{Json, Layout};
 use ia_workloads::{exfil, make8, micro, mix, scribe};
 use std::process::ExitCode;
 
@@ -136,19 +136,6 @@ fn analyze_file(
     }
 }
 
-/// Joins per-image JSON bodies into one top-level array document.
-fn json_array(bodies: impl Iterator<Item = String>) -> String {
-    let indented: Vec<String> = bodies
-        .map(|b| {
-            b.lines()
-                .map(|l| format!("  {l}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        })
-        .collect();
-    format!("[\n{}\n]\n", indented.join(",\n"))
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -182,7 +169,11 @@ fn main() -> ExitCode {
     }
 
     let output = if opts.json {
-        json_array(reports.iter().map(|(name, a, _)| render_json(name, a)))
+        Json::array(
+            Layout::Block,
+            reports.iter().map(|(name, a, _)| lint_json(name, a)),
+        )
+        .render()
     } else {
         reports
             .iter()
@@ -202,11 +193,13 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.flow_out {
-        let doc = json_array(
+        let doc = Json::array(
+            Layout::Block,
             reports
                 .iter()
-                .filter_map(|(name, _, fa)| fa.as_ref().map(|fa| render_flow_json(name, fa))),
-        );
+                .filter_map(|(name, _, fa)| fa.as_ref().map(|fa| flow_json(name, fa))),
+        )
+        .render();
         if let Err(e) = std::fs::write(path, &doc) {
             eprintln!("ia-lint: write {path}: {e}");
             return ExitCode::FAILURE;
