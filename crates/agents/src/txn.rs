@@ -20,6 +20,16 @@
 //! already the tree) and abort rewinds the tree to the begin snapshot via
 //! `Kernel::rollback_fs`, reconciling live descriptors.
 //!
+//! The end of a session costs what the session changed, plus one pass over
+//! directory entries. [`footprint`] asks the inode trie which inodes no
+//! longer share their leaf with the begin capture ([`Fs::changed_since`],
+//! a parallel trie walk that skips shared subtrees), then walks the begin
+//! and live namespaces together: an untouched inode costs a set lookup,
+//! and a path is built only for an entry it reports. The abort's
+//! reconciliation visits only the changed inodes too. Recovering paths is
+//! still one pass over the entries of every directory, because inodes
+//! carry no parent links to climb from a changed inode to its names.
+//!
 //! Nesting composes by snapshot ordering: each agent rewinds to *its own*
 //! begin capture, so an outer abort discards an inner commit — the inner
 //! transaction committed into a world the outer one then threw away.
@@ -31,14 +41,13 @@
 //! branch-based design trades it back for O(1) begin and true read
 //! transparency.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use ia_interpose::InterestSet;
 use ia_kernel::SysOutcome;
 use ia_toolkit::{SymCtx, Symbolic, SymbolicSyscall};
 use ia_vfs::inode::ROOT_INO;
-use ia_vfs::{Fs, FsSnapshot, Ino};
+use ia_vfs::{Fs, FsSnapshot, Ino, Inode};
 
 /// Commit-or-abort decision for the transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,10 +66,8 @@ struct TxnState {
     decision: Decision,
     finished: Option<Decision>,
     root_pid: Option<u32>,
-    /// Paths whose content changed during the session (diffed at end).
-    modified: Vec<Vec<u8>>,
-    /// Paths removed during the session (diffed at end).
-    deleted: Vec<Vec<u8>>,
+    /// What the session changed, diffed at its end.
+    footprint: Footprint,
 }
 
 /// Host-side control of the transaction.
@@ -84,14 +91,14 @@ impl TxnHandle {
     /// snapshot when the session ended (empty until then).
     #[must_use]
     pub fn modified_paths(&self) -> Vec<Vec<u8>> {
-        self.state.lock().unwrap().modified.clone()
+        self.state.lock().unwrap().footprint.modified.clone()
     }
 
     /// Paths the session removed, diffed against the begin snapshot when
     /// the session ended (empty until then).
     #[must_use]
     pub fn deleted_paths(&self) -> Vec<Vec<u8>> {
-        self.state.lock().unwrap().deleted.clone()
+        self.state.lock().unwrap().footprint.deleted.clone()
     }
 
     /// The decision that was actually applied, once the session ended.
@@ -125,59 +132,109 @@ impl TxnAgent {
     }
 }
 
-/// Flattens a tree into `path → (ino of a dir | file content digest)`
-/// for the end-of-session diff. Regular files record a cheap content key
-/// (length + chunk pointers compare first via `FileContent`'s `Eq`).
-fn flatten(
-    fs: &Fs,
-    ino: Ino,
-    prefix: &[u8],
-    out: &mut BTreeMap<Vec<u8>, Option<ia_vfs::FileContent>>,
-) {
-    let Ok(node) = fs.get(ino) else { return };
-    if let Some(data) = node.as_file() {
-        out.insert(prefix.to_vec(), Some(data.clone()));
-        return;
+/// What a session changed, by path, relative to its begin capture.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Regular files present now whose content differs from, or is
+    /// absent in, the capture at the same path; sorted.
+    pub modified: Vec<Vec<u8>>,
+    /// Paths present in the capture and gone now, of any type; sorted.
+    pub deleted: Vec<Vec<u8>>,
+}
+
+/// Diffs the live tree against the `begin` capture by path. Hard links
+/// count once per name; symlinks are not followed.
+#[must_use]
+pub fn footprint(live: &Fs, begin: &FsSnapshot) -> Footprint {
+    let changed = live.changed_since(begin);
+    let mut walk = Walk {
+        live,
+        begin,
+        changed: &changed,
+        path: Vec::new(),
+        out: Footprint::default(),
+    };
+    if !changed.is_empty() {
+        walk.visit(Some(ROOT_INO), Some(ROOT_INO));
     }
-    out.insert(prefix.to_vec(), None);
-    let Ok(entries) = fs.readdir(ino) else { return };
-    for e in entries {
-        if e.name == b"." || e.name == b".." {
-            continue;
+    let mut out = walk.out;
+    out.modified.sort_unstable();
+    out.deleted.sort_unstable();
+    out
+}
+
+/// The joint walk over the begin (`old`) and live (`new`) namespaces.
+struct Walk<'a> {
+    live: &'a Fs,
+    begin: &'a FsSnapshot,
+    /// Inodes whose leaf differs between the two trees, ascending.
+    changed: &'a [Ino],
+    /// The path being visited ("" for the root).
+    path: Vec<u8>,
+    out: Footprint,
+}
+
+impl Walk<'_> {
+    fn untouched(&self, ino: Ino) -> bool {
+        self.changed.binary_search(&ino).is_err()
+    }
+
+    /// Compares the node `self.path` names in each tree.
+    fn visit(&mut self, old: Option<Ino>, new: Option<Ino>) {
+        let n = new.and_then(|i| self.live.get(i).ok());
+        if old == new && new.is_some_and(|i| self.untouched(i)) {
+            // One inode, shared by both trees: only descendants can differ.
+            for (name, &child) in n.and_then(Inode::as_dir).into_iter().flatten() {
+                self.child(name, Some(child), Some(child));
+            }
+            return;
         }
-        let mut p = prefix.to_vec();
-        if !p.ends_with(b"/") {
-            p.push(b'/');
+        let o = old.and_then(|i| self.begin.get(i));
+        match n {
+            Some(node) => {
+                if let Some(data) = node.as_file() {
+                    if o.and_then(Inode::as_file) != Some(data) {
+                        self.out.modified.push(self.path.clone());
+                    }
+                }
+            }
+            None if o.is_some() => self.out.deleted.push(self.path.clone()),
+            None => {}
         }
-        p.extend_from_slice(&e.name);
-        flatten(fs, e.ino, &p, out);
+        let (od, nd) = (o.and_then(Inode::as_dir), n.and_then(Inode::as_dir));
+        for (name, &child) in nd.into_iter().flatten() {
+            let was = od.and_then(|m| m.get(name)).copied();
+            self.child(name, was, Some(child));
+        }
+        for (name, &child) in od.into_iter().flatten() {
+            if !nd.is_some_and(|m| m.contains_key(name)) {
+                self.child(name, Some(child), None);
+            }
+        }
+    }
+
+    fn child(&mut self, name: &[u8], old: Option<Ino>, new: Option<Ino>) {
+        if name == b"." || name == b".." {
+            return;
+        }
+        // An untouched non-directory has nothing below it to report.
+        if let (Some(o), Some(n)) = (old, new) {
+            if o == n
+                && self.untouched(n)
+                && self.live.get(n).map_or(true, |i| i.as_dir().is_none())
+            {
+                return;
+            }
+        }
+        let saved = self.path.len();
+        self.path.push(b'/');
+        self.path.extend_from_slice(name);
+        self.visit(old, new);
+        self.path.truncate(saved);
     }
 }
 
 impl Txn {
-    /// Computes the session's footprint: paths present now that differ
-    /// from (or are absent in) the begin snapshot, and paths that
-    /// vanished. Cheap where the trees still share structure — untouched
-    /// subtrees compare by `Arc` pointer at the content level.
-    fn diff_against_begin(&self, live: &Fs, snap: &FsSnapshot) {
-        let mut old_fs = Fs::new(ia_abi::Timeval::default());
-        old_fs.restore(snap);
-        let (mut old, mut new) = (BTreeMap::new(), BTreeMap::new());
-        flatten(&old_fs, ROOT_INO, b"/", &mut old);
-        flatten(live, ROOT_INO, b"/", &mut new);
-        let mut st = self.state.lock().unwrap();
-        st.modified = new
-            .iter()
-            .filter(|(p, c)| c.is_some() && old.get(*p) != Some(c))
-            .map(|(p, _)| p.clone())
-            .collect();
-        st.deleted = old
-            .keys()
-            .filter(|p| !new.contains_key(*p))
-            .cloned()
-            .collect();
-    }
-
     fn finish(&mut self, ctx: &mut SymCtx<'_, '_>) {
         let (decision, snap) = {
             let st = self.state.lock().unwrap();
@@ -187,7 +244,9 @@ impl Txn {
             (st.decision, st.begin.clone())
         };
         let Some(snap) = snap else { return };
-        self.diff_against_begin(&ctx.raw.kernel.fs, &snap);
+        // The footprint is taken now, before an abort rewinds the tree.
+        let fp = footprint(&ctx.raw.kernel.fs, &snap);
+        self.state.lock().unwrap().footprint = fp;
         if decision == Decision::Abort {
             // Rewind the world's tree to the begin capture; live
             // descriptors are reconciled by the kernel.

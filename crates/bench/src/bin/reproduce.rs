@@ -75,11 +75,32 @@ fn smoke_gate(json: &str, what: &str, name: &str, field: &str, live: f64) -> boo
     true
 }
 
+/// The txn end-of-session gate: a session over the largest swept VFS may
+/// cost at most [`snapbench::TXN_SCALING_BOUND`] times one over the
+/// smallest, both measured in this window, so it needs no baseline.
+fn txn_scaling_gate() -> bool {
+    let scaling = snapbench::txn_scaling(3);
+    let (commit, abort) = scaling.ratios();
+    println!(
+        "smoke: txn scaling: commit {commit:.1}x, abort {abort:.1}x at {} over {} files (bound {}x)",
+        snapbench::SIZES[snapbench::SIZES.len() - 1],
+        snapbench::SIZES[0],
+        snapbench::TXN_SCALING_BOUND
+    );
+    if !scaling.holds() {
+        eprintln!(
+            "smoke: FAIL — txn session cost grows with the tree size, not with what it changed"
+        );
+    }
+    scaling.holds()
+}
+
 /// Compares fresh runs of the trap and compute smoke scenarios on the
 /// default configuration — each normalized by the reference measured in
 /// the same window —
-/// against the committed baseline ratios; exits non-zero on a regression
-/// beyond [`SMOKE_TOLERANCE`] on either.
+/// against the committed baseline ratios, and checks the txn scaling
+/// bound; exits non-zero on a regression beyond [`SMOKE_TOLERANCE`] on
+/// either scenario or on a broken bound.
 fn smoke() {
     let json = match std::fs::read_to_string("BENCH_1.json") {
         Ok(text) => text,
@@ -102,7 +123,7 @@ fn smoke() {
         hostbench::SMOKE_COMPUTE_SCENARIO,
         "minsns_per_sec",
         compute.minsns_per_sec / compute_ref.minsns_per_sec.max(1e-9),
-    );
+    ) & txn_scaling_gate();
     if !ok {
         std::process::exit(1);
     }
@@ -139,7 +160,7 @@ fn write_bench(path: &str, json: &str) {
 /// the snapshot sweep churns it.
 fn bench3() -> String {
     let fleet = fleetbench::run_all();
-    snapbench::render_json(&snapbench::run_all(), &fleet)
+    snapbench::render_json(&snapbench::run_all(), &snapbench::txn_scaling(5), &fleet)
 }
 
 fn main() {

@@ -20,8 +20,12 @@
 //! * `txn_commit_host_ns` / `txn_abort_host_ns` — a fixed three-file
 //!   transactional session under [`ia_agents::TxnAgent`], run to
 //!   completion over a preloaded VFS of each size. Begin is the O(1)
-//!   snapshot; abort adds the O(inodes) rollback reconciliation; both
-//!   pay one end-of-session tree diff for the modified-path report.
+//!   snapshot. The end pays a trie diff over the changed inodes plus one
+//!   pass over directory entries for the footprint report; abort adds a
+//!   reconciliation of the changed inodes only.
+//! * `txn_scaling_check` — commit and abort sessions at the smallest and
+//!   largest size, interleaved in one window, and their cost ratio, which
+//!   must stay under [`TXN_SCALING_BOUND`].
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -164,6 +168,59 @@ fn txn_session_ns(files: usize, commit: bool, reps: usize) -> f64 {
     best
 }
 
+/// Largest tolerated cost ratio of a txn session over the largest swept
+/// VFS to one over the smallest. The end of a session still passes over
+/// every directory entry once, so the ratio is not 1; a whole-tree
+/// flatten or a per-file rehash puts it near 500.
+pub const TXN_SCALING_BOUND: f64 = 150.0;
+
+/// Txn session cost at the sweep's extremes, measured in one window.
+#[derive(Debug, Clone, Copy)]
+pub struct TxnScaling {
+    /// Best-of-reps commit session ns at the smallest and largest size.
+    pub commit_ns: (f64, f64),
+    /// Best-of-reps abort session ns at the smallest and largest size.
+    pub abort_ns: (f64, f64),
+}
+
+impl TxnScaling {
+    /// Large-over-small cost ratios, (commit, abort).
+    #[must_use]
+    pub fn ratios(&self) -> (f64, f64) {
+        (
+            self.commit_ns.1 / self.commit_ns.0,
+            self.abort_ns.1 / self.abort_ns.0,
+        )
+    }
+
+    /// True when both ratios are under [`TXN_SCALING_BOUND`].
+    #[must_use]
+    pub fn holds(&self) -> bool {
+        let (c, a) = self.ratios();
+        c < TXN_SCALING_BOUND && a < TXN_SCALING_BOUND
+    }
+}
+
+/// Measures [`TxnScaling`], alternating small and large sessions so host
+/// speed drift hits both sides of each ratio alike.
+#[must_use]
+pub fn txn_scaling(reps: usize) -> TxnScaling {
+    let (small, large) = (SIZES[0], SIZES[SIZES.len() - 1]);
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..reps {
+        for (i, (files, commit)) in [(small, true), (large, true), (small, false), (large, false)]
+            .into_iter()
+            .enumerate()
+        {
+            best[i] = best[i].min(txn_session_ns(files, commit, 1));
+        }
+    }
+    TxnScaling {
+        commit_ns: (best[0], best[1]),
+        abort_ns: (best[2], best[3]),
+    }
+}
+
 /// Sweeps every metric over [`SIZES`].
 #[must_use]
 pub fn run_all() -> Vec<Sample> {
@@ -203,10 +260,14 @@ pub fn run_all() -> Vec<Sample> {
     out
 }
 
-/// Renders the samples — plus the multi-tenant fleet sweep — as the
-/// `BENCH_3.json` document.
+/// Renders the samples, the txn scaling check and the multi-tenant fleet
+/// sweep as the `BENCH_3.json` document.
 #[must_use]
-pub fn render_json(samples: &[Sample], fleet: &[crate::fleetbench::FleetSample]) -> String {
+pub fn render_json(
+    samples: &[Sample],
+    scaling: &TxnScaling,
+    fleet: &[crate::fleetbench::FleetSample],
+) -> String {
     let rows = samples.iter().map(|sm| {
         Json::inline()
             .field("metric", sm.metric)
@@ -240,6 +301,29 @@ pub fn render_json(samples: &[Sample], fleet: &[crate::fleetbench::FleetSample])
                 .field("growth_ratio", Json::fixed(hi / lo, 2))
                 .field("under_1us", lo < 1_000.0 && hi < 1_000.0),
         )
+        .field("txn_scaling_check", {
+            let (cr, ar) = scaling.ratios();
+            Json::inline()
+                .field(
+                    &format!("commit_ns_at_{first}_files"),
+                    Json::fixed(scaling.commit_ns.0, 1),
+                )
+                .field(
+                    &format!("commit_ns_at_{last}_files"),
+                    Json::fixed(scaling.commit_ns.1, 1),
+                )
+                .field("commit_ratio", Json::fixed(cr, 1))
+                .field(
+                    &format!("abort_ns_at_{first}_files"),
+                    Json::fixed(scaling.abort_ns.0, 1),
+                )
+                .field(
+                    &format!("abort_ns_at_{last}_files"),
+                    Json::fixed(scaling.abort_ns.1, 1),
+                )
+                .field("abort_ratio", Json::fixed(ar, 1))
+                .field(&format!("under_{TXN_SCALING_BOUND}x"), scaling.holds())
+        })
         .render()
 }
 

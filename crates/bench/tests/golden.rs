@@ -7,7 +7,7 @@ use ia_bench::fleetbench::FleetSample;
 use ia_bench::fusion;
 use ia_bench::hostbench::{self, Scenario};
 use ia_bench::overhead::{self, Bench2, Cell, LayerRow, Row};
-use ia_bench::snapbench::{self, Sample};
+use ia_bench::snapbench::{self, Sample, TxnScaling};
 use ia_kernel::FusionStats;
 
 fn scenarios() -> Vec<Scenario> {
@@ -146,7 +146,14 @@ fn bench_2_matches_golden() {
 #[test]
 fn bench_3_matches_golden() {
     assert_eq!(
-        snapbench::render_json(&samples(), &fleet()),
+        snapbench::render_json(
+            &samples(),
+            &TxnScaling {
+                commit_ns: (20_557.04, 1_234_567.8),
+                abort_ns: (18_264.0, 999_999.96),
+            },
+            &fleet()
+        ),
         include_str!("golden/bench3.json")
     );
 }

@@ -6,7 +6,8 @@
 //! eight binaries over and over). [`ExecCache`] memoizes the whole
 //! prepare-to-execute pipeline — parse, gate verdict, decoded
 //! `Arc<Vec<Insn>>`, and the fused program — keyed by the image bytes'
-//! content digest *and the gate generation*.
+//! FNV-1a content digest ([`Fnv1a`], the VFS's digest family) *and the
+//! gate generation*.
 //!
 //! # Sharing
 //!
@@ -61,6 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use ia_abi::Errno;
+use ia_vfs::Fnv1a;
 use ia_vm::{FusedProgram, Image, Insn};
 
 /// A fully prepared executable: the parsed image (for segment loading and
@@ -114,18 +116,6 @@ pub struct ExecCache {
     inner: Arc<Inner>,
 }
 
-/// FNV-1a over the image bytes — the same digest family the VFS uses for
-/// content digests, applied to one byte slice.
-#[must_use]
-pub fn content_digest(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl ExecCache {
     /// Entry-count bound; past it the cache resets rather than evicting
     /// piecemeal (images are small and storms reuse few distinct binaries).
@@ -165,7 +155,7 @@ impl ExecCache {
     /// generation, counting a hit on success. Takes only the shared read
     /// lock — the fleet's common case.
     pub fn lookup(&self, bytes: &[u8]) -> Option<Result<Arc<PreparedImage>, Errno>> {
-        let digest = content_digest(bytes);
+        let digest = Fnv1a::digest(bytes);
         let gen = self.inner.gate_gen.load(Ordering::Acquire);
         let map = self.inner.map.read().unwrap();
         let entry = map
@@ -189,7 +179,7 @@ impl ExecCache {
         if map.len() >= Self::MAX_IMAGES {
             map.clear();
         }
-        map.entry(content_digest(bytes)).or_default().push(Entry {
+        map.entry(Fnv1a::digest(bytes)).or_default().push(Entry {
             bytes: bytes.to_vec(),
             gate_gen: gen,
             outcome,

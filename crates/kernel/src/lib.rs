@@ -28,7 +28,7 @@ mod syscalls;
 
 pub use clock::{Clock, MachineProfile, EPOCH_SECS, I486_25, VAX_6250};
 pub use console::{Console, DEV_NULL, DEV_TTY, DEV_ZERO};
-pub use exec_cache::{content_digest, ExecCache, PreparedImage};
+pub use exec_cache::{ExecCache, PreparedImage};
 pub use files::{FdEntry, FdTable, FileKind, OpenFile, OpenFiles, SockId, FD_TABLE_SIZE};
 /// The observability crate itself, so crates above the kernel reach its
 /// report writer without a dependency edge of their own.

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use ia_abi::{DirEntry, Errno, Stat, Timeval};
 
+use crate::fnv::Fnv1a;
 use crate::inode::{Cred, Ino, Inode, InodeKind, ROOT_INO};
 use crate::path::{self, is_absolute, split_components};
 use crate::pipe::PipeTable;
@@ -57,6 +58,14 @@ pub struct FsSnapshot {
     next_ino: Ino,
 }
 
+impl FsSnapshot {
+    /// Borrows an inode as it was at capture time.
+    #[must_use]
+    pub fn get(&self, ino: Ino) -> Option<&Inode> {
+        self.inodes.get(ino)
+    }
+}
+
 impl Default for Fs {
     fn default() -> Self {
         Self::new(Timeval::default())
@@ -106,21 +115,26 @@ impl Fs {
     /// Rewinds the tree to `snap` while the surrounding world keeps
     /// running — the transactional-abort path, where open descriptors
     /// outlive the rewind. `live_refs` maps ino → number of open-file
-    /// references held *now*; every restored inode's `open_refs` is
-    /// re-derived from it (capture-time counts are stale on both sides),
+    /// references held *now*; every inode the rewind changes gets its
+    /// `open_refs` re-derived from it (the capture-time count is stale),
     /// and unlinked inodes nobody references anymore are reclaimed.
     ///
     /// Unlike [`Self::restore`], the ino allocator is *not* rewound:
     /// descriptors left dangling by the rewind must never alias a file
     /// created afterwards, so inos stay unique for the kernel's lifetime.
     ///
-    /// O(inodes), unlike the O(1) capture: reconciliation must visit the
-    /// whole restored tree.
+    /// Only the inodes [`Self::changed_since`] reports are reconciled, so
+    /// the cost follows what changed since the capture, not the tree size.
+    /// That relies on the live tree's `open_refs` already matching
+    /// `live_refs`, as the kernel keeps them: a leaf the live tree still
+    /// shares with `snap` then carries the right count, and a dead one
+    /// would already have been reclaimed.
     pub fn restore_reconciled(&mut self, snap: &FsSnapshot, live_refs: &BTreeMap<Ino, u32>) {
+        let changed = self.changed_since(snap);
         let live_next = self.next_ino;
         self.restore(snap);
         self.next_ino = live_next;
-        for ino in 0..live_next {
+        for ino in changed {
             let Some(n) = self.inodes.get(ino) else {
                 continue;
             };
@@ -131,6 +145,18 @@ impl Fs {
                 self.inodes.get_mut(ino).expect("just seen").open_refs = want;
             }
         }
+    }
+
+    /// The inodes, ascending, whose trie leaf the live tree no longer
+    /// shares with `snap`: created, removed, or touched by any mutation
+    /// since the capture (a touched inode may still compare equal). Costs
+    /// O(changed × trie height) via [`PVec::diff`].
+    #[must_use]
+    pub fn changed_since(&self, snap: &FsSnapshot) -> Vec<Ino> {
+        let mut changed = Vec::new();
+        snap.inodes
+            .diff(&self.inodes, |ino, _, _| changed.push(ino));
+        changed
     }
 
     // ---- inode access -------------------------------------------------
@@ -775,6 +801,11 @@ impl Fs {
     /// tree reachable from the root: paths, node types, permission bits,
     /// ownership, link counts, file contents and symlink targets.
     ///
+    /// File contents enter as each file's cached FNV-1a digest
+    /// ([`FileContent::digest`]), not as their bytes, so a digest over a
+    /// tree that shares most files with an already-digested one hashes
+    /// only the paths, metadata and the files changed since.
+    ///
     /// Timestamps are deliberately excluded — they track the virtual clock,
     /// which advances differently under interposition, so including them
     /// would make every transparency comparison fail vacuously. Unlinked
@@ -782,32 +813,27 @@ impl Fs {
     /// and therefore also excluded.
     #[must_use]
     pub fn content_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv1a::new();
         self.digest_walk(&mut Vec::new(), ROOT_INO, &mut h);
-        h
+        h.finish()
     }
 
-    fn digest_walk(&self, path: &mut Vec<u8>, ino: Ino, h: &mut u64) {
+    fn digest_walk(&self, path: &mut Vec<u8>, ino: Ino, h: &mut Fnv1a) {
         let Ok(node) = self.get(ino) else { return };
-        fnv_mix(h, path);
-        fnv_mix(h, &[0]);
-        fnv_mix(h, &node.meta.perm.to_le_bytes());
-        fnv_mix(h, &node.meta.uid.to_le_bytes());
-        fnv_mix(h, &node.meta.gid.to_le_bytes());
-        fnv_mix(h, &node.meta.nlink.to_le_bytes());
+        h.mix(path);
+        h.mix(&[0]);
+        h.mix(&node.meta.perm.to_le_bytes());
+        h.mix(&node.meta.uid.to_le_bytes());
+        h.mix(&node.meta.gid.to_le_bytes());
+        h.mix(&node.meta.nlink.to_le_bytes());
         match &node.kind {
             InodeKind::Regular(data) => {
-                fnv_mix(h, b"F");
-                fnv_mix(h, &(data.len() as u64).to_le_bytes());
-                // Stream chunk by chunk: FNV-1a folds byte-at-a-time, so
-                // this hashes identically to a flat byte walk regardless
-                // of where the chunk boundaries fall.
-                for chunk in data.chunks() {
-                    fnv_mix(h, chunk);
-                }
+                h.mix(b"F");
+                h.mix(&(data.len() as u64).to_le_bytes());
+                h.mix(&data.digest().to_le_bytes());
             }
             InodeKind::Directory(entries) => {
-                fnv_mix(h, b"D");
+                h.mix(b"D");
                 // BTreeMap iteration is already deterministic byte order.
                 for (name, &child) in entries {
                     if name.as_slice() == b"." || name.as_slice() == b".." {
@@ -821,28 +847,16 @@ impl Fs {
                 }
             }
             InodeKind::Symlink(target) => {
-                fnv_mix(h, b"L");
-                fnv_mix(h, target);
+                h.mix(b"L");
+                h.mix(target);
             }
             InodeKind::CharDevice(dev) => {
-                fnv_mix(h, b"C");
-                fnv_mix(h, &dev.to_le_bytes());
+                h.mix(b"C");
+                h.mix(&dev.to_le_bytes());
             }
-            InodeKind::Fifo(_) => fnv_mix(h, b"P"),
-            InodeKind::Socket => fnv_mix(h, b"S"),
+            InodeKind::Fifo(_) => h.mix(b"P"),
+            InodeKind::Socket => h.mix(b"S"),
         }
-    }
-}
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds `bytes` into an FNV-1a 64-bit state.
-fn fnv_mix(h: &mut u64, bytes: &[u8]) {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
     }
 }
 
@@ -1290,8 +1304,8 @@ mod tests {
     #[test]
     fn content_digest_hashes_through_chunk_boundaries() {
         // A file written in awkward pieces must digest identically to the
-        // same bytes written in one flat stroke (satellite: the digest
-        // streams the logical byte sequence, not the chunk layout).
+        // same bytes written in one flat stroke: the file digest folds the
+        // logical byte sequence, not the chunk layout.
         let mut pattern = Vec::new();
         for i in 0..3 * crate::pstore::CHUNK_SIZE + 17 {
             pattern.push((i % 251) as u8);
@@ -1326,6 +1340,40 @@ mod tests {
         rewritten.truncate(ino3, 0, NOW).unwrap();
         rewritten.write_at(ino3, 0, &pattern, NOW).unwrap();
         assert_eq!(flat.content_digest(), rewritten.content_digest());
+    }
+
+    #[test]
+    fn content_digest_is_the_same_warm_or_cold() {
+        let build = || {
+            let mut f = fs();
+            mkd(&mut f, b"/d");
+            for (i, name) in [&b"/d/a"[..], b"/d/b", b"/c"].into_iter().enumerate() {
+                let ino = mk(&mut f, name);
+                f.write_at(ino, 0, &vec![i as u8; 5000 * i + 1], NOW)
+                    .unwrap();
+            }
+            f
+        };
+        let mut warm = build();
+        let first = warm.content_digest();
+        assert_eq!(
+            warm.content_digest(),
+            first,
+            "cached digests change nothing"
+        );
+        assert_eq!(build().content_digest(), first);
+
+        // A write into a warm file resets its cache; a branch that shares
+        // the warm leaves agrees with a cold tree built in its final state.
+        let branch = warm.clone();
+        let ino = warm.resolve(ROOT_INO, b"/d/b", Cred::ROOT).unwrap().ino;
+        warm.write_at(ino, 3, b"xyz", NOW).unwrap();
+        let mut cold = build();
+        let ino = cold.resolve(ROOT_INO, b"/d/b", Cred::ROOT).unwrap().ino;
+        cold.write_at(ino, 3, b"xyz", NOW).unwrap();
+        assert_eq!(warm.content_digest(), cold.content_digest());
+        assert_ne!(warm.content_digest(), first);
+        assert_eq!(branch.content_digest(), first);
     }
 
     #[test]

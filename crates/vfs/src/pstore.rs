@@ -7,13 +7,19 @@
 //!   trie the ideal persistent map: cloning is one `Arc` bump, and a
 //!   mutation after a clone copies only the O(log₃₂ n) branch nodes on the
 //!   path to the touched leaf, sharing everything else with the snapshot.
+//!   [`PVec::diff`] walks two versions in parallel and skips every shared
+//!   subtree, so "what changed since this snapshot" costs what changed.
 //! * [`FileContent`] — regular-file bytes held as a vector of `Arc`'d
 //!   chunks, so a write into a snapshotted file copies one chunk (at most
-//!   [`CHUNK_SIZE`] bytes), not the whole file.
+//!   [`CHUNK_SIZE`] bytes), not the whole file. Its FNV-1a digest is
+//!   cached beside the bytes, so every version sharing the file hashes it
+//!   at most once.
 //!
 //! Both are plain value types: a "snapshot" is just a `clone()`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use crate::fnv::Fnv1a;
 
 /// Radix-trie fanout is 2^BITS.
 const BITS: u32 = 5;
@@ -22,17 +28,18 @@ const FANOUT: usize = 1 << BITS;
 /// Index mask at one trie level.
 const MASK: u64 = FANOUT as u64 - 1;
 
-/// Nodes only ever live behind an `Arc`, so the enum's by-value size is
-/// paid once per allocation; boxing the branch array to shrink leaves
-/// would add a pointer chase to every level of every lookup.
-#[allow(clippy::large_enum_variant)]
+/// A trie node. Values hang as `Arc<T>` off the bottom level (`Leaves`),
+/// so a value costs its own size plus an `Arc` header, not a whole
+/// 32-slot node, and a lookup takes no more pointer hops than levels.
 #[derive(Debug, Clone)]
 enum Node<T> {
+    /// An inner level: 32 child nodes.
     Branch([Option<Arc<Node<T>>>; FANOUT]),
-    Leaf(T),
+    /// The bottom level: 32 values.
+    Leaves([Option<Arc<T>>; FANOUT]),
 }
 
-fn empty_slots<T>() -> [Option<Arc<Node<T>>>; FANOUT] {
+fn empty_slots<S>() -> [Option<Arc<S>>; FANOUT] {
     std::array::from_fn(|_| None)
 }
 
@@ -42,9 +49,10 @@ fn empty_slots<T>() -> [Option<Arc<Node<T>>>; FANOUT] {
 /// mutation in one copies only the branch path it touches.
 #[derive(Debug, Clone)]
 pub struct PVec<T> {
-    /// Always a `Branch`; covers keys below `FANOUT^height`.
+    /// Covers keys below `FANOUT^height`: `Leaves` at height 1, a
+    /// `Branch` above.
     root: Arc<Node<T>>,
-    /// Branch levels between the root and the leaves (≥ 1).
+    /// Node levels from the root down to the `Leaves` level (≥ 1).
     height: u32,
     /// Live entries.
     len: usize,
@@ -61,7 +69,7 @@ impl<T: Clone> PVec<T> {
     #[must_use]
     pub fn new() -> PVec<T> {
         PVec {
-            root: Arc::new(Node::Branch(empty_slots())),
+            root: Arc::new(Node::Leaves(empty_slots())),
             height: 1,
             len: 0,
         }
@@ -105,19 +113,19 @@ impl<T: Clone> PVec<T> {
         let mut node: &Node<T> = &self.root;
         let mut shift = self.top_shift();
         loop {
+            let idx = ((key >> shift) & MASK) as usize;
             match node {
-                Node::Leaf(v) => return Some(v),
+                Node::Leaves(vals) => return vals[idx].as_deref(),
                 Node::Branch(slots) => {
-                    let idx = ((key >> shift) & MASK) as usize;
                     node = slots[idx].as_deref()?;
-                    shift = shift.saturating_sub(BITS);
+                    shift -= BITS;
                 }
             }
         }
     }
 
-    /// Mutably borrows the value at `key`, path-copying shared branch
-    /// nodes on the way down.
+    /// Mutably borrows the value at `key`, path-copying shared nodes (and
+    /// the value itself, if shared) on the way down.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
         if !self.fits(key) {
             return None;
@@ -125,12 +133,12 @@ impl<T: Clone> PVec<T> {
         let mut shift = self.top_shift();
         let mut node: &mut Node<T> = Arc::make_mut(&mut self.root);
         loop {
+            let idx = ((key >> shift) & MASK) as usize;
             match node {
-                Node::Leaf(v) => return Some(v),
+                Node::Leaves(vals) => return vals[idx].as_mut().map(Arc::make_mut),
                 Node::Branch(slots) => {
-                    let idx = ((key >> shift) & MASK) as usize;
                     node = Arc::make_mut(slots[idx].as_mut()?);
-                    shift = shift.saturating_sub(BITS);
+                    shift -= BITS;
                 }
             }
         }
@@ -147,68 +155,54 @@ impl<T: Clone> PVec<T> {
         while !self.fits(key) {
             self.grow();
         }
-        let shift = self.top_shift();
-        let replaced = Self::insert_rec(Arc::make_mut(&mut self.root), key, shift, value);
+        let mut shift = self.top_shift();
+        let mut node: &mut Node<T> = Arc::make_mut(&mut self.root);
+        let replaced = loop {
+            let idx = ((key >> shift) & MASK) as usize;
+            match node {
+                Node::Leaves(vals) => {
+                    break vals[idx].replace(Arc::new(value)).map(Arc::unwrap_or_clone);
+                }
+                Node::Branch(slots) => {
+                    shift -= BITS;
+                    let child = slots[idx].get_or_insert_with(|| {
+                        Arc::new(if shift == 0 {
+                            Node::Leaves(empty_slots())
+                        } else {
+                            Node::Branch(empty_slots())
+                        })
+                    });
+                    node = Arc::make_mut(child);
+                }
+            }
+        };
         if replaced.is_none() {
             self.len += 1;
         }
         replaced
     }
 
-    fn insert_rec(node: &mut Node<T>, key: u64, shift: u32, value: T) -> Option<T> {
-        let Node::Branch(slots) = node else {
-            unreachable!("leaves live only below the last branch level")
-        };
-        let idx = ((key >> shift) & MASK) as usize;
-        if shift == 0 {
-            match &mut slots[idx] {
-                Some(arc) => match Arc::make_mut(arc) {
-                    Node::Leaf(v) => Some(std::mem::replace(v, value)),
-                    Node::Branch(_) => unreachable!("branch at leaf level"),
-                },
-                slot @ None => {
-                    *slot = Some(Arc::new(Node::Leaf(value)));
-                    None
-                }
-            }
-        } else {
-            let child = slots[idx].get_or_insert_with(|| Arc::new(Node::Branch(empty_slots())));
-            Self::insert_rec(Arc::make_mut(child), key, shift - BITS, value)
-        }
-    }
-
-    /// Removes and returns the value at `key`. Emptied branch nodes are
-    /// left in place: keys are never reused, so pruning buys nothing.
+    /// Removes and returns the value at `key`. Emptied nodes are left in
+    /// place: keys are never reused, so pruning buys nothing.
     pub fn remove(&mut self, key: u64) -> Option<T> {
         if !self.contains(key) {
             return None; // avoid path-copying on a miss
         }
-        let shift = self.top_shift();
-        let removed = Self::remove_rec(Arc::make_mut(&mut self.root), key, shift);
+        let mut shift = self.top_shift();
+        let mut node: &mut Node<T> = Arc::make_mut(&mut self.root);
+        let removed = loop {
+            let idx = ((key >> shift) & MASK) as usize;
+            match node {
+                Node::Leaves(vals) => break vals[idx].take().map(Arc::unwrap_or_clone),
+                Node::Branch(slots) => {
+                    node = Arc::make_mut(slots[idx].as_mut()?);
+                    shift -= BITS;
+                }
+            }
+        };
         debug_assert!(removed.is_some());
         self.len -= 1;
         removed
-    }
-
-    fn remove_rec(node: &mut Node<T>, key: u64, shift: u32) -> Option<T> {
-        let Node::Branch(slots) = node else {
-            unreachable!("leaves live only below the last branch level")
-        };
-        let idx = ((key >> shift) & MASK) as usize;
-        if shift == 0 {
-            let arc = slots[idx].take()?;
-            Some(match Arc::try_unwrap(arc) {
-                Ok(Node::Leaf(v)) => v,
-                Ok(Node::Branch(_)) => unreachable!("branch at leaf level"),
-                Err(shared) => match &*shared {
-                    Node::Leaf(v) => v.clone(),
-                    Node::Branch(_) => unreachable!("branch at leaf level"),
-                },
-            })
-        } else {
-            let child = slots[idx].as_mut()?;
-            Self::remove_rec(Arc::make_mut(child), key, shift - BITS)
-        }
     }
 
     /// Visits every live value in ascending key order.
@@ -218,12 +212,114 @@ impl<T: Clone> PVec<T> {
 
     fn walk<F: FnMut(&T)>(node: &Node<T>, f: &mut F) {
         match node {
-            Node::Leaf(v) => f(v),
+            Node::Leaves(vals) => vals.iter().flatten().for_each(|v| f(v)),
             Node::Branch(slots) => {
                 for child in slots.iter().flatten() {
                     Self::walk(child, f);
                 }
             }
+        }
+    }
+
+    /// Reports, in ascending key order, every key whose value `self` and
+    /// `other` do not share, as `f(key, value in self, value in other)`.
+    ///
+    /// The two tries are walked in parallel and every node or value they
+    /// share (`Arc::ptr_eq`) is skipped unentered, so after a `clone()`
+    /// the walk costs O(changed keys × height), not O(len). Tries of
+    /// different heights align as [`Self::insert`] grows them: the shorter
+    /// one sits at slot 0 of the taller one's extra levels. A value that
+    /// was path-copied but is still equal is reported too; callers compare
+    /// values where that matters.
+    pub fn diff<F: FnMut(u64, Option<&T>, Option<&T>)>(&self, other: &PVec<T>, mut f: F) {
+        self.diff_visits(other, &mut f);
+    }
+
+    /// [`Self::diff`], returning how many node pairs the walk entered.
+    fn diff_visits<F: FnMut(u64, Option<&T>, Option<&T>)>(
+        &self,
+        other: &PVec<T>,
+        f: &mut F,
+    ) -> usize {
+        let level = self.height.max(other.height);
+        Self::diff_rec(
+            (Some(&self.root), self.height),
+            (Some(&other.root), other.height),
+            level,
+            0,
+            f,
+        )
+    }
+
+    /// Diffs the nodes at one trie position of height `level` (1 for the
+    /// `Leaves` level). Each side is a node and its own height, which is
+    /// below `level` while the position lies in the other trie's extra
+    /// top levels.
+    fn diff_rec<F: FnMut(u64, Option<&T>, Option<&T>)>(
+        a: (Option<&Arc<Node<T>>>, u32),
+        b: (Option<&Arc<Node<T>>>, u32),
+        level: u32,
+        base: u64,
+        f: &mut F,
+    ) -> usize {
+        if let (Some(x), Some(y)) = (a.0, b.0) {
+            if Arc::ptr_eq(x, y) {
+                return 0;
+            }
+        }
+        if level == 1 {
+            // Both sides are `Leaves` (or absent): heights never drop below 1.
+            let (va, vb) = (Self::leaves(a.0), Self::leaves(b.0));
+            for i in 0..FANOUT {
+                match (
+                    va.and_then(|v| v[i].as_ref()),
+                    vb.and_then(|v| v[i].as_ref()),
+                ) {
+                    (None, None) => {}
+                    (Some(x), Some(y)) if Arc::ptr_eq(x, y) => {}
+                    (x, y) => f(base | i as u64, x.map(|v| &**v), y.map(|v| &**v)),
+                }
+            }
+            return 1;
+        }
+        let shift = (level - 1) * BITS;
+        let child_h = |h: u32| h.min(level - 1);
+        let mut visits = 1;
+        for i in 0..FANOUT {
+            let (ca, cb) = (Self::slot(a, level, i), Self::slot(b, level, i));
+            if ca.is_none() && cb.is_none() {
+                continue;
+            }
+            visits += Self::diff_rec(
+                (ca, child_h(a.1)),
+                (cb, child_h(b.1)),
+                level - 1,
+                base | (i as u64) << shift,
+                f,
+            );
+        }
+        visits
+    }
+
+    fn leaves(node: Option<&Arc<Node<T>>>) -> Option<&[Option<Arc<T>>; FANOUT]> {
+        match node.map(|n| &**n) {
+            Some(Node::Leaves(vals)) => Some(vals),
+            _ => None,
+        }
+    }
+
+    /// Child node `i` of a `Branch`-level `side` seen from a position of
+    /// height `level`: a node shorter than the position is its own slot 0
+    /// (see [`Self::grow`]).
+    fn slot(side: (Option<&Arc<Node<T>>>, u32), level: u32, i: usize) -> Option<&Arc<Node<T>>> {
+        let (node, h) = side;
+        let node = node?;
+        if h < level {
+            return (i == 0).then_some(node);
+        }
+        match &**node {
+            Node::Branch(slots) => slots[i].as_ref(),
+            Node::Leaves(_) => None,
         }
     }
 }
@@ -243,6 +339,10 @@ pub const CHUNK_SIZE: usize = 4096;
 pub struct FileContent {
     chunks: Vec<Arc<Vec<u8>>>,
     len: usize,
+    /// FNV-1a over the bytes, filled by [`Self::digest`] and reset by
+    /// every `&mut` method. The content lives in an `Arc`'d trie leaf, so
+    /// one fill serves every snapshot and branch that shares the leaf.
+    digest: OnceLock<u64>,
 }
 
 impl FileContent {
@@ -260,7 +360,11 @@ impl FileContent {
             .chunks(CHUNK_SIZE)
             .map(|c| Arc::new(c.to_vec()))
             .collect();
-        FileContent { chunks, len }
+        FileContent {
+            chunks,
+            len,
+            digest: OnceLock::new(),
+        }
     }
 
     /// Logical length in bytes.
@@ -304,8 +408,22 @@ impl FileContent {
         out
     }
 
+    /// FNV-1a over the file's bytes, computed on first use and cached
+    /// until the next mutation.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| {
+            let mut h = Fnv1a::new();
+            for c in &self.chunks {
+                h.mix(c);
+            }
+            h.finish()
+        })
+    }
+
     /// Grows (zero-filling) or shrinks the file to `new_len` bytes.
     pub fn resize(&mut self, new_len: usize) {
+        self.digest.take();
         if new_len < self.len {
             let keep_chunks = new_len.div_ceil(CHUNK_SIZE);
             self.chunks.truncate(keep_chunks);
@@ -341,6 +459,7 @@ impl FileContent {
 
     /// Writes `data` at `off`, zero-filling any hole before it.
     pub fn write_at(&mut self, off: usize, data: &[u8]) {
+        self.digest.take();
         let end = off + data.len();
         if end > self.len {
             self.resize(end);
@@ -356,16 +475,11 @@ impl FileContent {
             src += take;
         }
     }
-
-    /// The chunks in file order, for streaming consumers (digests). The
-    /// concatenation of the yielded slices is exactly the file's bytes.
-    pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.chunks.iter().map(|c| c.as_slice())
-    }
 }
 
-/// Equality is over the logical byte stream. Shared chunks compare by
-/// pointer first, so snapshot-vs-branch comparisons skip unchanged spans.
+/// Equality is over the logical byte stream; the digest cache is ignored.
+/// Shared chunks compare by pointer first, so snapshot-vs-branch
+/// comparisons skip unchanged spans.
 impl PartialEq for FileContent {
     fn eq(&self, other: &Self) -> bool {
         // The length invariant pins chunk boundaries, so equal lengths
@@ -477,7 +591,7 @@ mod tests {
         assert!(flat[..CHUNK_SIZE + 1].iter().all(|&b| b == 7));
         assert!(flat[CHUNK_SIZE + 1..].iter().all(|&b| b == 0));
         // Invariant: all chunks full except the last.
-        let sizes: Vec<usize> = f.chunks().map(<[u8]>::len).collect();
+        let sizes: Vec<usize> = f.chunks.iter().map(|c| c.len()).collect();
         assert!(sizes[..sizes.len() - 1].iter().all(|&s| s == CHUNK_SIZE));
     }
 
@@ -506,5 +620,151 @@ mod tests {
         assert_eq!(a, b);
         b.write_at(5, b"X");
         assert_ne!(a, b);
+    }
+
+    /// Every key `diff` reports, as (key, old, new).
+    fn diffs(a: &PVec<u64>, b: &PVec<u64>) -> Vec<(u64, Option<u64>, Option<u64>)> {
+        let mut out = Vec::new();
+        a.diff(b, |k, x, y| out.push((k, x.copied(), y.copied())));
+        out
+    }
+
+    #[test]
+    fn pvec_diff_of_a_clone_is_empty() {
+        let mut a: PVec<u64> = PVec::new();
+        for i in 0..5_000u64 {
+            a.insert(i, i);
+        }
+        let b = a.clone();
+        let mut visits = 0;
+        assert_eq!(a.diff_visits(&b, &mut |_, _, _| visits += 1), 0);
+        assert_eq!(visits, 0);
+    }
+
+    #[test]
+    fn pvec_diff_reports_inserts_updates_and_removals() {
+        let mut old: PVec<u64> = PVec::new();
+        for i in 0..100u64 {
+            old.insert(i, i);
+        }
+        let mut new = old.clone();
+        new.insert(7, 700);
+        new.remove(40);
+        new.insert(100, 1);
+        assert_eq!(
+            diffs(&old, &new),
+            vec![
+                (7, Some(7), Some(700)),
+                (40, Some(40), None),
+                (100, None, Some(1)),
+            ]
+        );
+        // The mirror image swaps the sides.
+        assert_eq!(
+            diffs(&new, &old),
+            vec![
+                (7, Some(700), Some(7)),
+                (40, None, Some(40)),
+                (100, Some(1), None),
+            ]
+        );
+    }
+
+    #[test]
+    fn pvec_diff_aligns_tries_that_grew_after_the_snapshot() {
+        // Under 32 keys the trie has one branch level; past 1,024 it has
+        // three. The snapshot is the short trie, the live one the tall.
+        let mut old: PVec<u64> = PVec::new();
+        for i in 0..20u64 {
+            old.insert(i, i);
+        }
+        let mut new = old.clone();
+        new.insert(3, 33);
+        new.remove(11);
+        for i in 20..1_500u64 {
+            new.insert(i, i);
+        }
+        assert_eq!(new.height, 3);
+        let got = diffs(&old, &new);
+        let mut want = vec![(3, Some(3), Some(33)), (11, Some(11), None)];
+        want.extend((20..1_500u64).map(|i| (i, None, Some(i))));
+        assert_eq!(got, want);
+        let back: Vec<_> = diffs(&new, &old)
+            .into_iter()
+            .map(|(k, x, y)| (k, y, x))
+            .collect();
+        assert_eq!(back, want, "height order does not matter");
+
+        // An unchanged short prefix under a taller root is still skipped:
+        // the live trie's slot-0 chain shares the snapshot's root.
+        let mut tall = old.clone();
+        tall.insert(5_000, 1);
+        assert_eq!(diffs(&old, &tall), vec![(5_000, None, Some(1))]);
+        let visits = old.diff_visits(&tall, &mut |_, _, _| {});
+        assert_eq!(
+            visits, 4,
+            "root, slot-0 branch, the new key's branch and leaves"
+        );
+    }
+
+    #[test]
+    fn pvec_diff_visits_only_the_changed_paths() {
+        let mut old: PVec<u64> = PVec::new();
+        for i in 0..40_000u64 {
+            old.insert(i, i);
+        }
+        assert_eq!(old.height, 4);
+        let mut new = old.clone();
+        for k in [5u64, 17_000, 39_999] {
+            *new.get_mut(k).unwrap() += 1;
+        }
+        let mut seen = Vec::new();
+        let visits = old.diff_visits(&new, &mut |k, _, _| seen.push(k));
+        assert_eq!(seen, vec![5, 17_000, 39_999]);
+        // The root, plus one node per lower level for each changed key: at
+        // most 1 + 3 × 3 of the trie's ~1,300 nodes.
+        assert!(visits <= 1 + 3 * 3, "visited {visits} nodes");
+    }
+
+    #[test]
+    fn content_digest_is_fnv_of_the_bytes_and_resets_on_write() {
+        let mut f = FileContent::from_vec(b"hello".to_vec());
+        assert_eq!(f.digest(), Fnv1a::digest(b"hello"));
+        f.write_at(0, b"J");
+        assert_eq!(f.digest(), Fnv1a::digest(b"Jello"));
+        f.write_at(5, b"!");
+        assert_eq!(f.digest(), Fnv1a::digest(b"Jello!"));
+    }
+
+    #[test]
+    fn content_digest_resets_on_resize() {
+        let mut f = FileContent::from_vec(vec![9u8; CHUNK_SIZE + 10]);
+        let _ = f.digest();
+        f.resize(3);
+        assert_eq!(f.digest(), Fnv1a::digest(&[9, 9, 9]));
+        f.resize(5);
+        assert_eq!(f.digest(), Fnv1a::digest(&[9, 9, 9, 0, 0]));
+        f.resize(0);
+        assert_eq!(f.digest(), Fnv1a::digest(b""));
+    }
+
+    #[test]
+    fn content_digest_of_a_clone_stays_isolated() {
+        let mut a = FileContent::from_vec(b"shared".to_vec());
+        let warm = a.digest();
+        let b = a.clone();
+        a.write_at(0, b"S");
+        assert_eq!(b.digest(), warm, "the clone keeps its cached digest");
+        assert_eq!(a.digest(), Fnv1a::digest(b"Shared"));
+        assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn content_eq_ignores_the_digest_cache() {
+        let warm = FileContent::from_vec(b"same".to_vec());
+        let _ = warm.digest();
+        let cold = FileContent::from_vec(b"same".to_vec());
+        assert_eq!(warm, cold);
+        assert_eq!(cold, warm);
     }
 }

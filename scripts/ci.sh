@@ -10,8 +10,9 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 ./scripts/tier1.sh
 # Bench smoke check: the default configuration's trap and compute
 # throughput, each over the plain reference measured in the same window,
-# must both stay within 20% of the committed BENCH_1 ratios. Runs before
-# --json below rewrites the file.
+# must both stay within 20% of the committed BENCH_1 ratios, and a txn
+# session over 10k files must cost under 150x one over 10 files (same
+# window, no baseline). Runs before --json below rewrites the file.
 cargo run --release -p ia-bench --bin reproduce -- --smoke
 cargo run --release -p ia-bench --bin reproduce -- --json
 # Fleet smoke gate: 256 tenants on a work-stealing pool — solo-vs-fleet
