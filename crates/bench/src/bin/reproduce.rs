@@ -187,8 +187,8 @@ fn main() {
         let json = hostbench::render_json(&hostbench::run_all());
         print!("{json}");
         write_bench("BENCH_1.json", &json);
-        // Per-agent syscall overhead table (paper §6 shape), from the
-        // ia-obs metrics registry.
+        // Per-agent syscall overhead table (paper §6 shape) with per-layer
+        // getpid attribution folded from flight-recorder events.
         write_bench("BENCH_2.json", &overhead::render_json(&overhead::run_all()));
         // Snapshot cost vs VFS size, branch-based txn sessions, and the
         // multi-tenant fleet scaling sweep.

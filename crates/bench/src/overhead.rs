@@ -13,20 +13,26 @@
 //! time, and divide by the iteration delta — program setup, agent startup
 //! and loop overhead all cancel.
 //!
-//! A second section attributes the `getpid()` cost per *layer* using the
-//! ia-obs metrics registry from a recorder-enabled run: exclusive virtual
-//! ns per call for the kernel, the interpose redirection machinery, and
-//! each agent layer. `reproduce overhead` prints both as text, followed by
-//! the trap fast path's hit/miss probe.
+//! A second section attributes the `getpid()` cost per *layer*: exclusive
+//! virtual ns per call for the kernel, the interpose redirection machinery,
+//! and each agent layer, folded from the `LayerEnter`/`LayerExit` events of
+//! a recorded run (see `attribute`). That run uses the reference
+//! configuration (plain engine, fast path off), where every trap is
+//! routed through the layers, so the attribution covers every call.
+//! Everything here is virtual time, so the document is deterministic.
+//! `reproduce overhead` prints both sections as text, followed by the trap
+//! fast path's hit/miss probe.
 
 use ia_agents::{
     CryptAgent, FlowGuardAgent, FlowPolicy, PassThrough, SandboxAgent, SandboxPolicy, Timex,
     TraceAgent,
 };
 use ia_interpose::{Agent, InterposedRouter};
-use ia_kernel::{Kernel, KernelBuilder, I486_25};
+use ia_kernel::{Engine, Kernel, KernelBuilder, I486_25};
 use ia_obs::report::{Json, Layout};
+use ia_obs::{Event, LayerId, Obs};
 use ia_workloads::micro::{self, MicroCall};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The agent configurations of the table, in row order. `flowguard` is
@@ -89,7 +95,7 @@ pub struct Row {
 }
 
 /// Per-layer attribution of the `getpid()` cost under one configuration,
-/// from the ia-obs metrics registry.
+/// folded from a recorded reference run.
 #[derive(Debug, Clone)]
 pub struct LayerRow {
     /// Configuration label.
@@ -100,9 +106,6 @@ pub struct LayerRow {
     pub count: u64,
     /// Exclusive virtual ns per entry.
     pub virt_ns_per_call: u64,
-    /// Exclusive host ns per entry (wall time on the measuring machine;
-    /// noisy, reported for scale only).
-    pub host_ns_per_call: u64,
 }
 
 /// The whole BENCH_2 document.
@@ -128,13 +131,8 @@ fn agents_for(config: &str) -> Vec<Box<dyn Agent>> {
     }
 }
 
-/// Runs the micro loop for `call` under `config`, returning
-/// `(virtual ns, total insns)`; `recorder` optionally enables ia-obs.
-fn run_loop(call: MicroCall, config: &str, n: u64, recorder: Option<usize>) -> (u64, u64, Kernel) {
-    let mut k = KernelBuilder::new().build();
-    if let Some(cap) = recorder {
-        k.obs.enable(cap);
-    }
+/// Runs the micro loop for `call` under `config` on `k` to completion.
+fn run_loop(mut k: Kernel, call: MicroCall, config: &str, n: u64) -> Kernel {
     micro::setup(&mut k);
     let pid = k.spawn_image(&micro::loop_image(call, n), &[b"m"], b"m");
     let mut router = InterposedRouter::new();
@@ -148,7 +146,7 @@ fn run_loop(call: MicroCall, config: &str, n: u64, recorder: Option<usize>) -> (
         "{config}/{}",
         call_label(call)
     );
-    (k.clock.elapsed_ns(), k.total_insns, k)
+    k
 }
 
 /// Modelled µs per call by two-length differencing (see module docs).
@@ -161,8 +159,10 @@ fn run_loop(call: MicroCall, config: &str, n: u64, recorder: Option<usize>) -> (
 fn measure(call: MicroCall, config: &str) -> f64 {
     let n1 = 64;
     let n2 = 192;
-    let (e1, i1, _) = run_loop(call, config, n1, None);
-    let (e2, i2, _) = run_loop(call, config, n2, None);
+    let k1 = run_loop(KernelBuilder::new().build(), call, config, n1);
+    let k2 = run_loop(KernelBuilder::new().build(), call, config, n2);
+    let (e1, i1) = (k1.clock.elapsed_ns(), k1.total_insns);
+    let (e2, i2) = (k2.clock.elapsed_ns(), k2.total_insns);
     let d = i128::from(e2) - i128::from(e1) - i128::from((i2 - i1) * I486_25.insn_ns);
     d as f64 / f64::from((n2 - n1) as u32) / 1000.0
 }
@@ -193,25 +193,82 @@ pub fn run_all() -> Bench2 {
         rows.push(Row { config, cells });
     }
 
-    // Per-layer attribution: one recorder-enabled getpid run per config.
+    // Per-layer attribution: one recorded getpid run per config.
     let mut layers = Vec::new();
     let nr = ia_abi::Sysno::Getpid.number();
     for config in CONFIGS {
-        let (_, _, k) = run_loop(MicroCall::Getpid, config, 256, Some(1024));
-        for (layer, row_nr, stat) in k.obs.metrics().rows {
-            if row_nr != nr || stat.count == 0 {
-                continue;
+        let mut k = KernelBuilder::new()
+            .engine(Engine::Plain)
+            .fast_path(false)
+            .build();
+        k.obs.enable(LAYER_RING);
+        let k = run_loop(k, MicroCall::Getpid, config, 256);
+        assert_eq!(k.obs.dropped(), 0, "{config}: the ring must hold the run");
+        for ((layer, row_nr), stat) in attribute(&k.obs) {
+            if row_nr == nr {
+                layers.push(LayerRow {
+                    config,
+                    layer: layer.to_owned(),
+                    count: stat.count,
+                    virt_ns_per_call: stat.virt_ns / stat.count,
+                });
             }
-            layers.push(LayerRow {
-                config,
-                layer,
-                count: stat.count,
-                virt_ns_per_call: stat.virt_ns / stat.count,
-                host_ns_per_call: stat.host_ns / stat.count,
-            });
         }
     }
     Bench2 { rows, layers }
+}
+
+/// Ring capacity for the attribution runs: room for every event of the
+/// largest one (trace, about 3,100 events).
+const LAYER_RING: usize = 8192;
+
+/// Entries and exclusive virtual time of one `(layer, syscall)` pair.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct LayerStat {
+    /// Layer entries (one per trap delivery, so a call that blocks and
+    /// restarts counts once per delivery).
+    count: u64,
+    /// Virtual ns spent in the layer itself, nested layers subtracted.
+    virt_ns: u64,
+}
+
+/// Folds a recording into exclusive per-`(layer name, syscall)`
+/// attribution. Enter/exit events nest like the dispatch code that emits
+/// them, so a stack pairs each exit with the latest open entry; an exit
+/// charges its layer the elapsed virtual time minus what the layers nested
+/// inside it took, so a chain's per-layer costs sum to its total. An exit
+/// with nothing open (its entry fell off the ring) is skipped.
+fn attribute(obs: &Obs) -> BTreeMap<(&'static str, u32), LayerStat> {
+    struct Open {
+        layer: LayerId,
+        nr: u32,
+        start: u64,
+        nested: u64,
+    }
+    let mut open: Vec<Open> = Vec::new();
+    let mut stats: BTreeMap<(&'static str, u32), LayerStat> = BTreeMap::new();
+    for ev in obs.events() {
+        match ev.event {
+            Event::LayerEnter { layer, nr, .. } => open.push(Open {
+                layer,
+                nr,
+                start: ev.vclock_ns,
+                nested: 0,
+            }),
+            Event::LayerExit { .. } => {
+                let Some(f) = open.pop() else { continue };
+                let inclusive = ev.vclock_ns.saturating_sub(f.start);
+                let stat = stats.entry((obs.layer_name(f.layer), f.nr)).or_default();
+                stat.count += 1;
+                stat.virt_ns += inclusive.saturating_sub(f.nested);
+                if let Some(parent) = open.last_mut() {
+                    parent.nested += inclusive;
+                }
+            }
+            _ => {}
+        }
+    }
+    stats
 }
 
 /// Renders the §6-shaped table as aligned text.
@@ -252,14 +309,14 @@ pub fn render_text(b: &Bench2) -> String {
     );
     let _ = writeln!(
         s,
-        "{:<14} {:<14} {:>8} {:>14} {:>12}",
-        "config", "layer", "count", "virt-ns/call", "host-ns/call"
+        "{:<14} {:<14} {:>8} {:>14}",
+        "config", "layer", "count", "virt-ns/call"
     );
     for l in &b.layers {
         let _ = writeln!(
             s,
-            "{:<14} {:<14} {:>8} {:>14} {:>12}",
-            l.config, l.layer, l.count, l.virt_ns_per_call, l.host_ns_per_call
+            "{:<14} {:<14} {:>8} {:>14}",
+            l.config, l.layer, l.count, l.virt_ns_per_call
         );
     }
     s
@@ -320,7 +377,6 @@ pub fn render_json(b: &Bench2) -> String {
             .field("layer", &l.layer)
             .field("count", l.count)
             .field("virt_ns_per_call", l.virt_ns_per_call)
-            .field("host_ns_per_call", l.host_ns_per_call)
     });
     Json::document("bench", "BENCH_2")
         .field(
@@ -338,6 +394,52 @@ pub fn render_json(b: &Bench2) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ia_obs::Outcome;
+
+    #[test]
+    fn exclusive_attribution_subtracts_children() {
+        let mut o = Obs::new();
+        o.enable(64);
+        // Outer layer from v=0 to v=100, inner from v=10 to v=90.
+        o.layer_enter("outer", 1, 3, 0);
+        o.layer_enter("inner", 1, 3, 10);
+        o.layer_exit("inner", 1, 3, Outcome::Ok, 90);
+        o.layer_exit("outer", 1, 3, Outcome::Ok, 100);
+        let rows = attribute(&o);
+        let inner = rows[&("inner", 3)];
+        assert_eq!((inner.count, inner.virt_ns), (1, 80));
+        let outer = rows[&("outer", 3)];
+        assert_eq!(outer.count, 1);
+        assert_eq!(outer.virt_ns, 20, "outer's exclusive time excludes inner");
+    }
+
+    #[test]
+    fn nested_same_layer_frames_pair_correctly() {
+        let mut o = Obs::new();
+        o.enable(64);
+        o.layer_enter("a", 1, 4, 0);
+        o.layer_enter("a", 1, 4, 5);
+        o.layer_exit("a", 1, 4, Outcome::Err(9), 25);
+        o.layer_exit("a", 1, 4, Outcome::Ok, 40);
+        let rows = attribute(&o);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            rows[&("a", 4)],
+            LayerStat {
+                count: 2,
+                virt_ns: 20 + 20
+            }
+        );
+    }
+
+    #[test]
+    fn unbalanced_exit_is_tolerated() {
+        let mut o = Obs::new();
+        o.enable(8);
+        o.layer_exit("kernel", 1, 20, Outcome::Ok, 5);
+        assert_eq!(o.events().len(), 1);
+        assert!(attribute(&o).is_empty());
+    }
 
     #[test]
     fn bench2_has_expected_shape_and_sane_ordering() {

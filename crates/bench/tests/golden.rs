@@ -1,7 +1,8 @@
 //! Golden tests for the benchmark documents: fixed inputs must render to
 //! the exact bytes of the committed golden files. `reproduce --smoke`
 //! reads the committed `BENCH_1.json` line by line, so a layout change
-//! must show up here first.
+//! must show up here first. BENCH_2 is pure virtual time, so the live
+//! document itself must equal the committed `BENCH_2.json`.
 
 use ia_bench::fleetbench::FleetSample;
 use ia_bench::fusion;
@@ -71,14 +72,12 @@ fn bench2() -> Bench2 {
                 layer: "kernel".into(),
                 count: 256,
                 virt_ns_per_call: 25_000,
-                host_ns_per_call: 130,
             },
             LayerRow {
                 config: "trace",
                 layer: "interpose".into(),
                 count: 256,
                 virt_ns_per_call: 4_000,
-                host_ns_per_call: 75,
             },
         ],
     }
@@ -140,6 +139,15 @@ fn bench_2_matches_golden() {
     assert_eq!(
         overhead::render_json(&bench2()),
         include_str!("golden/bench2.json")
+    );
+}
+
+#[test]
+fn committed_bench_2_matches_a_live_run() {
+    assert_eq!(
+        overhead::render_json(&overhead::run_all()),
+        include_str!("../../../BENCH_2.json"),
+        "the cost model moved: regenerate BENCH_2.json with `reproduce --json2`"
     );
 }
 

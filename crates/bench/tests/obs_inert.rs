@@ -1,10 +1,14 @@
 //! Differential proof that the ia-obs hooks are observably inert: running
-//! a workload with the flight recorder + metrics enabled must produce a
-//! bit-identical [`Observable`] snapshot (client view, virtual clock,
-//! instruction and syscall totals) to the bare run. The hooks sit on the
-//! scheduler hot path, the kernel trap entry, and the agent chain
-//! dispatch — any accidental clock charge or state mutation shows up here.
+//! a workload with the flight recorder enabled must produce a bit-identical
+//! [`Observable`] snapshot (client view, virtual clock, instruction and
+//! syscall totals) to the bare run, and must take the same path through
+//! the scheduler. The hooks sit on the scheduler hot path, the kernel trap
+//! entry, and the agent chain dispatch — any accidental clock charge,
+//! state mutation or path choice shows up here.
 
+use ia_interpose::{Agent, InterposedRouter, RouterStats};
+use ia_kernel::{Kernel, KernelBuilder, Observable, RunOutcome};
+use ia_workloads::micro::{self, MicroCall};
 use ia_workloads::runner::{run_workload_observed, AgentKind, SchedKind, Workload};
 
 const ALL_AGENTS: [AgentKind; 7] = [
@@ -70,15 +74,85 @@ fn recorder_is_inert_under_the_reference_too() {
     assert_eq!(bare_stats.virtual_ns, rec_stats.virtual_ns);
 }
 
+/// Everything the scheduler's path choice leaves in the host-side
+/// counters of a default-configuration run: in-loop answers and routed
+/// fast-answerable traps per `(pid, nr)`, superinstructions executed,
+/// slice turns, and what the router saw; plus the observable end state.
+#[derive(Debug, PartialEq)]
+struct PathTaken {
+    fast: Vec<((ia_kernel::Pid, u32), (u64, u64))>,
+    fusion: [u64; ia_vm::FUSED_KINDS],
+    slices: u64,
+    router: RouterStats,
+    observable: Observable,
+}
+
+/// Spawns a run's program into a fresh kernel.
+type Setup = fn(&mut Kernel) -> ia_kernel::Pid;
+/// Builds the agent chain a run wraps its program in.
+type Chain = fn() -> Vec<Box<dyn Agent>>;
+
+/// Runs the program `setup` spawns on the default configuration, wrapped
+/// in `chain`, with the recorder off (`None`) or on with that ring size.
+fn default_path(recorder: Option<usize>, setup: Setup, chain: Chain) -> PathTaken {
+    let mut k = KernelBuilder::new().profile(ia_kernel::VAX_6250).build();
+    if let Some(cap) = recorder {
+        k.obs.enable(cap);
+    }
+    let pid = setup(&mut k);
+    let mut router = InterposedRouter::new();
+    for agent in chain() {
+        ia_interpose::wrap_process(&mut k, &mut router, pid, agent, &[]);
+    }
+    assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
+    assert!(
+        k.fast_stats.hits() > 0,
+        "the run must answer traps in the loop"
+    );
+    PathTaken {
+        fast: k.fast_stats.rows(),
+        fusion: k.fusion_stats.hits,
+        slices: k.perf.slices,
+        router: router.stats,
+        observable: k.observable(),
+    }
+}
+
+/// The recorder never changes which path a run takes: with it on, the
+/// default configuration still runs bursts and answers `getpid` and
+/// `gettimeofday` in the loop, so every host-side counter matches the
+/// unrecorded run exactly.
+#[test]
+fn recorder_leaves_the_default_path_unchanged() {
+    let scribe: Setup = |k| {
+        ia_workloads::scribe::setup(k);
+        k.spawn_image(&ia_workloads::scribe::image(), &[b"scribe"], b"scribe")
+    };
+    let getpid_loop: Setup = |k| {
+        micro::setup(k);
+        k.spawn_image(&micro::loop_image(MicroCall::Getpid, 512), &[b"m"], b"m")
+    };
+    let no_agent: Chain = Vec::new;
+    let pass_through: Chain = || vec![ia_agents::PassThrough::boxed() as Box<dyn Agent>];
+    for (name, setup, chain) in [
+        ("scribe", scribe, no_agent),
+        ("getpid", getpid_loop, no_agent),
+        ("getpid/pass_through", getpid_loop, pass_through),
+    ] {
+        let off = default_path(None, setup, chain);
+        let on = default_path(Some(64), setup, chain);
+        assert_eq!(off, on, "{name}: the recorder changed the path");
+    }
+}
+
 /// A call no agent registered interest in must cross zero interposition
-/// machinery: with the recorder on, the flat dispatch table sends it
-/// straight to the kernel, so the ring must contain no `interpose` frame
-/// for it.
+/// machinery: the flat dispatch table sends it straight to the kernel, or
+/// the burst answers it in the loop, so the ring must contain no
+/// `interpose` frame for it.
 #[test]
 fn no_phantom_interpose_frames_on_bypassed_calls() {
     use ia_abi::Sysno;
-    use ia_kernel::{KernelBuilder, ObsEvent, RunOutcome};
-    use ia_workloads::micro::{self, MicroCall};
+    use ia_kernel::ObsEvent;
 
     let mut k = KernelBuilder::new().build();
     micro::setup(&mut k);
@@ -103,7 +177,11 @@ fn no_phantom_interpose_frames_on_bypassed_calls() {
             _ => {}
         }
     }
-    assert!(dispatched >= 64, "probe loop must actually have run");
+    let answered = k.fast_stats.hits();
+    assert!(
+        dispatched + answered >= 64,
+        "probe loop must actually have run ({dispatched} dispatched, {answered} answered)"
+    );
     assert!(
         router.stats.passthrough >= 64,
         "bypassed calls must count as passthrough"

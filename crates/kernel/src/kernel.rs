@@ -107,18 +107,10 @@ pub(crate) struct FlockState {
 /// the virtual-time model and never influence it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
-    /// Execution bursts handed to the VM (`run_slice` calls).
+    /// Slice turns executed (a burst counts each of its turns).
     pub slices: u64,
-    /// Top-of-loop scheduler iterations.
-    pub sched_iterations: u64,
-    /// Traps dispatched through the router.
-    pub trap_dispatches: u64,
-    /// Wakeup-event scans over the blocked set.
-    pub wakeup_scans: u64,
     /// Interval-timer expirations fired.
     pub timer_fires: u64,
-    /// Idle clock advances to the next deadline.
-    pub idle_advances: u64,
 }
 
 /// Host-side hit/miss counters for the in-loop syscall fast path, keyed by
@@ -257,8 +249,9 @@ pub struct Kernel {
     pub total_insns: u64,
     /// Optional veto over `spawn`/`execve` images (see [`ExecGate`]).
     pub(crate) exec_gate: Option<ExecGate>,
-    /// Flight recorder + per-layer metrics (ia-obs). Disabled by default;
-    /// every hook is observably inert (never advances the virtual clock).
+    /// Flight recorder (ia-obs). Disabled by default; every hook is
+    /// observably inert: it never advances the virtual clock and never
+    /// changes which path the scheduler takes.
     pub obs: ia_obs::Obs,
     /// Enables the trap fast path: flat dispatch tables on both engines,
     /// and in-loop `getpid`/`gettimeofday` answers on the fused engine. On

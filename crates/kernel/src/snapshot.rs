@@ -24,7 +24,7 @@ use ia_vfs::{Fs, Ino};
 use crate::clock::Clock;
 use crate::console::Console;
 use crate::files::OpenFiles;
-use crate::kernel::{FastPathStats, FlockState, Kernel, PerfCounters, WakeEvent};
+use crate::kernel::{FastPathStats, FlockState, FusionStats, Kernel, PerfCounters, WakeEvent};
 use crate::process::{Pid, ProcState, Process};
 use crate::socket::SocketTable;
 
@@ -96,6 +96,7 @@ pub struct KernelSnapshot {
     total_insns: u64,
     fast_path: bool,
     fast_stats: FastPathStats,
+    fusion_stats: FusionStats,
 }
 
 impl Kernel {
@@ -126,6 +127,7 @@ impl Kernel {
             total_insns: self.total_insns,
             fast_path: self.fast_path,
             fast_stats: self.fast_stats.clone(),
+            fusion_stats: self.fusion_stats.clone(),
         }
     }
 
@@ -158,6 +160,7 @@ impl Kernel {
         self.total_insns = snap.total_insns;
         self.fast_path = snap.fast_path;
         self.fast_stats = snap.fast_stats.clone();
+        self.fusion_stats = snap.fusion_stats.clone();
     }
 
     /// Forks the whole world: a new kernel whose state equals this one's,
@@ -399,6 +402,41 @@ mod tests {
         assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
         assert_eq!(k.observable(), first, "replayed future is identical");
         assert!(k.check_quiescent().is_empty());
+    }
+
+    #[test]
+    fn restore_rewinds_every_scheduler_counter_set() {
+        // A getpid loop on the default configuration moves all three
+        // host-side counter sets: slice turns (`perf`), in-loop answers
+        // (`fast_stats`) and superinstructions (`fusion_stats`).
+        let src = "
+            main:   li r9, 500
+            loop:   sys getpid
+                    addi r9, r9, -1
+                    jnz r9, loop
+                    halt
+        ";
+        let mut k = KernelBuilder::new().build();
+        k.spawn_image(&assemble(src).unwrap(), &[b"t"], b"t");
+        let mut router = crate::sched::KernelRouter;
+        let limits = crate::sched::RunLimits { max_steps: 600 };
+        assert_eq!(
+            crate::sched::run(&mut k, &mut router, limits),
+            RunOutcome::StepLimit
+        );
+        let counters = |k: &crate::Kernel| (k.perf, k.fast_stats.rows(), k.fusion_stats.hits);
+        let snap = k.snapshot();
+        let mid = counters(&k);
+        assert_ne!(mid.2, [0; ia_vm::FUSED_KINDS], "the loop ran fused");
+
+        assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+        let end = counters(&k);
+        assert!(end.0.slices > mid.0.slices);
+        assert_ne!(end.1, mid.1);
+        assert_ne!(end.2, mid.2);
+
+        k.restore(&snap);
+        assert_eq!(counters(&k), mid, "restore rewinds every counter set");
     }
 
     #[test]

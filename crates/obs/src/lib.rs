@@ -1,34 +1,25 @@
-//! ia-obs: flight recorder and per-layer syscall metrics.
+//! ia-obs: the flight recorder.
 //!
 //! The observability layer the paper's §6 evaluation implies but never
-//! names: to report per-call interposition overheads we must attribute
-//! work to individual layers of the agent chain, and to debug conformance
-//! failures we want a replayable record of the last few hundred decisions
-//! the kernel made. Both live here, behind a facade ([`Obs`]) that costs a
-//! single branch when disabled.
-//!
-//! Two sub-systems share one enable switch:
-//!
-//! * a **flight recorder** — a fixed-capacity ring buffer of typed
-//!   [`Event`]s, each stamped with a monotone sequence number and the
-//!   virtual clock at record time. When full, the oldest event is
-//!   overwritten; [`Obs::dropped`] counts the casualties.
-//! * a **metrics registry** — per `(layer, syscall)` call counts and
-//!   total *virtual* ns (simulated cost) and *host* ns (wall time spent
-//!   inside the layer). Attribution is *exclusive*: time spent in layers
-//!   below is subtracted out via a frame stack, so a pass-through agent
-//!   shows only its own dispatch cost.
+//! names: to debug conformance failures we want a replayable record of the
+//! last few hundred decisions the kernel made, and to report per-call
+//! interposition overheads we must see which layers of the agent chain a
+//! trap crossed. Both come from one instrument behind a facade ([`Obs`])
+//! that costs a single branch when disabled: a fixed-capacity ring buffer
+//! of typed [`Event`]s, each stamped with a monotone sequence number and
+//! the virtual clock at record time. When full, the oldest event is
+//! overwritten; [`Obs::dropped`] counts the casualties. Anything derived
+//! from a recording — per-layer attribution, replay windows, flight
+//! timelines — is a fold over [`Obs::events`] done by the reader.
 //!
 //! Invariants the rest of the workspace relies on:
 //!
 //! * **Inertness** — no hook advances the virtual clock, touches kernel
-//!   state, or panics. Enabling the recorder must not change a single
-//!   observable bit of a run (`crates/bench/tests/obs_inert.rs` proves it).
+//!   state, reads the host clock, or panics. Enabling the recorder must
+//!   not change a single observable bit of a run, nor which path the
+//!   scheduler takes (`crates/bench/tests/obs_inert.rs` proves both).
 //! * **Zero-dep** — depends only on `ia-abi` (for syscall names in
 //!   reports) and `std`.
-
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 pub mod report;
 
@@ -36,7 +27,7 @@ pub mod report;
 /// on without a cycle).
 pub type Pid = u32;
 
-/// How a trap left a layer, as seen by the metrics hooks. A reduced
+/// How a trap left a layer, as recorded by [`Obs::layer_exit`]. A reduced
 /// mirror of the kernel's `SysOutcome` (which ia-obs cannot name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
@@ -87,50 +78,13 @@ pub struct Stamped {
     pub event: Event,
 }
 
-/// Counters for one `(layer, syscall)` pair.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CallStat {
-    /// Layer entries observed (one per trap delivery, so a call that
-    /// blocks and restarts counts once per delivery).
-    pub count: u64,
-    /// Exclusive virtual ns spent in the layer (children subtracted).
-    pub virt_ns: u64,
-    /// Exclusive host ns spent in the layer (children subtracted).
-    pub host_ns: u64,
-}
-
-/// Sorted, borrow-free copy of the registry for report generation.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// One entry per `(layer name, syscall nr)` with any samples,
-    /// sorted by layer then nr.
-    pub rows: Vec<(String, u32, CallStat)>,
-}
-
-/// In-flight layer entry used for exclusive attribution.
-#[derive(Debug)]
-struct Frame {
-    layer: LayerId,
-    nr: u32,
-    v_start: u64,
-    h_start: Instant,
-    /// Inclusive virtual ns of completed child frames.
-    child_v: u64,
-    /// Inclusive host ns of completed child frames.
-    child_h: u64,
-}
-
 #[derive(Debug)]
 struct Inner {
-    // Flight recorder.
     ring: Vec<Stamped>,
     cap: usize,
     head: usize,
     seq: u64,
-    // Metrics.
     layers: Vec<&'static str>,
-    stats: BTreeMap<(LayerId, u32), CallStat>,
-    frames: Vec<Frame>,
 }
 
 impl Inner {
@@ -141,8 +95,6 @@ impl Inner {
             head: 0,
             seq: 0,
             layers: Vec::new(),
-            stats: BTreeMap::new(),
-            frames: Vec::new(),
         }
     }
 
@@ -171,7 +123,7 @@ impl Inner {
 }
 
 /// The facade the kernel and dispatch paths hold. Disabled (the default)
-/// it is a `None` check per hook; enabled it records events and metrics.
+/// it is a `None` check per hook; enabled it records events.
 #[derive(Debug, Default)]
 pub struct Obs {
     inner: Option<Box<Inner>>,
@@ -213,30 +165,11 @@ impl Obs {
     #[inline]
     pub fn layer_enter(&mut self, layer: &'static str, pid: Pid, nr: u32, vnow_ns: u64) {
         if self.inner.is_some() {
-            self.layer_enter_slow(layer, pid, nr, vnow_ns);
+            self.layer_slow(layer, pid, nr, None, vnow_ns);
         }
     }
 
-    #[cold]
-    #[inline(never)]
-    fn layer_enter_slow(&mut self, layer: &'static str, pid: Pid, nr: u32, vnow_ns: u64) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let id = inner.intern(layer);
-        inner.push(vnow_ns, Event::LayerEnter { layer: id, pid, nr });
-        inner.frames.push(Frame {
-            layer: id,
-            nr,
-            v_start: vnow_ns,
-            h_start: Instant::now(),
-            child_v: 0,
-            child_h: 0,
-        });
-    }
-
-    /// The matching exit. Records the event and charges the layer's
-    /// *exclusive* virtual/host time to the metrics registry.
+    /// The matching exit, with how the call resolved.
     #[inline]
     pub fn layer_exit(
         &mut self,
@@ -247,52 +180,35 @@ impl Obs {
         vnow_ns: u64,
     ) {
         if self.inner.is_some() {
-            self.layer_exit_slow(layer, pid, nr, outcome, vnow_ns);
+            self.layer_slow(layer, pid, nr, Some(outcome), vnow_ns);
         }
     }
 
+    /// Records a `LayerEnter` (`exit` is `None`) or a `LayerExit`.
     #[cold]
     #[inline(never)]
-    fn layer_exit_slow(
+    fn layer_slow(
         &mut self,
         layer: &'static str,
         pid: Pid,
         nr: u32,
-        outcome: Outcome,
+        exit: Option<Outcome>,
         vnow_ns: u64,
     ) {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        let id = inner.intern(layer);
-        inner.push(
-            vnow_ns,
-            Event::LayerExit {
-                layer: id,
+        let layer = inner.intern(layer);
+        let event = match exit {
+            None => Event::LayerEnter { layer, pid, nr },
+            Some(outcome) => Event::LayerExit {
+                layer,
                 pid,
                 nr,
                 outcome,
             },
-        );
-        // Pop the matching frame. Enter/exit calls bracket the dispatch
-        // code structurally, so the top frame is the right one; if the
-        // stack is somehow empty we record the event and skip metrics
-        // rather than panic (hooks must be inert).
-        let Some(frame) = inner.frames.pop() else {
-            return;
         };
-        let inclusive_v = vnow_ns.saturating_sub(frame.v_start);
-        let inclusive_h = u64::try_from(frame.h_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let excl_v = inclusive_v.saturating_sub(frame.child_v);
-        let excl_h = inclusive_h.saturating_sub(frame.child_h);
-        let stat = inner.stats.entry((frame.layer, frame.nr)).or_default();
-        stat.count += 1;
-        stat.virt_ns += excl_v;
-        stat.host_ns += excl_h;
-        if let Some(parent) = inner.frames.last_mut() {
-            parent.child_v += inclusive_v;
-            parent.child_h += inclusive_h;
-        }
+        inner.push(vnow_ns, event);
     }
 
     /// The scheduler dispatched a trap (`restarts` > 0 on re-delivery of
@@ -372,29 +288,6 @@ impl Obs {
             .and_then(|i| i.layers.get(id as usize).copied())
             .unwrap_or("?")
     }
-
-    /// Sorted copy of the metrics registry. Empty when disabled.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let Some(inner) = self.inner.as_deref() else {
-            return MetricsSnapshot::default();
-        };
-        let mut rows: Vec<(String, u32, CallStat)> = inner
-            .stats
-            .iter()
-            .map(|(&(layer, nr), stat)| {
-                let name = inner
-                    .layers
-                    .get(layer as usize)
-                    .copied()
-                    .unwrap_or("?")
-                    .to_owned();
-                (name, nr, stat.clone())
-            })
-            .collect();
-        rows.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        MetricsSnapshot { rows }
-    }
 }
 
 #[cfg(test)]
@@ -411,7 +304,6 @@ mod tests {
         assert!(!o.is_enabled());
         assert!(o.events().is_empty());
         assert_eq!(o.recorded(), 0);
-        assert!(o.metrics().rows.is_empty());
     }
 
     #[test]
@@ -433,55 +325,6 @@ mod tests {
             assert!(w[0].vclock_ns <= w[1].vclock_ns, "vclock must not regress");
         }
         assert!(matches!(ev[3].event, Event::Slice { retired: 9, .. }));
-    }
-
-    #[test]
-    fn exclusive_attribution_subtracts_children() {
-        let mut o = Obs::new();
-        o.enable(64);
-        // Outer layer from v=0 to v=100, inner from v=10 to v=90.
-        o.layer_enter("outer", 1, 3, 0);
-        o.layer_enter("inner", 1, 3, 10);
-        o.layer_exit("inner", 1, 3, Outcome::Ok, 90);
-        o.layer_exit("outer", 1, 3, Outcome::Ok, 100);
-        let m = o.metrics();
-        let get = |layer: &str| {
-            m.rows
-                .iter()
-                .find(|(l, nr, _)| l == layer && *nr == 3)
-                .map(|(_, _, s)| s.clone())
-                .unwrap()
-        };
-        let outer = get("outer");
-        let inner = get("inner");
-        assert_eq!(inner.count, 1);
-        assert_eq!(inner.virt_ns, 80);
-        assert_eq!(outer.count, 1);
-        assert_eq!(outer.virt_ns, 20, "outer's exclusive time excludes inner");
-    }
-
-    #[test]
-    fn nested_same_layer_frames_pair_correctly() {
-        let mut o = Obs::new();
-        o.enable(64);
-        o.layer_enter("a", 1, 4, 0);
-        o.layer_enter("a", 1, 4, 5);
-        o.layer_exit("a", 1, 4, Outcome::Err(9), 25);
-        o.layer_exit("a", 1, 4, Outcome::Ok, 40);
-        let m = o.metrics();
-        assert_eq!(m.rows.len(), 1);
-        let (_, _, s) = &m.rows[0];
-        assert_eq!(s.count, 2);
-        assert_eq!(s.virt_ns, 20 + 20);
-    }
-
-    #[test]
-    fn unbalanced_exit_is_tolerated() {
-        let mut o = Obs::new();
-        o.enable(8);
-        o.layer_exit("kernel", 1, 20, Outcome::Ok, 5);
-        assert_eq!(o.events().len(), 1);
-        assert!(o.metrics().rows.is_empty());
     }
 
     #[test]
