@@ -65,7 +65,6 @@ pub use taint::Taint;
 
 use ia_abi::{Errno, Sysno};
 use ia_interpose::InterestSet;
-use ia_kernel::Kernel;
 use ia_vm::{Image, Insn, IMAGE_MAGIC};
 use std::collections::BTreeSet;
 
@@ -472,17 +471,16 @@ pub fn footprint(img: &Image) -> Footprint {
     analyze_image(img).footprint
 }
 
-/// Installs an exec gate on the kernel that refuses (`ENOEXEC`) any image
-/// whose lint report contains errors — `execve` of a binary that provably
-/// faults fails up front instead of at runtime.
-pub fn install_lint_gate(k: &mut Kernel) {
-    k.set_exec_gate(|img| {
-        if analyze_image(img).has_errors() {
-            Err(Errno::ENOEXEC)
-        } else {
-            Ok(())
-        }
-    });
+/// The lint exec gate: refuses (`ENOEXEC`) any image whose lint report
+/// contains errors, so `execve` of a binary that provably faults fails up
+/// front instead of at runtime. Install it when building the exec cache:
+/// `KernelBuilder::new().exec_cache(ExecCache::gated(lint_gate))`.
+pub fn lint_gate(img: &Image) -> Result<(), Errno> {
+    if analyze_image(img).has_errors() {
+        Err(Errno::ENOEXEC)
+    } else {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -646,8 +644,9 @@ mod tests {
         assert!(a.has_errors());
         assert!(a.findings.iter().any(|f| f.kind == "bad-branch-target"));
 
-        let mut k = ia_kernel::KernelBuilder::new().build();
-        install_lint_gate(&mut k);
+        let mut k = ia_kernel::KernelBuilder::new()
+            .exec_cache(ia_kernel::ExecCache::gated(lint_gate))
+            .build();
         k.install_image(b"/bin/bad", &bad).expect("install");
         let err = k.spawn(b"/bin/bad", &[b"bad"]).expect_err("gated");
         assert_eq!(err, Errno::ENOEXEC);

@@ -24,7 +24,7 @@
 
 use std::process::ExitCode;
 
-use ia_conform::{sample, OpSet, Program, StackKind};
+use ia_conform::{sample, world, OpSet, Program, StackKind};
 use ia_interpose::{restore_world, snapshot_world, InterposedRouter, WorldSnapshot};
 use ia_kernel::{run, Kernel, KernelBuilder, Observable, RunLimits, RunOutcome};
 use ia_obs::{Obs, Stamped};
@@ -54,14 +54,8 @@ struct Recording {
 }
 
 fn build_world(program: &Program) -> (Kernel, InterposedRouter) {
-    let mut k = KernelBuilder::new().build();
+    let (mut k, router) = world(program, KernelBuilder::new(), StackKind::Stacked.agents());
     k.obs.enable(RING);
-    Program::setup(&mut k);
-    let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
-    let mut router = InterposedRouter::new();
-    for a in StackKind::Stacked.agents() {
-        ia_interpose::wrap_process(&mut k, &mut router, pid, a, &[]);
-    }
     (k, router)
 }
 

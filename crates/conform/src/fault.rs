@@ -13,11 +13,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ia_abi::{Errno, RawArgs, Sysno};
-use ia_interpose::{wrap_process, Agent, InterestSet, InterposedRouter, SysCtx};
-use ia_kernel::{run, KernelBuilder, RunLimits, RunOutcome, SysOutcome};
+use ia_interpose::{Agent, InterestSet, SysCtx};
+use ia_kernel::{KernelBuilder, RunOutcome, SysOutcome};
 
 use crate::gen::Program;
-use crate::oracle::MAX_STEPS;
+use crate::oracle::{run_world, world};
 
 /// Fails every `every`-th intercepted call of one syscall with a chosen
 /// errno, passing everything else through. The shared counter handle
@@ -133,19 +133,9 @@ pub fn fault_schedule(program: &Program) -> Vec<FaultCase> {
 pub fn run_fault_case(program: &Program, case: FaultCase) -> Result<(), String> {
     // Fast path forced on: injected errors must stay consistent with flat
     // dispatch and in-loop answers engaged.
-    let mut k = KernelBuilder::new().fast_path(true).build();
-    Program::setup(&mut k);
-    let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
     let (agent, _injected) = FaultInjector::boxed(case.target, case.every, case.errno);
-    let mut router = InterposedRouter::new();
-    wrap_process(&mut k, &mut router, pid, agent, &[]);
-    let outcome = run(
-        &mut k,
-        &mut router,
-        RunLimits {
-            max_steps: MAX_STEPS,
-        },
-    );
+    let (mut k, mut router) = world(program, KernelBuilder::new().fast_path(true), vec![agent]);
+    let outcome = run_world(&mut k, &mut router);
     if outcome != RunOutcome::AllExited {
         return Err(format!("[{case}] wedged the machine: {outcome:?}"));
     }
@@ -173,13 +163,9 @@ mod tests {
     #[test]
     fn injector_counts_and_injects() {
         let p = sample(9, 15, OpSet::ALL);
-        let mut k = KernelBuilder::new().build();
-        Program::setup(&mut k);
-        let pid = k.spawn_image(&p.compile(), &[b"c"], b"c");
         let (agent, injected) = FaultInjector::boxed(Sysno::Write, 2, Errno::EIO);
-        let mut router = InterposedRouter::new();
-        wrap_process(&mut k, &mut router, pid, agent, &[]);
-        assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
+        let (mut k, mut router) = world(&p, KernelBuilder::new(), vec![agent]);
+        assert_eq!(run_world(&mut k, &mut router), RunOutcome::AllExited);
         assert!(injected.load(Ordering::Relaxed) > 0);
         assert!(k.check_quiescent().is_empty());
     }

@@ -10,14 +10,13 @@
 
 use std::fmt::Write as _;
 
-use ia_interpose::{wrap_process, Agent, InterposedRouter};
-use ia_kernel::{run, KernelBuilder, RunLimits};
+use ia_interpose::Agent;
+use ia_kernel::KernelBuilder;
 use ia_obs::report::render_events_text;
 
 use crate::fault::FaultInjector;
-use crate::oracle::{StackKind, MAX_STEPS};
+use crate::oracle::{run_world, world, StackKind};
 use crate::trace::Repro;
-use crate::Program;
 
 /// Ring capacity for failure recordings: enough to cover the tail of any
 /// shrunk repro (they are tens of ops) with room for restarts and slices.
@@ -33,11 +32,6 @@ pub const FLIGHT_CAPACITY: usize = 256;
 /// the oracle saw.
 #[must_use]
 pub fn record_flight(repro: &Repro) -> String {
-    let mut k = KernelBuilder::new().build();
-    k.obs.enable(FLIGHT_CAPACITY);
-    Program::setup(&mut k);
-    let pid = k.spawn_image(&repro.program.compile(), &[b"conform"], b"conform");
-    let mut router = InterposedRouter::new();
     let (stack_label, agents): (&str, Vec<Box<dyn Agent>>) = match (repro.fault, repro.tree) {
         (Some(case), _) => (
             "fault-injector",
@@ -46,16 +40,9 @@ pub fn record_flight(repro: &Repro) -> String {
         (None, Some(case)) => ("tree-injector", vec![crate::tree::frontier_injector(case)]),
         (None, None) => ("stacked", StackKind::Stacked.agents()),
     };
-    for a in agents {
-        wrap_process(&mut k, &mut router, pid, a, &[]);
-    }
-    let outcome = run(
-        &mut k,
-        &mut router,
-        RunLimits {
-            max_steps: MAX_STEPS,
-        },
-    );
+    let (mut k, mut router) = world(&repro.program, KernelBuilder::new(), agents);
+    k.obs.enable(FLIGHT_CAPACITY);
+    let outcome = run_world(&mut k, &mut router);
 
     let mut s = String::new();
     let _ = writeln!(

@@ -21,12 +21,12 @@
 use ia_agents::{FlowEvent, FlowGuardAgent, FlowPolicy};
 use ia_analyze::analyze_image;
 use ia_analyze::flow::{analyze_flow, FlowAnalysis, FlowSpec};
-use ia_interpose::{wrap_process, InterposedRouter};
-use ia_kernel::{run, KernelBuilder, RunLimits, RunOutcome};
+use ia_interpose::Agent;
+use ia_kernel::{KernelBuilder, RunOutcome};
 
 use crate::fault::{FaultCase, FaultInjector};
 use crate::gen::Program;
-use crate::oracle::MAX_STEPS;
+use crate::oracle::{run_world, world};
 
 /// The label specification the flow oracle runs under: each of the four
 /// conformance pool files carries its own label, spelled both absolutely
@@ -46,11 +46,15 @@ pub fn flow_spec() -> FlowSpec {
 /// injector stacked on top) and returns the dynamic flow trace.
 fn record_flows(program: &Program, fault: Option<&FaultCase>) -> Result<Vec<FlowEvent>, String> {
     let spec = flow_spec();
-    let mut k = KernelBuilder::new().build();
-    Program::setup(&mut k);
     let (agent, handle) = FlowGuardAgent::new(FlowPolicy::record(spec.clone()));
+    let mut agents: Vec<Box<dyn Agent>> = vec![agent];
+    if let Some(case) = fault {
+        agents.push(FaultInjector::boxed(case.target, case.every, case.errno).0);
+    }
+    let (mut k, mut router) = world(program, KernelBuilder::new(), agents);
     // Pre-create and pre-label the pool files so labelled bytes exist from
-    // the first read, whatever order the generated ops run in.
+    // the first read, whatever order the generated ops run in (nothing has
+    // run yet).
     for (i, label) in spec.labels.iter().enumerate() {
         let path = format!("/tmp/mix/f{i}.dat");
         let ino = k
@@ -58,20 +62,7 @@ fn record_flows(program: &Program, fault: Option<&FaultCase>) -> Result<Vec<Flow
             .map_err(|e| format!("seeding {path}: {}", e.name()))?;
         handle.seed_ino(ino, 1 << i);
     }
-    let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
-    let mut router = InterposedRouter::new();
-    wrap_process(&mut k, &mut router, pid, agent, &[]);
-    if let Some(case) = fault {
-        let (injector, _) = FaultInjector::boxed(case.target, case.every, case.errno);
-        wrap_process(&mut k, &mut router, pid, injector, &[]);
-    }
-    let outcome = run(
-        &mut k,
-        &mut router,
-        RunLimits {
-            max_steps: MAX_STEPS,
-        },
-    );
+    let outcome = run_world(&mut k, &mut router);
     if outcome != RunOutcome::AllExited {
         return Err(format!("flow run did not complete: {outcome:?}"));
     }

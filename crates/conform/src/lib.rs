@@ -46,7 +46,7 @@ pub use flowsound::{check_flow_faults, check_flow_soundness, flow_spec, static_f
 pub use gen::{sample, ConfOp, OpSet, Program};
 pub use oracle::{
     check_client_equiv, check_program, run_config, run_config_full, run_stack, run_stack_full,
-    Observation, StackKind,
+    run_world, world, Observation, StackKind,
 };
 pub use shrink::shrink;
 pub use soundness::{check_soundness, static_footprint, SyscallRecorder};

@@ -14,13 +14,44 @@
 
 use ia_agents::{PassThrough, ProfileAgent, TimeSymbolic, TraceAgent};
 use ia_interpose::{wrap_process, Agent, InterposedRouter};
-use ia_kernel::{run, Engine, KernelBuilder, Observable, RunLimits, RunOutcome};
+use ia_kernel::{run, Engine, Kernel, KernelBuilder, Observable, RunLimits, RunOutcome};
 
 use crate::gen::Program;
 
 /// Step budget for one conformance run; generated programs finish in well
 /// under a million instructions, so hitting this is itself a finding.
 pub const MAX_STEPS: u64 = 50_000_000;
+
+/// The one conformance world setup: a kernel from `config` with the
+/// program's file pool ([`Program::setup`]), the program spawned as
+/// `conform`, and `agents` wrapped around it in order.
+#[must_use]
+pub fn world(
+    program: &Program,
+    config: KernelBuilder,
+    agents: Vec<Box<dyn Agent>>,
+) -> (Kernel, InterposedRouter) {
+    let mut k = config.build();
+    Program::setup(&mut k);
+    let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
+    let mut router = InterposedRouter::new();
+    for a in agents {
+        wrap_process(&mut k, &mut router, pid, a, &[]);
+    }
+    (k, router)
+}
+
+/// Runs a [`world`] until every process has exited or [`MAX_STEPS`]
+/// instructions have retired.
+pub fn run_world(k: &mut Kernel, router: &mut InterposedRouter) -> RunOutcome {
+    run(
+        k,
+        router,
+        RunLimits {
+            max_steps: MAX_STEPS,
+        },
+    )
+}
 
 /// Which agent configuration wraps the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,17 +110,9 @@ pub fn run_config_full(
     engine: Engine,
     agents: Vec<Box<dyn Agent>>,
 ) -> Observation {
-    let mut k = KernelBuilder::new().fast_path(fast).engine(engine).build();
-    Program::setup(&mut k);
-    let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
-    let mut router = InterposedRouter::new();
-    for a in agents {
-        wrap_process(&mut k, &mut router, pid, a, &[]);
-    }
-    let limits = RunLimits {
-        max_steps: MAX_STEPS,
-    };
-    let outcome = run(&mut k, &mut router, limits);
+    let config = KernelBuilder::new().fast_path(fast).engine(engine);
+    let (mut k, mut router) = world(program, config, agents);
+    let outcome = run_world(&mut k, &mut router);
     let leaks = if outcome == RunOutcome::AllExited {
         k.check_quiescent()
     } else {

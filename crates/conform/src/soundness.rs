@@ -15,11 +15,11 @@ use std::sync::{Arc, Mutex};
 
 use ia_abi::{RawArgs, Sysno};
 use ia_analyze::footprint;
-use ia_interpose::{wrap_process, Agent, InterestSet, InterposedRouter, SysCtx};
-use ia_kernel::{run, KernelBuilder, RunLimits, RunOutcome, SysOutcome};
+use ia_interpose::{Agent, InterestSet, SysCtx};
+use ia_kernel::{KernelBuilder, RunOutcome, SysOutcome};
 
 use crate::gen::{exec_child_image, Program};
-use crate::oracle::MAX_STEPS;
+use crate::oracle::{run_world, world};
 
 /// A raw agent that records every trap number the client (and its forked
 /// children, which share the recording set through the cloned `Rc`) issues.
@@ -74,19 +74,9 @@ pub fn static_footprint(program: &Program) -> InterestSet {
 pub fn check_soundness(program: &Program) -> Result<(), String> {
     let set = static_footprint(program);
 
-    let mut k = KernelBuilder::new().build();
-    Program::setup(&mut k);
-    let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
-    let mut router = InterposedRouter::new();
     let (recorder, traced) = SyscallRecorder::new();
-    wrap_process(&mut k, &mut router, pid, Box::new(recorder), &[]);
-    let outcome = run(
-        &mut k,
-        &mut router,
-        RunLimits {
-            max_steps: MAX_STEPS,
-        },
-    );
+    let (mut k, mut router) = world(program, KernelBuilder::new(), vec![Box::new(recorder)]);
+    let outcome = run_world(&mut k, &mut router);
     if outcome != RunOutcome::AllExited {
         return Err(format!("soundness run did not complete: {outcome:?}"));
     }

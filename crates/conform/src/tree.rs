@@ -23,13 +23,14 @@ use std::sync::{Arc, Mutex};
 
 use ia_abi::{Errno, RawArgs, Sysno};
 use ia_interpose::{
-    restore_world, snapshot_world, wrap_process, Agent, InterestSet, InterposedRouter, SysCtx,
-    WorldSnapshot,
+    restore_world, snapshot_world, Agent, InterestSet, InterposedRouter, SysCtx, WorldSnapshot,
 };
-use ia_kernel::{run, Engine, Kernel, KernelBuilder, RunLimits, RunOutcome, SysOutcome};
+use ia_kernel::{Engine, Kernel, KernelBuilder, RunOutcome, SysOutcome};
 
 use crate::gen::Program;
-use crate::oracle::{describe_client_diff, describe_diff, Observation, StackKind};
+use crate::oracle::{
+    describe_client_diff, describe_diff, run_world, world, Observation, StackKind,
+};
 
 /// One tree-mode exploration target, replayable from a `.conf` file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,26 +127,18 @@ struct TreeWorld {
 
 impl TreeWorld {
     fn new(program: &Program, case: TreeCase, fast: bool, engine: Engine) -> TreeWorld {
-        let mut k = KernelBuilder::new().fast_path(fast).engine(engine).build();
-        Program::setup(&mut k);
-        let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
-        let mut router = InterposedRouter::new();
         let site = Arc::new(AtomicU64::new(0));
         let schedule = Arc::new(Mutex::new(Vec::new()));
         let injected = Arc::new(AtomicU64::new(0));
-        wrap_process(
-            &mut k,
-            &mut router,
-            pid,
-            Box::new(TreeInjector {
-                target: case.target,
-                errno: case.errno,
-                site: site.clone(),
-                schedule: schedule.clone(),
-                injected: injected.clone(),
-            }),
-            &[],
-        );
+        let injector = Box::new(TreeInjector {
+            target: case.target,
+            errno: case.errno,
+            site: site.clone(),
+            schedule: schedule.clone(),
+            injected: injected.clone(),
+        });
+        let config = KernelBuilder::new().fast_path(fast).engine(engine);
+        let (mut k, mut router) = world(program, config, vec![injector]);
         // The template: everything is loaded but nothing has run. Restoring
         // it is the branch point for every leaf.
         let template = snapshot_world(&mut k, &mut router);
@@ -171,10 +164,7 @@ impl TreeWorld {
         *self.schedule.lock().unwrap() = schedule.to_vec();
         self.site.store(0, Ordering::Relaxed);
         self.injected.store(0, Ordering::Relaxed);
-        let limits = RunLimits {
-            max_steps: crate::oracle::MAX_STEPS,
-        };
-        let outcome = run(&mut self.k, &mut self.router, limits);
+        let outcome = run_world(&mut self.k, &mut self.router);
         if outcome != RunOutcome::AllExited {
             return Err(format!("wedged the machine: {outcome:?}"));
         }

@@ -4,6 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use ia_abi::signal::Signal;
@@ -60,23 +61,6 @@ impl SysOutcome {
     #[must_use]
     pub fn ok() -> SysOutcome {
         SysOutcome::Done(Ok([0, 0]))
-    }
-}
-
-/// A host-installed veto over image execution, consulted by [`Kernel::spawn`]
-/// and `execve(2)` after the image parses but before the address space is
-/// touched. Returning an errno refuses the exec with that errno.
-///
-/// The canonical gate is `ia_analyze::install_lint_gate`, which refuses
-/// images whose static lint report contains errors.
-#[derive(Clone)]
-pub struct ExecGate(Arc<ExecGateFn>);
-
-type ExecGateFn = dyn Fn(&Image) -> Result<(), Errno> + Send + Sync;
-
-impl std::fmt::Debug for ExecGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("ExecGate(..)")
     }
 }
 
@@ -209,7 +193,13 @@ impl FusionStats {
 }
 
 /// The simulated 4.3BSD kernel.
-#[derive(Debug)]
+///
+/// Its fields are the *world* — everything a [`Kernel::snapshot`] captures
+/// by cloning the whole value — except the host configuration fixed at
+/// build, which [`Kernel::restore`] keeps (listed on [`KernelSnapshot`]).
+///
+/// [`KernelSnapshot`]: crate::KernelSnapshot
+#[derive(Debug, Clone)]
 pub struct Kernel {
     /// The filesystem.
     pub fs: Fs,
@@ -247,8 +237,6 @@ pub struct Kernel {
     /// Total user instructions retired across all processes, for reports
     /// and for exact loop-overhead subtraction in micro-benchmarks.
     pub total_insns: u64,
-    /// Optional veto over `spawn`/`execve` images (see [`ExecGate`]).
-    pub(crate) exec_gate: Option<ExecGate>,
     /// Flight recorder (ia-obs). Disabled by default; every hook is
     /// observably inert: it never advances the virtual clock and never
     /// changes which path the scheduler takes.
@@ -266,12 +254,14 @@ pub struct Kernel {
     pub engine: Engine,
     /// Fused-engine hit counters (host-side; see [`FusionStats`]).
     pub fusion_stats: FusionStats,
-    /// Digest-keyed `spawn`/`execve` image cache (see [`ExecCache`]).
+    /// Digest-keyed `spawn`/`execve` image cache, carrying the exec gate
+    /// fixed at build (see [`ExecCache`]). A shared handle: branches and
+    /// fleet tenants built over it share its entries and its gate.
     pub(crate) exec_cache: ExecCache,
-    /// Monotonic id handed to the next [`Kernel::snapshot`]. Host-side
-    /// bookkeeping: never captured or rewound, so every snapshot taken by
-    /// this kernel (and its branches) gets a distinct id.
-    pub(crate) next_snapshot_id: u64,
+    /// The id handed to the next [`Kernel::snapshot`]. A handle shared with
+    /// every branch of this kernel and never rewound by a restore, so every
+    /// snapshot taken by this kernel or its branches gets a distinct id.
+    pub(crate) next_snapshot_id: Arc<AtomicU64>,
 }
 
 /// The one way to construct a [`Kernel`]: every knob that used to be a
@@ -302,7 +292,6 @@ pub struct KernelBuilder {
     profile: MachineProfile,
     engine: Engine,
     fast_path: bool,
-    exec_gate: Option<ExecGate>,
     exec_cache: Option<ExecCache>,
     base_vfs: Option<Fs>,
 }
@@ -315,14 +304,13 @@ impl Default for KernelBuilder {
 
 impl KernelBuilder {
     /// Starts from the defaults: the i486/25 cost profile, the fused
-    /// engine, the trap fast path on, no exec gate, a private exec cache,
-    /// and a freshly built skeleton filesystem.
+    /// engine, the trap fast path on, a private ungated exec cache, and a
+    /// freshly built skeleton filesystem.
     pub fn new() -> KernelBuilder {
         KernelBuilder {
             profile: crate::clock::I486_25,
             engine: Engine::default(),
             fast_path: true,
-            exec_gate: None,
             exec_cache: None,
             base_vfs: None,
         }
@@ -349,22 +337,9 @@ impl KernelBuilder {
         self
     }
 
-    /// Installs an [`ExecGate`] at build time. Unlike a post-build
-    /// [`Kernel::set_exec_gate`], this does *not* bump the exec cache's
-    /// gate generation — required for the shared-cache warm-up contract
-    /// (see [`ExecCache`]'s module docs): every tenant of a shared cache
-    /// must install the same gate, and the N-th tenant's spin-up must not
-    /// evict what earlier tenants warmed.
-    pub fn exec_gate(
-        mut self,
-        gate: impl Fn(&Image) -> Result<(), Errno> + Send + Sync + 'static,
-    ) -> KernelBuilder {
-        self.exec_gate = Some(ExecGate(Arc::new(gate)));
-        self
-    }
-
     /// Attaches an existing (typically shared) [`ExecCache`] handle
-    /// instead of a private one.
+    /// instead of a private one — the only way to give a kernel an exec
+    /// gate ([`ExecCache::gated`]).
     pub fn exec_cache(mut self, cache: ExecCache) -> KernelBuilder {
         self.exec_cache = Some(cache);
         self
@@ -437,61 +412,18 @@ impl KernelBuilder {
             perf: PerfCounters::default(),
             total_syscalls: 0,
             total_insns: 0,
-            exec_gate: self.exec_gate,
             obs: ia_obs::Obs::new(),
             fast_path: self.fast_path,
             fast_stats: FastPathStats::default(),
             engine: self.engine,
             fusion_stats: FusionStats::default(),
             exec_cache: self.exec_cache.unwrap_or_default(),
-            next_snapshot_id: 1,
+            next_snapshot_id: Arc::new(AtomicU64::new(1)),
         }
     }
 }
 
 impl Kernel {
-    /// Installs an [`ExecGate`]: every subsequent [`Kernel::spawn`] and
-    /// `execve(2)` consults it and fails with the gate's errno if it
-    /// objects. Replaces any previous gate.
-    pub fn set_exec_gate(
-        &mut self,
-        gate: impl Fn(&Image) -> Result<(), Errno> + Send + Sync + 'static,
-    ) {
-        self.exec_gate = Some(ExecGate(Arc::new(gate)));
-        // Cached verdicts belong to the old gate's era; a gate installed
-        // after an image was cached must still get to veto it.
-        self.exec_cache.note_gate_change();
-    }
-
-    /// Removes the exec gate, if any.
-    pub fn clear_exec_gate(&mut self) {
-        self.exec_gate = None;
-        self.exec_cache.note_gate_change();
-    }
-
-    /// Consults the exec gate (no-op when none is installed).
-    pub(crate) fn check_exec_gate(&self, image: &Image) -> Result<(), Errno> {
-        match &self.exec_gate {
-            Some(ExecGate(f)) => f(image),
-            None => Ok(()),
-        }
-    }
-
-    /// The whole prepare-to-execute pipeline for `spawn`/`execve` bytes —
-    /// parse, gate verdict, decode, fuse — through the digest-keyed cache:
-    /// a second exec of the same bytes under the same gate reuses all four.
-    pub(crate) fn prepare_exec(&mut self, bytes: &[u8]) -> Result<Arc<PreparedImage>, Errno> {
-        if let Some(outcome) = self.exec_cache.lookup(bytes) {
-            return outcome;
-        }
-        let outcome = Image::from_bytes(bytes).and_then(|image| {
-            self.check_exec_gate(&image)?;
-            Ok(Arc::new(PreparedImage::prepare(image)))
-        });
-        self.exec_cache.insert(bytes, outcome.clone());
-        outcome
-    }
-
     /// `(hits, misses)` of the exec image cache, for reports and tests.
     /// When the cache is shared, these are fleet-wide totals.
     #[must_use]
@@ -638,7 +570,7 @@ impl Kernel {
     /// Spawns a process from an executable image file in the filesystem.
     pub fn spawn(&mut self, path: &[u8], argv: &[&[u8]]) -> Result<Pid, Errno> {
         let bytes = self.read_file(path)?;
-        let prepared = self.prepare_exec(&bytes)?;
+        let prepared = self.exec_cache.prepare(&bytes)?;
         let name = path.rsplit(|&c| c == b'/').next().unwrap_or(path).to_vec();
         Ok(self.spawn_prepared(&prepared, argv, &name))
     }

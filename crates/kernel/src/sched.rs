@@ -32,52 +32,13 @@ use ia_abi::types::SigContext;
 use ia_abi::wire::Wire;
 use ia_abi::{Errno, RawArgs, Sysno};
 use ia_vm::fuse::{run_burst_fused, AnswerTable, FusedBurst, FUSED_KINDS};
-use ia_vm::machine::{run_slice, BatchCall, FastMode, SliceEnd};
+use ia_vm::machine::{run_slice, BatchCall, FastSpec, SliceEnd};
 
 use crate::kernel::{Engine, Kernel, SysOutcome, WakeEvent};
 use crate::process::{PendingTrap, Pid, ProcState, WaitChannel};
 
 /// Instructions per scheduling slice.
 pub const SLICE: u32 = 100;
-
-/// The per-process answer table for the in-loop syscall fast path — the
-/// router's verdict on which fast-answerable numbers may be answered
-/// inside the VM loop for one process, computed from the installed agent
-/// chain at the entry of each answering burst (and therefore invalidated
-/// for free on any chain mutation: the next burst recomputes it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FastSpec {
-    /// How `getpid` may be answered.
-    pub getpid: FastMode,
-    /// How `gettimeofday` may be answered.
-    pub gtod: FastMode,
-    /// Syscall number of the router's pending vectored batch, if any.
-    pub pending_nr: Option<u32>,
-    /// Calls already in the router's pending batch.
-    pub pending_len: u32,
-    /// The router's batch capacity (flush threshold).
-    pub batch_cap: u32,
-}
-
-impl FastSpec {
-    /// Everything off: never answer in the loop.
-    pub const OFF: FastSpec = FastSpec {
-        getpid: FastMode::Off,
-        gtod: FastMode::Off,
-        pending_nr: None,
-        pending_len: 0,
-        batch_cap: u32::MAX,
-    };
-
-    /// Everything answered directly with no agent involvement.
-    pub const DIRECT: FastSpec = FastSpec {
-        getpid: FastMode::Direct,
-        gtod: FastMode::Direct,
-        pending_nr: None,
-        pending_len: 0,
-        batch_cap: u32::MAX,
-    };
-}
 
 /// How a trap reaches an implementation of the system interface.
 pub trait SyscallRouter {
@@ -113,11 +74,11 @@ pub trait SyscallRouter {
     }
 
     /// Notification that `count` traps of `nr` from `pid` were answered
-    /// in-loop in [`FastMode::Direct`] — the router reconciles its
+    /// in-loop in [`FastMode::Direct`](ia_vm::FastMode::Direct) — the router reconciles its
     /// pay-per-use counters so fast and slow runs report identically.
     fn note_fast_direct(&mut self, _k: &mut Kernel, _pid: Pid, _nr: u32, _count: u64) {}
 
-    /// Hands the router the calls answered in-loop in [`FastMode::Collect`]
+    /// Hands the router the calls answered in-loop in [`FastMode::Collect`](ia_vm::FastMode::Collect)
     /// so it can extend (and, at capacity, flush) its pending vectored
     /// batch exactly as if each call had been routed individually.
     fn absorb_batch(&mut self, _k: &mut Kernel, _pid: Pid, _nr: u32, _calls: &[BatchCall]) {}
@@ -369,17 +330,13 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
 /// plus the cost-profile and clock state the loop charges answers with.
 fn answer_table(k: &Kernel, pid: Pid, spec: FastSpec) -> AnswerTable {
     AnswerTable {
-        getpid: spec.getpid,
-        gtod: spec.gtod,
+        spec,
         pid: u64::from(pid),
         getpid_cost_ns: k.profile.syscall_base_ns(Sysno::Getpid),
         gtod_cost_ns: k.profile.syscall_base_ns(Sysno::Gettimeofday),
         insn_ns: k.profile.insn_ns,
         clock_base_ns: k.clock.elapsed_ns(),
         epoch_secs: k.clock.epoch_secs(),
-        pending_nr: spec.pending_nr,
-        pending_len: spec.pending_len,
-        batch_cap: spec.batch_cap,
     }
 }
 

@@ -16,17 +16,13 @@
 //!   content. Runs with and without pass-through agents must agree on
 //!   this, while clocks legitimately differ by the interposition overhead.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
 
-use ia_vfs::{Fs, Ino};
+use ia_vfs::Ino;
 
-use crate::clock::Clock;
-use crate::console::Console;
-use crate::files::OpenFiles;
-use crate::kernel::{FastPathStats, FlockState, FusionStats, Kernel, PerfCounters, WakeEvent};
-use crate::process::{Pid, ProcState, Process};
-use crate::socket::SocketTable;
+use crate::kernel::Kernel;
+use crate::process::{Pid, ProcState};
 
 /// Complete observable machine state after (or during) a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,44 +55,23 @@ pub struct ClientView {
 
 /// A full capture of the kernel's world state: filesystem, process table
 /// (including every address space), descriptor and socket tables, console,
-/// scheduler queues, timers, clocks and counters.
+/// scheduler queues, timers, clocks and counters — the whole [`Kernel`]
+/// value, cloned, minus its flight recorder.
 ///
 /// The filesystem part shares structure with the live kernel (O(1), see
-/// [`ia_vfs::FsSnapshot`]); process address spaces are copied, so the total
-/// cost is O(resident client memory).
+/// [`ia_vfs::FsSnapshot`]); every process's address space is copied whole,
+/// so the total cost is O(processes × address-space size).
 ///
-/// Deliberately **not** captured:
-///
-/// * the flight recorder (`Kernel::obs`) — it is an observer of the world,
-///   not part of it; a restore rewinds what happened, not the record that
-///   it happened (which is exactly what time-travel replay needs);
-/// * the exec gate and machine profile — host policy, constant across a
-///   run, preserved across [`Kernel::restore`];
-/// * the snapshot-id counter — ids must stay unique across restores.
+/// [`Kernel::restore`] keeps the restoring kernel's host configuration —
+/// machine profile, engine, fast-path switch, flight recorder, exec cache
+/// (and with it the exec gate) and snapshot-id counter — so a restore
+/// rewinds what happened, not the record that it happened (which is
+/// exactly what time-travel replay needs), and ids stay unique.
 #[derive(Debug, Clone)]
 pub struct KernelSnapshot {
     /// Unique id of this capture, for repro artifacts and logs.
     pub id: u64,
-    fs: Fs,
-    clock: Clock,
-    console: Console,
-    files: OpenFiles,
-    sockets: SocketTable,
-    procs: HashMap<Pid, Process>,
-    next_pid: Pid,
-    wakeups: Vec<WakeEvent>,
-    exit_log: HashMap<Pid, u32>,
-    flocks: HashMap<Ino, FlockState>,
-    run_queue: BTreeSet<Pid>,
-    blocked_queue: BTreeSet<Pid>,
-    timer_heap: BinaryHeap<Reverse<(u64, Pid)>>,
-    select_heap: BinaryHeap<Reverse<(u64, Pid)>>,
-    perf: PerfCounters,
-    total_syscalls: u64,
-    total_insns: u64,
-    fast_path: bool,
-    fast_stats: FastPathStats,
-    fusion_stats: FusionStats,
+    world: Kernel,
 }
 
 impl Kernel {
@@ -104,83 +79,46 @@ impl Kernel {
     /// and is not included. Safe at any scheduler boundary (between
     /// `run()` calls, or from inside an agent's syscall hook).
     pub fn snapshot(&mut self) -> KernelSnapshot {
-        let id = self.next_snapshot_id;
-        self.next_snapshot_id += 1;
         KernelSnapshot {
-            id,
-            fs: self.fs.clone(),
-            clock: self.clock,
-            console: self.console.clone(),
-            files: self.files.clone(),
-            sockets: self.sockets.clone(),
-            procs: self.procs.clone(),
-            next_pid: self.next_pid,
-            wakeups: self.wakeups.clone(),
-            exit_log: self.exit_log.clone(),
-            flocks: self.flocks.clone(),
-            run_queue: self.run_queue.clone(),
-            blocked_queue: self.blocked_queue.clone(),
-            timer_heap: self.timer_heap.clone(),
-            select_heap: self.select_heap.clone(),
-            perf: self.perf,
-            total_syscalls: self.total_syscalls,
-            total_insns: self.total_insns,
-            fast_path: self.fast_path,
-            fast_stats: self.fast_stats.clone(),
-            fusion_stats: self.fusion_stats.clone(),
+            id: self.next_snapshot_id.fetch_add(1, Ordering::Relaxed),
+            world: self.clone_world(),
         }
     }
 
-    /// Rewinds the world to `snap`. The flight recorder, exec gate,
-    /// machine profile and snapshot-id counter persist (they are not world
-    /// state); everything else — filesystem, processes, descriptors,
-    /// sockets, console, queues, timers, clock, counters — is restored
-    /// bit-identically.
+    /// Rewinds the world to `snap`. The host configuration listed on
+    /// [`KernelSnapshot`] persists; everything else — filesystem,
+    /// processes, descriptors, sockets, console, queues, timers, clock,
+    /// counters — is restored bit-identically.
     ///
     /// Callers holding router state (agent chains, pending upcall batches,
     /// compiled dispatch tables) must invalidate it too; see
     /// `ia_interpose::InterposedRouter::snapshot`/`restore`.
     pub fn restore(&mut self, snap: &KernelSnapshot) {
-        self.fs = snap.fs.clone();
-        self.clock = snap.clock;
-        self.console = snap.console.clone();
-        self.files = snap.files.clone();
-        self.sockets = snap.sockets.clone();
-        self.procs = snap.procs.clone();
-        self.next_pid = snap.next_pid;
-        self.wakeups = snap.wakeups.clone();
-        self.exit_log = snap.exit_log.clone();
-        self.flocks = snap.flocks.clone();
-        self.run_queue = snap.run_queue.clone();
-        self.blocked_queue = snap.blocked_queue.clone();
-        self.timer_heap = snap.timer_heap.clone();
-        self.select_heap = snap.select_heap.clone();
-        self.perf = snap.perf;
-        self.total_syscalls = snap.total_syscalls;
-        self.total_insns = snap.total_insns;
-        self.fast_path = snap.fast_path;
-        self.fast_stats = snap.fast_stats.clone();
-        self.fusion_stats = snap.fusion_stats.clone();
+        let host = std::mem::replace(self, snap.world.clone());
+        self.profile = host.profile;
+        self.engine = host.engine;
+        self.fast_path = host.fast_path;
+        self.obs = host.obs;
+        self.exec_cache = host.exec_cache;
+        self.next_snapshot_id = host.next_snapshot_id;
     }
 
     /// Forks the whole world: a new kernel whose state equals this one's,
     /// sharing filesystem structure until either side diverges. The branch
-    /// keeps the same machine profile and exec gate but gets a fresh
-    /// (disabled) flight recorder — observers are per-kernel.
+    /// keeps the same host configuration — sharing the exec cache and the
+    /// snapshot-id counter — but gets a fresh (disabled) flight recorder:
+    /// observers are per-kernel.
     pub fn branch(&mut self) -> Kernel {
-        let snap = self.snapshot();
-        // The branch shares the parent's exec cache: prepared images are
-        // host-side bookkeeping, identical under the (shared) gate.
-        let mut child = crate::KernelBuilder::new()
-            .profile(self.profile)
-            .fast_path(self.fast_path)
-            .engine(self.engine)
-            .exec_cache(self.exec_cache.clone())
-            .build();
-        child.exec_gate = self.exec_gate.clone();
-        child.next_snapshot_id = self.next_snapshot_id;
-        child.restore(&snap);
-        child
+        self.clone_world()
+    }
+
+    /// A clone of this kernel with a disabled flight recorder: the ring is
+    /// moved aside around the clone, never copied.
+    fn clone_world(&mut self) -> Kernel {
+        let obs = std::mem::take(&mut self.obs);
+        let world = self.clone();
+        self.obs = obs;
+        world
     }
 
     /// Rewinds *only the filesystem tree* to a [`ia_vfs::FsSnapshot`]
@@ -487,6 +425,26 @@ mod tests {
         k.restore(&s1);
         let s2 = k.snapshot();
         assert_ne!(s1.id, s2.id, "restore must not rewind the id counter");
+    }
+
+    #[test]
+    fn branch_and_parent_hand_out_distinct_snapshot_ids() {
+        let mut k = KernelBuilder::new().build();
+        let mut b = k.branch();
+        assert_ne!(b.snapshot().id, k.snapshot().id);
+    }
+
+    #[test]
+    fn restore_keeps_host_configuration() {
+        let mut k = KernelBuilder::new().build();
+        let snap = k.snapshot();
+        k.fast_path = false;
+        k.engine = crate::Engine::Plain;
+        k.obs.enable(8);
+        k.restore(&snap);
+        assert!(!k.fast_path);
+        assert_eq!(k.engine, crate::Engine::Plain);
+        assert!(k.obs.is_enabled(), "the recorder is not world state");
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl Kernel {
             let bytes = self.fs.read_at(ino, 0, size, now)?;
             // Parse + gate + decode + fuse through the digest-keyed cache:
             // an exec storm over the same binary pays for all four once.
-            let prepared = self.prepare_exec(&bytes)?;
+            let prepared = self.exec_cache.prepare(&bytes)?;
 
             // Decode argv (a NULL-terminated pointer array) before the
             // address space is destroyed.

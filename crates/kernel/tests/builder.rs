@@ -73,33 +73,26 @@ fn profile_knob_changes_virtual_time() {
     assert_ne!(fast.clock_ns, slow.clock_ns, "profile knob ignored");
 }
 
-/// A builder-installed exec gate vetoes spawns exactly like a post-build
-/// `set_exec_gate` — but without bumping the shared cache generation
-/// (the documented shared-warm-up contract).
+/// The exec gate is fixed when the cache is made: every kernel built over a
+/// gated shared cache — and a branch of one — refuses what the gate
+/// refuses, and the refusal is computed once for all of them.
 #[test]
-fn builder_gate_vetoes_like_set_exec_gate_without_gen_bump() {
+fn every_kernel_on_a_gated_shared_cache_refuses_the_image() {
     let img = assemble(PROG).unwrap();
+    let cache = ExecCache::gated(|_img| Err(Errno::EPERM));
+    let mut a = KernelBuilder::new().exec_cache(cache.clone()).build();
+    let mut b = KernelBuilder::new().exec_cache(cache.clone()).build();
+    a.install_image(b"/bin/p", &img).unwrap();
+    b.install_image(b"/bin/p", &img).unwrap();
+    let mut branch = a.branch();
+    for k in [&mut a, &mut b, &mut branch] {
+        assert_eq!(k.spawn(b"/bin/p", &[b"p"]), Err(Errno::EPERM));
+    }
+    assert_eq!((cache.hits(), cache.misses()), (2, 1), "one cached verdict");
 
-    let mut built = KernelBuilder::new()
-        .exec_gate(|_img| Err(Errno::EPERM))
-        .build();
-    built.install_image(b"/bin/p", &img).unwrap();
-    assert_eq!(built.spawn(b"/bin/p", &[b"p"]), Err(Errno::EPERM));
-    assert_eq!(
-        built.exec_cache_handle().gate_gen(),
-        0,
-        "builder gate must not bump gen"
-    );
-
-    let mut poked = KernelBuilder::new().build();
-    poked.set_exec_gate(|_img| Err(Errno::EPERM));
-    poked.install_image(b"/bin/p", &img).unwrap();
-    assert_eq!(poked.spawn(b"/bin/p", &[b"p"]), Err(Errno::EPERM));
-    assert_eq!(
-        poked.exec_cache_handle().gate_gen(),
-        1,
-        "post-build gate must invalidate prior entries"
-    );
+    let mut ungated = KernelBuilder::new().build();
+    ungated.install_image(b"/bin/p", &img).unwrap();
+    assert!(ungated.spawn(b"/bin/p", &[b"p"]).is_ok());
 }
 
 /// `base_vfs` really shares: two kernels built over the same base see the

@@ -78,7 +78,7 @@ pub struct Stamped {
     pub event: Event,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Inner {
     ring: Vec<Stamped>,
     cap: usize,
@@ -124,7 +124,7 @@ impl Inner {
 
 /// The facade the kernel and dispatch paths hold. Disabled (the default)
 /// it is a `None` check per hook; enabled it records events.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Obs {
     inner: Option<Box<Inner>>,
 }

@@ -37,8 +37,8 @@ use ia_abi::{RawArgs, Signal, SysResult, Sysno, Timeval, Timezone};
 
 use crate::insn::{Insn, NREGS, SP};
 use crate::machine::{
-    exec_insn, set_sysret, BatchCall, FastMode, SliceEnd, SliceResult, StepEvent, VmState,
-    SYS_NR_REG,
+    exec_insn, set_sysret, BatchCall, FastMode, FastSpec, SliceEnd, SliceResult, StepEvent,
+    VmState, SYS_NR_REG,
 };
 use crate::mem::AddressSpace;
 
@@ -399,18 +399,16 @@ impl FusedProgram {
     }
 }
 
-/// The in-loop answer table for one burst: the router's verdict on which
-/// stateless, read-mostly calls (`getpid`, `gettimeofday`) may be answered
-/// without leaving the loop — the vDSO of this machine — plus the cost and
-/// clock state needed to charge each answer exactly as the kernel's
-/// handler would. The default table answers nothing: every trap ends the
-/// burst.
+/// The in-loop answer table for one burst: the router's [`FastSpec`] — its
+/// verdict on which stateless, read-mostly calls (`getpid`,
+/// `gettimeofday`) may be answered without leaving the loop, the vDSO of
+/// this machine — plus the cost and clock state needed to charge each
+/// answer exactly as the kernel's handler would. The default table answers
+/// nothing: every trap ends the burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnswerTable {
-    /// How `getpid` traps may be answered.
-    pub getpid: FastMode,
-    /// How `gettimeofday` traps may be answered.
-    pub gtod: FastMode,
+    /// The router's per-number verdicts and pending-batch state.
+    pub spec: FastSpec,
     /// The process id — the `getpid` answer.
     pub pid: u64,
     /// Base virtual cost of one `getpid`, from the machine profile.
@@ -423,16 +421,6 @@ pub struct AnswerTable {
     pub clock_base_ns: u64,
     /// Virtual epoch in seconds, added to `gettimeofday` answers.
     pub epoch_secs: i64,
-    /// Syscall number of a vectored batch already pending at the router,
-    /// if any: a collected call of another number would force a flush at
-    /// that exact clock point, so it leaves the loop instead.
-    pub pending_nr: Option<u32>,
-    /// Number of calls already in the router's pending batch.
-    pub pending_len: u32,
-    /// Batch capacity. The call that would fill the batch leaves the loop,
-    /// so the router flushes the vectored upcall at the same virtual-clock
-    /// point as when every call is routed.
-    pub batch_cap: u32,
 }
 
 /// One fused burst: the exact totals of consecutive turns executed back to
@@ -561,8 +549,8 @@ pub fn run_burst_fused(
     let mut direct = [0u64; 2];
     let mut collected: Vec<BatchCall> = Vec::new();
     let mut collected_nr = 0u32;
-    let mut batch_nr = table.pending_nr;
-    let mut batch_len = u64::from(table.pending_len);
+    let mut batch_nr = table.spec.pending_nr;
+    let mut batch_len = u64::from(table.spec.pending_len);
     // Local hit counters, flushed into `hits` on every exit, so the hot
     // arms bump a register instead of writing through the borrow.
     let mut h = [0u64; FUSED_KINDS];
@@ -622,9 +610,9 @@ pub fn run_burst_fused(
             let nr = regs[SYS_NR_REG] as u32;
             let args = [regs[0], regs[1], regs[2], regs[3], regs[4], regs[5]];
             let mode = if nr == nr_getpid {
-                table.getpid
+                table.spec.getpid
             } else if nr == nr_gtod {
-                table.gtod
+                table.spec.gtod
             } else {
                 FastMode::Off
             };
@@ -633,7 +621,7 @@ pub fn run_burst_fused(
                 || retired >= max
                 || (collect
                     && (batch_nr.is_some_and(|b| b != nr)
-                        || batch_len + 1 >= u64::from(table.batch_cap)))
+                        || batch_len + 1 >= u64::from(table.spec.batch_cap)))
             {
                 finish!(SliceEnd::Syscall { nr, args });
             }
@@ -1444,17 +1432,19 @@ mod tests {
 
     fn table(getpid: FastMode, gtod: FastMode) -> AnswerTable {
         AnswerTable {
-            getpid,
-            gtod,
+            spec: FastSpec {
+                getpid,
+                gtod,
+                pending_nr: None,
+                pending_len: 0,
+                batch_cap: 32,
+            },
             pid: 42,
             getpid_cost_ns: 25_000,
             gtod_cost_ns: 47_000,
             insn_ns: 5_000,
             clock_base_ns: 3_000_000_000,
             epoch_secs: 600_000_000,
-            pending_nr: None,
-            pending_len: 0,
-            batch_cap: 32,
         }
     }
 
@@ -1518,10 +1508,10 @@ mod tests {
                 full += 1;
                 continue;
             };
-            let ret = if n == Sysno::Getpid.number() && t.getpid != FastMode::Off {
+            let ret = if n == Sysno::Getpid.number() && t.spec.getpid != FastMode::Off {
                 cost += t.getpid_cost_ns;
                 Ok([t.pid, 0])
-            } else if n == Sysno::Gettimeofday.number() && t.gtod != FastMode::Off {
+            } else if n == Sysno::Gettimeofday.number() && t.spec.gtod != FastMode::Off {
                 cost += t.gtod_cost_ns;
                 let vns = t.clock_base_ns + retired * t.insn_ns + cost;
                 gettimeofday_at(t, vns, &args, &mut mem)
@@ -1618,8 +1608,8 @@ mod tests {
         // 32-call batch leaves the loop so the router flushes on routing it.
         let code = [Li(7, nr(Sysno::Getpid)), Sys, Jmp(1)];
         let mut t = table(FastMode::Collect, FastMode::Off);
-        t.pending_nr = Some(Sysno::Getpid.number());
-        t.pending_len = 2;
+        t.spec.pending_nr = Some(Sysno::Getpid.number());
+        t.spec.pending_len = 2;
         let mut vm = VmState::new(0, 4096);
         let mut mem = AddressSpace::new(4096, 0);
         let mut hits = [0u64; FUSED_KINDS];
@@ -1632,7 +1622,7 @@ mod tests {
         assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
 
         // A batch of another number pending: nothing may be collected.
-        t.pending_nr = Some(Sysno::Gettimeofday.number());
+        t.spec.pending_nr = Some(Sysno::Gettimeofday.number());
         let mut vm = VmState::new(0, 4096);
         let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, &t, &mut hits);
         assert_eq!(b.answered, 0);

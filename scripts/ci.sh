@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets --release -- -D warnings
+# The end-to-end benchmark (perfbench/, its own workspace over path deps on
+# crates/) must still compile against the current API, with its lock file
+# unchanged.
+cargo check --locked --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 ./scripts/tier1.sh
 # Bench smoke check: the default configuration's trap and compute
 # throughput, each over the plain reference measured in the same window,
