@@ -27,7 +27,7 @@ pub mod snapbench;
 use std::fmt::Write as _;
 
 use ia_agents::TimeSymbolic;
-use ia_interpose::InterposedRouter;
+use ia_interpose::{InterposedRouter, SysCtx};
 use ia_kernel::{KernelBuilder, MachineProfile, I486_25, VAX_6250};
 use ia_workloads::micro::{self, MicroCall};
 use ia_workloads::{run_workload, AgentKind, Workload};
@@ -265,37 +265,36 @@ fn host_measure(mut f: impl FnMut() -> u64) -> f64 {
     ns
 }
 
-/// Host wall-clock cost of (a) dispatching one trap through the interposed
-/// router with a full-interception null agent, minus the identity-router
-/// cost — our "intercept and return"; and (b) one extra `down` crossing.
+/// Host wall-clock cost, in ns per `getpid`, of the two legs of an
+/// intercepted trap as Table 3-4 splits them. The `htg_unix_syscall()` leg
+/// is timed directly: one [`SysCtx::down`] over an empty chain minus one
+/// direct [`ia_kernel::Kernel::syscall`]. "Intercept and return" is the
+/// remainder: routing the trap through the interposed router to a
+/// full-interception null agent (whose one downcall reaches the kernel)
+/// minus the direct call, minus the downcall leg.
 fn host_interposition_costs() -> (f64, f64) {
-    const N: u32 = 40_000;
+    use ia_kernel::SyscallRouter;
     let img = ia_vm::assemble("main: halt\n").expect("trivial image");
-
-    // Direct kernel call timing.
+    let getpid = ia_abi::Sysno::Getpid.number();
     let mut k = KernelBuilder::new().build();
     let pid = k.spawn_image(&img, &[b"m"], b"m");
-    let start = std::time::Instant::now();
-    for _ in 0..N {
-        let _ = k.syscall(pid, ia_abi::Sysno::Getpid.number(), [0; 6]);
-    }
-    let direct_ns = start.elapsed().as_nanos() as f64 / f64::from(N);
-
-    // Through the router with one pass-through agent.
-    let mut k = KernelBuilder::new().build();
-    let pid = k.spawn_image(&img, &[b"m"], b"m");
+    let direct_ns = host_measure(|| {
+        let _ = k.syscall(pid, getpid, [0; 6]);
+        0
+    });
+    let down_ns = host_measure(|| {
+        let _ = SysCtx::new(&mut k, pid, &mut [], 0).down(getpid, [0; 6]);
+        0
+    });
     let mut router = InterposedRouter::new();
     router.push_agent(pid, TimeSymbolic::boxed());
-    let start = std::time::Instant::now();
-    for _ in 0..N {
-        use ia_kernel::SyscallRouter;
-        let _ = router.route(&mut k, pid, ia_abi::Sysno::Getpid.number(), [0; 6], 0);
-    }
-    let routed_ns = start.elapsed().as_nanos() as f64 / f64::from(N);
-
-    let overhead = (routed_ns - direct_ns).max(0.0);
-    // Split roughly as the paper does: interception vs the downcall leg.
-    (overhead * 0.45, overhead * 0.55)
+    let routed_ns = host_measure(|| {
+        let _ = router.route(&mut k, pid, getpid, [0; 6], 0);
+        0
+    });
+    let downcall = (down_ns - direct_ns).max(0.0);
+    let intercept = (routed_ns - direct_ns - downcall).max(0.0);
+    (intercept, downcall)
 }
 
 /// One row of the per-syscall table.

@@ -9,7 +9,8 @@
 //! must produce bit-identical virtual-clock totals, instruction counts,
 //! console output, syscall totals and router statistics.
 
-use ia_kernel::{I486_25, VAX_6250};
+use ia_kernel::{Engine, KernelBuilder, I486_25, VAX_6250};
+use ia_workloads::runner::run_workload_in;
 use ia_workloads::{run_workload_with, AgentKind, SchedKind, Workload};
 
 fn assert_default_matches_reference(workload: Workload, agent: AgentKind) {
@@ -61,5 +62,38 @@ fn scribe_default_is_identical_to_the_reference() {
 fn make8_default_is_identical_to_the_reference() {
     for agent in AgentKind::TABLE_ROWS {
         assert_default_matches_reference(Workload::Make8, agent);
+    }
+}
+
+/// The fast path only answers traps inside the fused burst, so on the
+/// plain engine the knob must change nothing at all: not the observable
+/// state, not what the router counted, not a single fast-path hit or miss.
+#[test]
+fn fast_path_is_inert_on_the_plain_engine() {
+    for workload in [Workload::Scribe, Workload::Make8] {
+        let profile = match workload {
+            Workload::Scribe => VAX_6250,
+            Workload::Make8 => I486_25,
+        };
+        for agent in AgentKind::ALL {
+            let [on, off] = [true, false].map(|fast| {
+                let mut k = KernelBuilder::new()
+                    .profile(profile)
+                    .engine(Engine::Plain)
+                    .fast_path(fast)
+                    .build();
+                let (outcome, router) = run_workload_in(&mut k, workload, agent);
+                (outcome, k.observable(), router.stats, k.fast_stats.rows())
+            });
+            let label = format!("{workload:?}/{}", agent.name());
+            assert_eq!(on.0, off.0, "{label}: outcome diverged");
+            assert_eq!(on.1, off.1, "{label}: observable state diverged");
+            assert_eq!(on.2, off.2, "{label}: router statistics diverged");
+            assert_eq!(on.3, off.3, "{label}: fast-path hit/miss rows diverged");
+            assert!(
+                on.3.iter().all(|&(_, (hits, _))| hits == 0),
+                "{label}: the plain engine answered in the loop"
+            );
+        }
     }
 }

@@ -11,16 +11,6 @@ use ia_kernel::{Kernel, KernelBuilder, Observable, RunOutcome};
 use ia_workloads::micro::{self, MicroCall};
 use ia_workloads::runner::{run_workload_observed, AgentKind, SchedKind, Workload};
 
-const ALL_AGENTS: [AgentKind; 7] = [
-    AgentKind::None,
-    AgentKind::Timex,
-    AgentKind::Trace,
-    AgentKind::Union,
-    AgentKind::TimeSymbolic,
-    AgentKind::DfsTrace,
-    AgentKind::Profile,
-];
-
 fn profile_for(w: Workload) -> ia_kernel::MachineProfile {
     match w {
         Workload::Scribe => ia_kernel::VAX_6250,
@@ -31,7 +21,7 @@ fn profile_for(w: Workload) -> ia_kernel::MachineProfile {
 #[test]
 fn recorder_is_observably_inert_across_workloads_and_agents() {
     for workload in [Workload::Scribe, Workload::Make8] {
-        for agent in ALL_AGENTS {
+        for agent in AgentKind::ALL {
             let profile = profile_for(workload);
             let (bare_stats, bare_obs) =
                 run_workload_observed(workload, profile, agent, SchedKind::Sliced, None);
@@ -133,11 +123,12 @@ fn recorder_leaves_the_default_path_unchanged() {
         k.spawn_image(&micro::loop_image(MicroCall::Getpid, 512), &[b"m"], b"m")
     };
     let no_agent: Chain = Vec::new;
-    let pass_through: Chain = || vec![ia_agents::PassThrough::boxed() as Box<dyn Agent>];
+    // Timex intercepts only gettimeofday, so getpid stays in the loop.
+    let timex: Chain = || vec![ia_agents::Timex::boxed(60) as Box<dyn Agent>];
     for (name, setup, chain) in [
         ("scribe", scribe, no_agent),
         ("getpid", getpid_loop, no_agent),
-        ("getpid/pass_through", getpid_loop, pass_through),
+        ("getpid/timex", getpid_loop, timex),
     ] {
         let off = default_path(None, setup, chain);
         let on = default_path(Some(64), setup, chain);
@@ -146,8 +137,8 @@ fn recorder_leaves_the_default_path_unchanged() {
 }
 
 /// A call no agent registered interest in must cross zero interposition
-/// machinery: the flat dispatch table sends it straight to the kernel, or
-/// the burst answers it in the loop, so the ring must contain no
+/// machinery: the router's interest test sends it straight to the kernel,
+/// or the burst answers it in the loop, so the ring must contain no
 /// `interpose` frame for it.
 #[test]
 fn no_phantom_interpose_frames_on_bypassed_calls() {

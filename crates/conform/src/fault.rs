@@ -131,8 +131,8 @@ pub fn fault_schedule(program: &Program) -> Vec<FaultCase> {
 /// observable *behaviour* is allowed to change (errors are real to the
 /// client), so nothing else is compared.
 pub fn run_fault_case(program: &Program, case: FaultCase) -> Result<(), String> {
-    // Fast path forced on: injected errors must stay consistent with flat
-    // dispatch and in-loop answers engaged.
+    // Fast path forced on: injected errors must stay consistent with
+    // in-loop answers engaged.
     let (agent, _injected) = FaultInjector::boxed(case.target, case.every, case.errno);
     let (mut k, mut router) = world(program, KernelBuilder::new().fast_path(true), vec![agent]);
     let outcome = run_world(&mut k, &mut router);

@@ -9,9 +9,9 @@
 //!    sockets, chdir/permissions) whose output always terminates, even
 //!    under injected errors.
 //! 2. [`oracle`] — a differential executor running each program under
-//!    {bare, pass-through, batched, stacked} agents × {fused, plain}
-//!    engines × {fast path on, off} and asserting the observables agree
-//!    bit for bit.
+//!    {bare, pass-through, batched, stacked} agents × {the default (fused,
+//!    fast path on), fused with the fast path off, the plain reference}
+//!    and asserting the observables agree bit for bit.
 //! 3. [`fault`] — systematic error injection at each interception point,
 //!    asserting the kernel stays consistent (no leaked descriptors or
 //!    pipes, wait converges, scheduler queues sane).

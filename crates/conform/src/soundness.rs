@@ -22,7 +22,7 @@ use crate::gen::{exec_child_image, Program};
 use crate::oracle::{run_world, world};
 
 /// A raw agent that records every trap number the client (and its forked
-/// children, which share the recording set through the cloned `Rc`) issues.
+/// children, which share the recording set through the cloned `Arc`) issues.
 #[derive(Clone)]
 pub struct SyscallRecorder {
     nrs: Arc<Mutex<BTreeSet<u32>>>,

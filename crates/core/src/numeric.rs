@@ -116,6 +116,48 @@ mod tests {
     }
 
     #[test]
+    fn remapped_fork_hands_the_child_the_chain() {
+        // Foreign 202 is fork: the router must spot the child even though
+        // the trap number it saw was not `fork`, and the child's foreign
+        // write and exit only work if it inherited the remapper.
+        let src = r#"
+            .data
+            msg: .asciz "child"
+            .text
+            main:
+                sys 202
+                jz r0, child
+                li r0, 0
+                li r1, 0
+                li r2, 0
+                li r3, 0
+                sys wait4
+                li r0, 0
+                sys 201
+            child:
+                li r0, 1
+                la r1, msg
+                li r2, 5
+                sys 204
+                li r0, 0
+                sys 201
+        "#;
+        let img = ia_vm::assemble(src).unwrap();
+        let mut k = KernelBuilder::new().build();
+        let pid = k.spawn_image(&img, &[b"f"], b"f");
+        let mut remap = RemapAgent::new();
+        remap.map_range(200, 260, -200);
+        let mut router = InterposedRouter::new();
+        router.push_agent(pid, Box::new(remap));
+        assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
+        assert_eq!(router.stats.chains_forked, 1);
+        assert_eq!(k.console.output_string(), "child");
+        // Parent fork + exit, child write + exit; wait4 is native.
+        assert_eq!(router.stats.intercepted, 4);
+        assert_eq!(k.exit_status(pid + 1), Some(0));
+    }
+
+    #[test]
     fn unmapped_foreign_number_fails_without_agent() {
         // exit(errno of `sys 204`): without a remapping agent the foreign
         // trap number is EINVAL (22).

@@ -67,8 +67,10 @@ pub fn tenant_image(seed: u64) -> Image {
 }
 
 /// The standard tenant agent chain: a symbolic time agent under a
-/// batchable full-coverage observer — representative interposition load
-/// (both the chain-walk and the vectored-upcall paths stay exercised).
+/// full-coverage pass-through observer — representative interposition
+/// load on the chain-walk path. The time agent intercepts every number
+/// and never batches, so no number is batchable: every trap walks the
+/// chain one call at a time and no vectored upcall is delivered.
 #[must_use]
 pub fn tenant_agents() -> Vec<Box<dyn Agent>> {
     vec![

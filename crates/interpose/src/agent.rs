@@ -58,10 +58,11 @@ pub trait Agent: Send {
     }
 
     /// True when [`Agent::interests`] never changes over the agent's
-    /// lifetime. The router compiles fixed-interest chains into a flat
-    /// per-number dispatch table at install time; an agent whose interests
-    /// can vary must return `false` so every trap re-queries `interests()`
-    /// (and the in-loop fast path stays off for its process).
+    /// lifetime. The router compiles a fixed-interest chain's batchable
+    /// numbers and in-loop answer verdicts at install time; an agent whose
+    /// interests can vary must return `false`, which turns off vectored
+    /// upcalls and the in-loop fast path for its process, so the chain walk
+    /// re-queries `interests()` on every intercepted trap.
     fn interests_fixed(&self) -> bool {
         true
     }
@@ -145,7 +146,8 @@ impl<'a> SysCtx<'a> {
 
 /// Dispatches a trap into `chain` (top first), skipping agents that did not
 /// register interest in `nr`, bottoming out in the kernel. Each agent
-/// method invocation is charged the virtual-dispatch cost from Table 3-4.
+/// method invocation is charged the virtual-dispatch cost from Table 3-4;
+/// skipped agents cost nothing.
 pub fn dispatch_chain(
     kernel: &mut Kernel,
     pid: Pid,
@@ -154,35 +156,9 @@ pub fn dispatch_chain(
     args: RawArgs,
     restarts: u32,
 ) -> SysOutcome {
-    for i in 0..chain.len() {
-        if chain[i].interests().contains(nr) {
-            return dispatch_chain_from(kernel, pid, chain, i, nr, args, restarts);
-        }
-    }
-    kernel.syscall(pid, nr, args)
-}
-
-/// [`dispatch_chain`] entered directly at agent index `first` — the flat
-/// dispatch table's fast entry. `first` must index the first agent whose
-/// interests contain `nr` (or be past the end for a kernel-direct call);
-/// the charging is identical to the scanning walk because skipped agents
-/// cost nothing.
-pub fn dispatch_chain_from(
-    kernel: &mut Kernel,
-    pid: Pid,
-    chain: &mut [Box<dyn Agent>],
-    first: usize,
-    nr: u32,
-    args: RawArgs,
-    restarts: u32,
-) -> SysOutcome {
-    if first >= chain.len() {
+    let Some(first) = chain.iter().position(|a| a.interests().contains(nr)) else {
         return kernel.syscall(pid, nr, args);
-    }
-    debug_assert!(
-        chain[first].interests().contains(nr),
-        "flat table pointed at an uninterested agent"
-    );
+    };
     // The virtual-call cost is charged before the agent's obs
     // frame opens: it is paid by the *caller* crossing into the
     // agent, so it attributes to the calling layer.

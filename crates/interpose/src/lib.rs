@@ -28,7 +28,7 @@ pub mod interest;
 pub mod loader;
 pub mod router;
 
-pub use agent::{dispatch_chain, dispatch_chain_from, Agent, SignalVerdict, SysCtx};
+pub use agent::{dispatch_chain, Agent, SignalVerdict, SysCtx};
 pub use ia_kernel::BatchCall;
 pub use interest::InterestSet;
 pub use loader::{load_with_agent, spawn_with_agent, wrap_process};

@@ -4,15 +4,10 @@
 use std::collections::HashMap;
 
 use ia_abi::{RawArgs, Signal, Sysno};
-use ia_kernel::{
-    BatchCall, FastMode, FastSpec, Kernel, KernelSnapshot, Pid, SysOutcome, SyscallRouter,
-};
+use ia_kernel::{BatchCall, FastSpec, Kernel, KernelSnapshot, Pid, SysOutcome, SyscallRouter};
 
-use crate::agent::{dispatch_chain, dispatch_chain_from, signal_chain, Agent, SysCtx};
+use crate::agent::{dispatch_chain, signal_chain, Agent, SysCtx};
 use crate::interest::InterestSet;
-
-/// Flat-table entry meaning "no agent interested: call the kernel".
-const KERNEL_DIRECT: u8 = 0xFF;
 
 /// Maximum calls buffered in one vectored upcall before it is flushed.
 pub const BATCH_CAP: usize = 32;
@@ -37,19 +32,15 @@ struct PendingBatch {
 }
 
 /// One process's agent chain plus everything compiled from it at
-/// install/modify time: the interest union, the flat per-number dispatch
-/// table, the batchable-number set, and any pending vectored upcall.
+/// install/modify time: the interest union, the batchable-number set, and
+/// any pending vectored upcall.
 struct Chain {
     agents: Vec<Box<dyn Agent>>,
     interest: InterestSet,
-    /// Flat dispatch table: trap number → index of the first interested
-    /// agent, or [`KERNEL_DIRECT`]. Entry 255 also covers all numbers
-    /// ≥ 256 (they share one interest bit). Only trusted while `fixed`.
-    flat: [u8; 256],
     /// Numbers where every interested agent accepts vectored upcalls.
     batchable: InterestSet,
-    /// All agents report fixed interests (and the chain is short enough to
-    /// index), so `flat` and `batchable` are trustworthy between mutations.
+    /// All agents report fixed interests, so `batchable` and the in-loop
+    /// answer verdicts are trustworthy between mutations.
     fixed: bool,
     pending: Option<PendingBatch>,
 }
@@ -59,32 +50,24 @@ impl Chain {
         Chain {
             agents: Vec::new(),
             interest: InterestSet::NONE,
-            flat: [KERNEL_DIRECT; 256],
             batchable: InterestSet::NONE,
             fixed: true,
             pending: None,
         }
     }
 
-    /// Recompiles every cached table from the current agent list. Called on
-    /// each chain mutation (install, removal, fork) — this *is* the flat
-    /// table and vDSO invalidation rule: mutation implies recompilation.
+    /// Recompiles every cached set from the current agent list. Called on
+    /// each chain mutation (install, removal, fork) — this *is* the
+    /// batching and vDSO invalidation rule: mutation implies recompilation.
     fn recompute(&mut self) {
         self.interest = self
             .agents
             .iter()
             .fold(InterestSet::NONE, |acc, a| acc.union(&a.interests()));
-        self.fixed = self.agents.len() < usize::from(KERNEL_DIRECT)
-            && self.agents.iter().all(|a| a.interests_fixed());
-        self.flat = [KERNEL_DIRECT; 256];
+        self.fixed = self.agents.iter().all(|a| a.interests_fixed());
         self.batchable = InterestSet::NONE;
         if !self.fixed {
             return;
-        }
-        for (i, agent) in self.agents.iter().enumerate().rev() {
-            for nr in agent.interests().iter() {
-                self.flat[nr as usize] = i as u8;
-            }
         }
         for nr in self.interest.iter() {
             let all_batch = self
@@ -270,7 +253,7 @@ impl InterposedRouter {
 /// remains `Send`. Agents whose capture must be *independent* deep-copy in
 /// `clone_box` instead. Either way the sharing is confined to one tenant —
 /// nothing here may alias state in another tenant's world.
-/// Compiled dispatch state (flat tables, batchable sets) is *not* captured:
+/// Compiled dispatch state (interest unions, batchable sets) is *not* captured:
 /// [`InterposedRouter::restore`] recompiles it from the restored agents,
 /// which is the chain-mutation invalidation rule applied to time travel.
 pub struct RouterSnapshot {
@@ -356,7 +339,7 @@ impl InterposedRouter {
 
     /// Rewinds every chain to `snap`. Live chains (and any pending upcall
     /// batches they hold) are discarded — the rewound world re-executes
-    /// those calls itself — and each restored chain's flat dispatch table,
+    /// those calls itself — and each restored chain's interest union,
     /// batchable set and vDSO gating are recompiled from scratch.
     pub fn restore(&mut self, snap: &RouterSnapshot) {
         self.chains.clear();
@@ -379,7 +362,7 @@ impl SyscallRouter for InterposedRouter {
         args: RawArgs,
         restarts: u32,
     ) -> SysOutcome {
-        let next_pid_before = k.pids().last().copied().unwrap_or(0);
+        let first_new_pid = k.next_pid();
 
         let out = match self.chains.get_mut(&pid) {
             None => {
@@ -387,11 +370,9 @@ impl SyscallRouter for InterposedRouter {
                 k.syscall(pid, nr, args)
             }
             Some(chain) if chain.batchable.contains(nr) => {
-                // Vectored upcall path (always on, independent of the fast
-                // path and the engine): the kernel executes the call now;
-                // interested agents observe it later, in one batch. The
-                // fused burst answers these in-loop and hands them over
-                // through `absorb_batch` instead.
+                // Vectored upcall path (independent of the fast path and
+                // the engine): the kernel executes the call now; interested
+                // agents observe it later, in one batch.
                 if chain.pending.as_ref().is_some_and(|b| b.nr != nr) {
                     chain.flush(k, pid);
                 }
@@ -414,49 +395,34 @@ impl SyscallRouter for InterposedRouter {
                 }
                 out
             }
-            Some(chain) => {
-                // Which agent (if any) sees this trap: one indexed load
-                // from the flat table when it is trustworthy, the
-                // interest-union test plus chain walk otherwise.
-                let first = if k.fast_path && chain.fixed {
-                    usize::from(chain.flat[(nr as usize).min(255)])
-                } else if chain.interest.contains(nr) {
-                    0
-                } else {
-                    usize::from(KERNEL_DIRECT)
-                };
-                if first >= chain.agents.len() {
-                    // Pay-per-use: no agent cost at all.
-                    self.stats.passthrough += 1;
-                    k.syscall(pid, nr, args)
-                } else {
-                    // An individually intercepted call must not overtake a
-                    // pending batch: agents observe calls in order.
-                    chain.flush(k, pid);
-                    self.stats.intercepted += 1;
-                    // The obs enter comes first so the trap-redirection cost
-                    // below is attributed to the "interpose" pseudo-layer.
-                    k.obs
-                        .layer_enter("interpose", pid, nr, k.clock.elapsed_ns());
-                    let cost = k.profile.intercept_ns;
-                    k.clock.advance_ns(cost);
-                    if let Ok(p) = k.proc_mut(pid) {
-                        p.usage.sys_ns += cost;
-                    }
-                    let out = if k.fast_path && chain.fixed {
-                        dispatch_chain_from(k, pid, &mut chain.agents, first, nr, args, restarts)
-                    } else {
-                        dispatch_chain(k, pid, &mut chain.agents, nr, args, restarts)
-                    };
-                    k.obs.layer_exit(
-                        "interpose",
-                        pid,
-                        nr,
-                        out.obs_outcome(),
-                        k.clock.elapsed_ns(),
-                    );
-                    out
+            Some(chain) if chain.interest.contains(nr) => {
+                // An individually intercepted call must not overtake a
+                // pending batch: agents observe calls in order.
+                chain.flush(k, pid);
+                self.stats.intercepted += 1;
+                // The obs enter comes first so the trap-redirection cost
+                // below is attributed to the "interpose" pseudo-layer.
+                k.obs
+                    .layer_enter("interpose", pid, nr, k.clock.elapsed_ns());
+                let cost = k.profile.intercept_ns;
+                k.clock.advance_ns(cost);
+                if let Ok(p) = k.proc_mut(pid) {
+                    p.usage.sys_ns += cost;
                 }
+                let out = dispatch_chain(k, pid, &mut chain.agents, nr, args, restarts);
+                k.obs.layer_exit(
+                    "interpose",
+                    pid,
+                    nr,
+                    out.obs_outcome(),
+                    k.clock.elapsed_ns(),
+                );
+                out
+            }
+            Some(_) => {
+                // Pay-per-use: no agent cost at all.
+                self.stats.passthrough += 1;
+                k.syscall(pid, nr, args)
             }
         };
 
@@ -472,15 +438,13 @@ impl SyscallRouter for InterposedRouter {
 
         // Any child created during this trap (fork, possibly issued from
         // inside an agent or under a remapped number) inherits the chain.
+        // Pids are never reused, so the children are among the pids
+        // allocated during the call.
         if self.has_chain(pid) {
-            let new_children: Vec<Pid> = k
-                .pids()
-                .into_iter()
-                .filter(|&p| p > next_pid_before)
-                .filter(|&p| k.proc(p).is_ok_and(|pr| pr.ppid == pid))
-                .collect();
-            for child in new_children {
-                self.fork_chain(k, pid, child);
+            for child in first_new_pid..k.next_pid() {
+                if k.proc(child).is_ok_and(|p| p.ppid == pid) {
+                    self.fork_chain(k, pid, child);
+                }
             }
         }
         out
@@ -526,22 +490,12 @@ impl SyscallRouter for InterposedRouter {
         if !chain.fixed {
             return FastSpec::OFF;
         }
-        let mode = |nr: Sysno| {
-            let nr = nr.number();
-            if !chain.interest.contains(nr) {
-                FastMode::Direct
-            } else if chain.batchable.contains(nr) {
-                FastMode::Collect
-            } else {
-                FastMode::Off
-            }
-        };
+        // A number is answered in the loop only when no agent is
+        // interested in it; everything else ends the burst and is routed.
+        let direct = |nr: Sysno| !chain.interest.contains(nr.number());
         FastSpec {
-            getpid: mode(Sysno::Getpid),
-            gtod: mode(Sysno::Gettimeofday),
-            pending_nr: chain.pending.as_ref().map(|b| b.nr),
-            pending_len: chain.pending.as_ref().map_or(0, |b| b.calls.len() as u32),
-            batch_cap: BATCH_CAP as u32,
+            getpid: direct(Sysno::Getpid),
+            gtod: direct(Sysno::Gettimeofday),
         }
     }
 
@@ -554,29 +508,6 @@ impl SyscallRouter for InterposedRouter {
             self.stats.passthrough += count;
         } else {
             self.stats.unmanaged += count;
-        }
-    }
-
-    fn absorb_batch(&mut self, k: &mut Kernel, pid: Pid, nr: u32, calls: &[BatchCall]) {
-        let Some(chain) = self.chains.get_mut(&pid) else {
-            return;
-        };
-        if chain.pending.as_ref().is_some_and(|b| b.nr != nr) {
-            // The burst never collects across a number change, so this
-            // cannot happen by construction; flushing keeps it correct
-            // anyway.
-            chain.flush(k, pid);
-        }
-        self.stats.intercepted += calls.len() as u64;
-        for call in calls {
-            let batch = chain.pending.get_or_insert_with(|| PendingBatch {
-                nr,
-                calls: Vec::new(),
-            });
-            batch.calls.push(*call);
-            if batch.calls.len() >= BATCH_CAP {
-                chain.flush(k, pid);
-            }
         }
     }
 }

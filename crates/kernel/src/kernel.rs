@@ -241,10 +241,10 @@ pub struct Kernel {
     /// observably inert: it never advances the virtual clock and never
     /// changes which path the scheduler takes.
     pub obs: ia_obs::Obs,
-    /// Enables the trap fast path: flat dispatch tables on both engines,
-    /// and in-loop `getpid`/`gettimeofday` answers on the fused engine. On
-    /// by default; the conform oracle turns it off to prove the fast and
-    /// slow paths are bit-identical.
+    /// Enables the trap fast path: in-loop `getpid`/`gettimeofday` answers
+    /// on the fused engine (it does nothing on [`Engine::Plain`]). On by
+    /// default; the conform oracle turns it off to prove the fast and slow
+    /// paths are bit-identical.
     pub fast_path: bool,
     /// Fast-path hit/miss counters (host-side; see [`FastPathStats`]).
     pub fast_stats: FastPathStats,
@@ -329,9 +329,9 @@ impl KernelBuilder {
         self
     }
 
-    /// The trap fast path — flat dispatch tables, plus in-loop
-    /// `getpid`/`gettimeofday` answers on the fused engine (default on;
-    /// the conform oracle pins it both ways).
+    /// The trap fast path — in-loop `getpid`/`gettimeofday` answers on the
+    /// fused engine; inert on [`Engine::Plain`] (default on; the conform
+    /// oracle pins it both ways).
     pub fn fast_path(mut self, on: bool) -> KernelBuilder {
         self.fast_path = on;
         self
@@ -583,6 +583,14 @@ impl Kernel {
     /// Mutably borrows a process.
     pub fn proc_mut(&mut self, pid: Pid) -> Result<&mut Process, Errno> {
         self.procs.get_mut(&pid).ok_or(Errno::ESRCH)
+    }
+
+    /// The pid the next `fork` or spawn will be given. Pids are never
+    /// reused, so a process created after this reading has a pid at or
+    /// above it.
+    #[must_use]
+    pub fn next_pid(&self) -> Pid {
+        self.next_pid
     }
 
     /// Live pids (including zombies), in ascending order.

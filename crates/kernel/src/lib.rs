@@ -34,12 +34,12 @@ pub use files::{FdEntry, FdTable, FileKind, OpenFile, OpenFiles, SockId, FD_TABL
 /// report writer without a dependency edge of their own.
 pub use ia_obs;
 pub use ia_obs::{Event as ObsEvent, Obs, Outcome as ObsOutcome, Stamped};
-pub use ia_vm::machine::{BatchCall, FastMode, FastSpec};
+pub use ia_vm::machine::FastSpec;
 pub use kernel::{
     push_args, Engine, FastPathStats, FusionStats, Kernel, KernelBuilder, PerfCounters, SysOutcome,
     WakeEvent,
 };
 pub use process::{PendingTrap, Pid, ProcState, Process, SigAction, SigState, Usage, WaitChannel};
-pub use sched::{run, KernelRouter, RunLimits, RunOutcome, SyscallRouter, SLICE};
+pub use sched::{run, BatchCall, KernelRouter, RunLimits, RunOutcome, SyscallRouter, SLICE};
 pub use snapshot::{ClientView, KernelSnapshot, Observable};
 pub use socket::{SockState, Socket, SocketTable};

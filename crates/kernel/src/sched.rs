@@ -30,15 +30,25 @@ use std::cmp::Reverse;
 use ia_abi::signal::{DefaultAction, SigDisposition, Signal};
 use ia_abi::types::SigContext;
 use ia_abi::wire::Wire;
-use ia_abi::{Errno, RawArgs, Sysno};
+use ia_abi::{Errno, RawArgs, SysResult, Sysno};
 use ia_vm::fuse::{run_burst_fused, AnswerTable, FusedBurst, FUSED_KINDS};
-use ia_vm::machine::{run_slice, BatchCall, FastSpec, SliceEnd};
+use ia_vm::machine::{run_slice, FastSpec, SliceEnd};
 
 use crate::kernel::{Engine, Kernel, SysOutcome, WakeEvent};
 use crate::process::{PendingTrap, Pid, ProcState, WaitChannel};
 
 /// Instructions per scheduling slice.
 pub const SLICE: u32 = 100;
+
+/// One completed trap recorded for a deferred vectored upcall: the raw
+/// argument registers at the trap and the result the kernel applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchCall {
+    /// Raw argument registers `r0..r5` at the trap.
+    pub args: RawArgs,
+    /// The kernel's result, already applied to the return registers.
+    pub ret: SysResult,
+}
 
 /// How a trap reaches an implementation of the system interface.
 pub trait SyscallRouter {
@@ -74,13 +84,14 @@ pub trait SyscallRouter {
     }
 
     /// Notification that `count` traps of `nr` from `pid` were answered
-    /// in-loop in [`FastMode::Direct`](ia_vm::FastMode::Direct) — the router reconciles its
-    /// pay-per-use counters so fast and slow runs report identically.
+    /// in-loop — the router reconciles its pay-per-use counters so fast
+    /// and slow runs report identically.
     fn note_fast_direct(&mut self, _k: &mut Kernel, _pid: Pid, _nr: u32, _count: u64) {}
 
-    /// Hands the router the calls answered in-loop in [`FastMode::Collect`](ia_vm::FastMode::Collect)
-    /// so it can extend (and, at capacity, flush) its pending vectored
-    /// batch exactly as if each call had been routed individually.
+    /// A no-op that nothing in this workspace calls: the scheduler never
+    /// collects calls in the loop, so vectored upcalls are batched by the
+    /// router's `route` alone. It remains only because an out-of-workspace
+    /// delegating router (the `perfbench` probe) still overrides it.
     fn absorb_batch(&mut self, _k: &mut Kernel, _pid: Pid, _nr: u32, _calls: &[BatchCall]) {}
 }
 
@@ -262,19 +273,20 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
         // switch, as its own round would. Each answered trap is one
         // syscall and one voluntary switch.
         p.usage.nivcsw += res.full_turns;
+        let answered = res.answered();
         p.usage.sys_ns += res.cost_ns;
-        p.usage.nsyscalls += res.answered;
-        p.usage.nvcsw += res.answered;
+        p.usage.nsyscalls += answered;
+        p.usage.nvcsw += answered;
         if fused_engine {
             k.fusion_stats.add(&fuse_hits);
         }
         k.perf.slices += res.turns;
         k.total_insns += res.retired;
-        k.total_syscalls += res.answered;
+        k.total_syscalls += answered;
         k.clock
             .advance_ns(res.retired * k.profile.insn_ns + res.cost_ns);
         k.obs.slice(pid, res.retired, k.clock.elapsed_ns());
-        if res.answered > 0 {
+        if answered > 0 {
             note_answers(k, router, pid, &res);
         }
 
@@ -340,10 +352,8 @@ fn answer_table(k: &Kernel, pid: Pid, spec: FastSpec) -> AnswerTable {
     }
 }
 
-/// Hands the router the effects of a burst's in-loop answers — pay-per-use
-/// counters for direct answers, the collected calls for its pending
-/// vectored batch — before any trailing trap is routed, so it sees calls in
-/// program order.
+/// Hands the router the pay-per-use counters of a burst's in-loop answers
+/// before any trailing trap is routed, so it sees calls in program order.
 fn note_answers<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid, res: &FusedBurst) {
     for (nr, count) in [
         (Sysno::Getpid.number(), res.direct_getpid),
@@ -353,11 +363,6 @@ fn note_answers<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid, res:
             k.fast_stats.note_hits(pid, nr, count);
             router.note_fast_direct(k, pid, nr, count);
         }
-    }
-    if !res.collected.is_empty() {
-        k.fast_stats
-            .note_hits(pid, res.collected_nr, res.collected.len() as u64);
-        router.absorb_batch(k, pid, res.collected_nr, &res.collected);
     }
 }
 

@@ -37,8 +37,7 @@ use ia_abi::{RawArgs, Signal, SysResult, Sysno, Timeval, Timezone};
 
 use crate::insn::{Insn, NREGS, SP};
 use crate::machine::{
-    exec_insn, set_sysret, BatchCall, FastMode, FastSpec, SliceEnd, SliceResult, StepEvent,
-    VmState, SYS_NR_REG,
+    exec_insn, set_sysret, FastSpec, SliceEnd, SliceResult, StepEvent, VmState, SYS_NR_REG,
 };
 use crate::mem::AddressSpace;
 
@@ -407,7 +406,7 @@ impl FusedProgram {
 /// nothing: every trap ends the burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnswerTable {
-    /// The router's per-number verdicts and pending-batch state.
+    /// The router's per-number verdicts.
     pub spec: FastSpec,
     /// The process id — the `getpid` answer.
     pub pid: u64,
@@ -442,20 +441,21 @@ pub struct FusedBurst {
     /// Why the burst stopped, in
     /// [`run_slice`](crate::machine::run_slice)'s terms.
     pub end: SliceEnd,
-    /// Traps answered in-loop; each is one syscall and one voluntary
-    /// context switch.
-    pub answered: u64,
     /// Total virtual base cost of the answered calls.
     pub cost_ns: u64,
-    /// `getpid` traps answered in [`FastMode::Direct`].
+    /// `getpid` traps answered.
     pub direct_getpid: u64,
-    /// `gettimeofday` traps answered in [`FastMode::Direct`].
+    /// `gettimeofday` traps answered.
     pub direct_gtod: u64,
-    /// Calls answered in [`FastMode::Collect`], in order, for the router to
-    /// absorb into its pending vectored batch.
-    pub collected: Vec<BatchCall>,
-    /// Syscall number of `collected` (meaningful when non-empty).
-    pub collected_nr: u32,
+}
+
+impl FusedBurst {
+    /// Traps answered in-loop; each is one syscall and one voluntary
+    /// context switch.
+    #[must_use]
+    pub fn answered(&self) -> u64 {
+        self.direct_getpid + self.direct_gtod
+    }
 }
 
 impl From<SliceResult> for FusedBurst {
@@ -468,18 +468,17 @@ impl From<SliceResult> for FusedBurst {
             full_turns: 0,
             end_turn_retired: r.retired,
             end: r.end,
-            answered: 0,
             cost_ns: 0,
             direct_getpid: 0,
             direct_gtod: 0,
-            collected: Vec::new(),
-            collected_nr: 0,
         }
     }
 }
 
 /// The `gettimeofday` answer at virtual time `vns`, written through the
-/// guest pointers exactly as the kernel's handler writes them.
+/// guest pointers exactly as the kernel's handler writes them. Kept out of
+/// line so the dispatch loop stays compact.
+#[inline(never)]
 fn gettimeofday_at(t: &AnswerTable, vns: u64, args: &RawArgs, mem: &mut AddressSpace) -> SysResult {
     let now = Timeval {
         sec: t.epoch_secs + (vns / 1_000_000_000) as i64,
@@ -505,17 +504,16 @@ fn gettimeofday_at(t: &AnswerTable, vns: u64, args: &RawArgs, mem: &mut AddressS
 /// the reference's slice expires (and a split pair is not a fusion hit).
 /// With `max <= slice` it runs exactly one turn.
 ///
-/// A trap whose number has a non-[`FastMode::Off`] entry in `table` is
-/// answered right here instead of ending the burst: the result lands in
-/// the return registers, the call's base cost is added to
-/// [`FusedBurst::cost_ns`], and the trap ends its turn exactly as a
-/// dispatched trap would. `gettimeofday` reads
+/// A trap whose number `table` marks answerable is answered right here
+/// instead of ending the burst: the result lands in the return registers,
+/// the call's base cost is added to [`FusedBurst::cost_ns`], and the trap
+/// ends its turn exactly as a dispatched trap would. `gettimeofday` reads
 /// `clock_base_ns + retired·insn_ns + cost_so_far`, the clock the kernel's
 /// handler would read, because the scheduler charges each turn's
 /// instructions before dispatching its trap and the handler charges the
 /// call's base cost before reading the clock. A trap that would exhaust
-/// the budget, extend a foreign pending batch, or fill the batch is not
-/// answered, so the caller routes it at the same clock point as usual.
+/// the budget is not answered, so the caller routes it at the same clock
+/// point as usual.
 ///
 /// The scheduler uses this to amortise its per-turn round (runnable pick,
 /// process-table lookup, clock and rusage bookkeeping) over whole compute
@@ -532,25 +530,27 @@ pub fn run_burst_fused(
     hits: &mut [u64; FUSED_KINDS],
 ) -> FusedBurst {
     let mut pc = vm.pc;
-    let mut retired = 0u64;
-    // Turn bookkeeping: the current turn expires when `retired` reaches
-    // `turn_end`; `synced` counts constituents already recorded in
+    // Turn bookkeeping: the current turn ends at `turn_end` constituents
+    // into the burst, and `room` counts what it has left, so the hot arms
+    // update one counter and the constituents retired so far are
+    // `retired!()`. `synced` counts constituents already recorded in
     // `vm.insns_retired` by split-pair fallbacks to `exec_insn`.
     let mut turns = 1u64;
     let mut full_turns = 0u64;
     let mut turn_start = 0u64;
     let mut turn_end = slice.min(max);
+    let mut room = turn_end;
     let mut synced = 0u64;
+    macro_rules! retired {
+        () => {
+            turn_end - room
+        };
+    }
     // Answer-table totals.
     let nr_getpid = Sysno::Getpid.number();
     let nr_gtod = Sysno::Gettimeofday.number();
-    let mut answered = 0u64;
     let mut cost_ns = 0u64;
     let mut direct = [0u64; 2];
-    let mut collected: Vec<BatchCall> = Vec::new();
-    let mut collected_nr = 0u32;
-    let mut batch_nr = table.spec.pending_nr;
-    let mut batch_len = u64::from(table.spec.pending_len);
     // Local hit counters, flushed into `hits` on every exit, so the hot
     // arms bump a register instead of writing through the borrow.
     let mut h = [0u64; FUSED_KINDS];
@@ -574,6 +574,7 @@ pub fn run_burst_fused(
             finish!($end, 0)
         };
         ($end:expr, $halt:expr) => {{
+            let retired = retired!();
             vm.pc = pc;
             vm.regs = regs;
             vm.insns_retired += retired - synced + $halt;
@@ -586,12 +587,9 @@ pub fn run_burst_fused(
                 full_turns,
                 end_turn_retired: retired - turn_start,
                 end: $end,
-                answered,
                 cost_ns,
                 direct_getpid: direct[0],
                 direct_gtod: direct[1],
-                collected,
-                collected_nr,
             };
         }};
     }
@@ -609,47 +607,30 @@ pub fn run_burst_fused(
         () => {{
             let nr = regs[SYS_NR_REG] as u32;
             let args = [regs[0], regs[1], regs[2], regs[3], regs[4], regs[5]];
-            let mode = if nr == nr_getpid {
-                table.spec.getpid
-            } else if nr == nr_gtod {
-                table.spec.gtod
-            } else {
-                FastMode::Off
-            };
-            let collect = mode == FastMode::Collect;
-            if mode == FastMode::Off
-                || retired >= max
-                || (collect
-                    && (batch_nr.is_some_and(|b| b != nr)
-                        || batch_len + 1 >= u64::from(table.spec.batch_cap)))
-            {
+            let retired = retired!();
+            if retired >= max {
                 finish!(SliceEnd::Syscall { nr, args });
             }
-            let ret = if nr == nr_getpid {
+            let ret = if nr == nr_getpid && table.spec.getpid {
                 cost_ns += table.getpid_cost_ns;
                 Ok([table.pid, 0])
-            } else {
+            } else if nr == nr_gtod && table.spec.gtod {
                 cost_ns += table.gtod_cost_ns;
                 let vns = table.clock_base_ns + retired * table.insn_ns + cost_ns;
                 gettimeofday_at(table, vns, &args, mem)
+            } else {
+                finish!(SliceEnd::Syscall { nr, args });
             };
             set_sysret(&mut regs, ret);
-            answered += 1;
-            if collect {
-                collected.push(BatchCall { args, ret });
-                collected_nr = nr;
-                batch_nr = Some(nr);
-                batch_len += 1;
-            } else {
-                direct[usize::from(nr != nr_getpid)] += 1;
-            }
+            direct[usize::from(nr != nr_getpid)] += 1;
             // The answered trap ends its turn; the next one starts here.
             if retired - turn_start == slice {
                 full_turns += 1;
             }
             turns += 1;
             turn_start = retired;
-            turn_end = retired + slice.min(max - retired);
+            room = slice.min(max - retired);
+            turn_end = retired + room;
             continue;
         }};
     }
@@ -662,17 +643,18 @@ pub fn run_burst_fused(
         // (no budget left) and pair splitting (one left). The hot path
         // falls through with at least two constituents of headroom, so the
         // dispatch arms below never re-check the budget.
-        if turn_end - retired < 2 {
-            if retired >= turn_end {
+        if room < 2 {
+            if room == 0 {
                 // The turn expired: end the burst when the total budget is
                 // spent, else roll straight into the next (full) turn.
-                if retired >= max {
+                if turn_end >= max {
                     finish!(SliceEnd::Expired);
                 }
                 turns += 1;
                 full_turns += 1;
-                turn_start = retired;
-                turn_end = retired + slice.min(max - retired);
+                turn_start = turn_end;
+                room = slice.min(max - turn_end);
+                turn_end += room;
                 continue;
             }
             // Exactly one constituent of budget left in this turn.
@@ -686,15 +668,15 @@ pub fn run_burst_fused(
                 // slice hits.
                 vm.pc = pc;
                 vm.regs = regs;
-                vm.insns_retired += retired - synced;
-                synced = retired;
+                vm.insns_retired += retired!() - synced;
+                synced = retired!();
                 match exec_insn(vm, mem, insn) {
                     StepEvent::Continue => {
                         // `exec_insn` advanced the pc and recorded the
                         // constituent; reload the locals and let the loop
                         // head roll the turn (or finish the burst).
-                        retired += 1;
-                        synced = retired;
+                        room -= 1;
+                        synced = retired!();
                         pc = vm.pc;
                         regs = vm.regs;
                         continue;
@@ -715,51 +697,51 @@ pub fn run_burst_fused(
             F::Li(rd, v) => {
                 reg!(rd) = v;
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Mov(rd, rs) => {
                 reg!(rd) = reg!(rs);
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Ld(rd, rs, off) => {
                 let addr = reg!(rs).wrapping_add(off as u64);
                 reg!(rd) = memop!(mem.read_u64(addr));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::St(rd, rs, off) => {
                 let addr = reg!(rd).wrapping_add(off as u64);
                 memop!(mem.write_u64(addr, reg!(rs)));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Ldb(rd, rs, off) => {
                 let addr = reg!(rs).wrapping_add(off as u64);
                 reg!(rd) = u64::from(memop!(mem.read_u8(addr)));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Stb(rd, rs, off) => {
                 let addr = reg!(rd).wrapping_add(off as u64);
                 memop!(mem.write_u8(addr, reg!(rs) as u8));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Add(rd, a, b) => {
                 reg!(rd) = reg!(a).wrapping_add(reg!(b));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Sub(rd, a, b) => {
                 reg!(rd) = reg!(a).wrapping_sub(reg!(b));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Mul(rd, a, b) => {
                 reg!(rd) = reg!(a).wrapping_mul(reg!(b));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Div(rd, a, b) => {
                 let d = reg!(b);
@@ -768,7 +750,7 @@ pub fn run_burst_fused(
                 }
                 reg!(rd) = reg!(a) / d;
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Rem(rd, a, b) => {
                 let d = reg!(b);
@@ -777,82 +759,82 @@ pub fn run_burst_fused(
                 }
                 reg!(rd) = reg!(a) % d;
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Addi(rd, rs, imm) => {
                 reg!(rd) = reg!(rs).wrapping_add(imm as u64);
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::And(rd, a, b) => {
                 reg!(rd) = reg!(a) & reg!(b);
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Or(rd, a, b) => {
                 reg!(rd) = reg!(a) | reg!(b);
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Xor(rd, a, b) => {
                 reg!(rd) = reg!(a) ^ reg!(b);
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Shl(rd, a, b) => {
                 reg!(rd) = reg!(a) << (reg!(b) & 63);
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Shr(rd, a, b) => {
                 reg!(rd) = reg!(a) >> (reg!(b) & 63);
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Sltu(rd, a, b) => {
                 reg!(rd) = u64::from(reg!(a) < reg!(b));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Slt(rd, a, b) => {
                 reg!(rd) = u64::from((reg!(a) as i64) < (reg!(b) as i64));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Seq(rd, a, b) => {
                 reg!(rd) = u64::from(reg!(a) == reg!(b));
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::Jmp(t) => {
                 pc = t;
-                retired += 1;
+                room -= 1;
             }
             F::Jz(rs, t) => {
                 pc = if reg!(rs) == 0 { t } else { pc + 1 };
-                retired += 1;
+                room -= 1;
             }
             F::Jnz(rs, t) => {
                 pc = if reg!(rs) != 0 { t } else { pc + 1 };
-                retired += 1;
+                room -= 1;
             }
             F::Call(t) => {
                 let sp = reg!(SP).wrapping_sub(8);
                 memop!(mem.write_u64(sp, pc + 1));
                 reg!(SP) = sp;
                 pc = t;
-                retired += 1;
+                room -= 1;
             }
             F::Ret => {
                 let sp = reg!(SP);
                 let ra = memop!(mem.read_u64(sp));
                 reg!(SP) = sp + 8;
                 pc = ra;
-                retired += 1;
+                room -= 1;
             }
             F::Sys => {
                 pc += 1;
-                retired += 1;
+                room -= 1;
                 trap!();
             }
             F::Halt => {
@@ -862,74 +844,74 @@ pub fn run_burst_fused(
             }
             F::Nop => {
                 pc += 1;
-                retired += 1;
+                room -= 1;
             }
             F::SeqJz { rd, a, b, t } => {
                 let v = u64::from(reg!(a) == reg!(b));
                 reg!(rd) = v;
                 pc = if v == 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::CmpBranch as usize] += 1;
             }
             F::SeqJnz { rd, a, b, t } => {
                 let v = u64::from(reg!(a) == reg!(b));
                 reg!(rd) = v;
                 pc = if v != 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::CmpBranch as usize] += 1;
             }
             F::SltuJz { rd, a, b, t } => {
                 let v = u64::from(reg!(a) < reg!(b));
                 reg!(rd) = v;
                 pc = if v == 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::CmpBranch as usize] += 1;
             }
             F::SltuJnz { rd, a, b, t } => {
                 let v = u64::from(reg!(a) < reg!(b));
                 reg!(rd) = v;
                 pc = if v != 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::CmpBranch as usize] += 1;
             }
             F::SltJz { rd, a, b, t } => {
                 let v = u64::from((reg!(a) as i64) < (reg!(b) as i64));
                 reg!(rd) = v;
                 pc = if v == 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::CmpBranch as usize] += 1;
             }
             F::SltJnz { rd, a, b, t } => {
                 let v = u64::from((reg!(a) as i64) < (reg!(b) as i64));
                 reg!(rd) = v;
                 pc = if v != 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::CmpBranch as usize] += 1;
             }
             F::AddiJz { rd, rs, imm, t } => {
                 let v = reg!(rs).wrapping_add(imm as i64 as u64);
                 reg!(rd) = v;
                 pc = if v == 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::AddiBranch as usize] += 1;
             }
             F::AddiJnz { rd, rs, imm, t } => {
                 let v = reg!(rs).wrapping_add(imm as i64 as u64);
                 reg!(rd) = v;
                 pc = if v != 0 { u64::from(t) } else { pc + 2 };
-                retired += 2;
+                room -= 2;
                 h[FusedKind::AddiBranch as usize] += 1;
             }
             F::AddiJmp { rd, rs, imm, t } => {
                 reg!(rd) = reg!(rs).wrapping_add(imm as i64 as u64);
                 pc = u64::from(t);
-                retired += 2;
+                room -= 2;
                 h[FusedKind::AddiJmp as usize] += 1;
             }
             F::LiSys(nr) => {
                 regs[SYS_NR_REG] = nr;
                 pc += 2;
-                retired += 2;
+                room -= 2;
                 h[FusedKind::LiSys as usize] += 1;
                 trap!();
             }
@@ -954,7 +936,7 @@ pub fn run_burst_fused(
                     Alu::Xor => x ^ y,
                 };
                 pc += 2;
-                retired += 2;
+                room -= 2;
                 h[FusedKind::LdAlu as usize] += 1;
             }
         }
@@ -1430,15 +1412,9 @@ mod tests {
         assert_eq!(vm.insns_retired, 300, "halt adds the pseudo-step");
     }
 
-    fn table(getpid: FastMode, gtod: FastMode) -> AnswerTable {
+    fn table(getpid: bool, gtod: bool) -> AnswerTable {
         AnswerTable {
-            spec: FastSpec {
-                getpid,
-                gtod,
-                pending_nr: None,
-                pending_len: 0,
-                batch_cap: 32,
-            },
+            spec: FastSpec { getpid, gtod },
             pid: 42,
             getpid_cost_ns: 25_000,
             gtod_cost_ns: 47_000,
@@ -1508,10 +1484,10 @@ mod tests {
                 full += 1;
                 continue;
             };
-            let ret = if n == Sysno::Getpid.number() && t.spec.getpid != FastMode::Off {
+            let ret = if n == Sysno::Getpid.number() && t.spec.getpid {
                 cost += t.getpid_cost_ns;
                 Ok([t.pid, 0])
-            } else if n == Sysno::Gettimeofday.number() && t.spec.gtod != FastMode::Off {
+            } else if n == Sysno::Gettimeofday.number() && t.spec.gtod {
                 cost += t.gtod_cost_ns;
                 let vns = t.clock_base_ns + retired * t.insn_ns + cost;
                 gettimeofday_at(t, vns, &args, &mut mem)
@@ -1530,7 +1506,7 @@ mod tests {
         assert_eq!(b.turns, turns, "turns diverged (slice {slice})");
         assert_eq!(b.full_turns, full, "full turns diverged (slice {slice})");
         assert_eq!(b.end_turn_retired, last.retired);
-        assert_eq!(b.answered, answered);
+        assert_eq!(b.answered(), answered);
         assert_eq!(b.cost_ns, cost);
         assert_eq!(vm_b, vm, "vm state diverged (slice {slice})");
         for addr in (0..4096).step_by(8) {
@@ -1541,21 +1517,20 @@ mod tests {
 
     #[test]
     fn answering_burst_matches_routing_every_trap() {
-        let t = table(FastMode::Direct, FastMode::Direct);
+        let t = table(true, true);
         for slice in [100, 7, 3, 2] {
             let b = assert_answering_burst_matches_routed_turns(&mixed_trap_loop(), slice, &t);
             assert_eq!(b.direct_getpid, 40);
             assert_eq!(b.direct_gtod, 40);
-            assert!(b.collected.is_empty());
             assert!(
                 matches!(b.end, SliceEnd::Syscall { nr: 1, .. }),
                 "exit leaves the loop"
             );
         }
         // With only one number in the table, the other one ends the burst.
-        let t = table(FastMode::Direct, FastMode::Off);
+        let t = table(true, false);
         let b = assert_answering_burst_matches_routed_turns(&mixed_trap_loop(), 100, &t);
-        assert_eq!((b.answered, b.direct_getpid), (1, 1));
+        assert_eq!((b.answered(), b.direct_getpid), (1, 1));
         assert!(matches!(b.end, SliceEnd::Syscall { nr: 116, .. }));
     }
 
@@ -1570,7 +1545,7 @@ mod tests {
             Sys,
             Halt,
         ];
-        let t = table(FastMode::Off, FastMode::Direct);
+        let t = table(false, true);
         let mut vm = VmState::new(0, 4096);
         let mut mem = AddressSpace::new(4096, 64);
         let mut hits = [0u64; FUSED_KINDS];
@@ -1584,7 +1559,7 @@ mod tests {
             &mut hits,
         );
         assert_eq!(b.end, SliceEnd::Halted);
-        assert_eq!((b.retired, b.turns, b.answered), (4, 2, 1));
+        assert_eq!((b.retired, b.turns, b.answered()), (4, 2, 1));
         let vns: u64 = 3_000_000_000 + 4 * 5_000 + 47_000;
         let tv: Timeval = mem.read_struct(256).unwrap();
         assert_eq!(tv.sec, 600_000_003);
@@ -1602,38 +1577,9 @@ mod tests {
     }
 
     #[test]
-    fn collected_calls_stop_short_of_the_batch_cap() {
-        // An unbounded getpid loop in Collect mode with two calls already
-        // pending: 29 more are collected, and the call that would fill the
-        // 32-call batch leaves the loop so the router flushes on routing it.
-        let code = [Li(7, nr(Sysno::Getpid)), Sys, Jmp(1)];
-        let mut t = table(FastMode::Collect, FastMode::Off);
-        t.spec.pending_nr = Some(Sysno::Getpid.number());
-        t.spec.pending_len = 2;
-        let mut vm = VmState::new(0, 4096);
-        let mut mem = AddressSpace::new(4096, 0);
-        let mut hits = [0u64; FUSED_KINDS];
-        let prog = FusedProgram::fuse(&code);
-        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, &t, &mut hits);
-        assert_eq!(b.collected.len(), 29);
-        assert_eq!(b.collected_nr, 20);
-        assert!(b.collected.iter().all(|c| c.ret == Ok([42, 0])));
-        assert_eq!((b.direct_getpid, b.answered), (0, 29));
-        assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
-
-        // A batch of another number pending: nothing may be collected.
-        t.spec.pending_nr = Some(Sysno::Gettimeofday.number());
-        let mut vm = VmState::new(0, 4096);
-        let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, u64::MAX, &t, &mut hits);
-        assert_eq!(b.answered, 0);
-        assert_eq!(b.retired, 2, "li + sys retired before leaving");
-        assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
-    }
-
-    #[test]
     fn a_trap_that_spends_the_budget_is_routed_not_answered() {
         let code = [Li(7, nr(Sysno::Getpid)), Sys, Jmp(1)];
-        let t = table(FastMode::Direct, FastMode::Direct);
+        let t = table(true, true);
         let prog = FusedProgram::fuse(&code);
         // li+sys (2), then sys+jmp laps of 2: budget 6 ends on a trap.
         let mut vm = VmState::new(0, 4096);
@@ -1641,7 +1587,7 @@ mod tests {
         let mut hits = [0u64; FUSED_KINDS];
         let b = run_burst_fused(&mut vm, &mut mem, &prog, 100, 6, &t, &mut hits);
         assert_eq!(b.retired, 6);
-        assert_eq!(b.answered, 2);
+        assert_eq!(b.answered(), 2);
         assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
         assert_eq!(vm.pc, 2, "pc past the unanswered trap");
     }

@@ -46,7 +46,7 @@ pub use fuse::{
 pub use image::{Image, DATA_BASE, IMAGE_MAGIC};
 pub use insn::{Insn, Reg};
 pub use machine::{
-    BatchCall, FastMode, FastSpec, SliceEnd, SliceResult, StepEvent, VmState, SYSRET_ERRNO,
-    SYSRET_RV0, SYSRET_RV1, SYS_NR_REG,
+    FastSpec, SliceEnd, SliceResult, StepEvent, VmState, SYSRET_ERRNO, SYSRET_RV0, SYSRET_RV1,
+    SYS_NR_REG,
 };
 pub use mem::{AddressSpace, DEFAULT_MEM_SIZE};

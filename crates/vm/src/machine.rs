@@ -1,7 +1,6 @@
 //! The interpreter: registers, stepping, traps and faults. [`run_slice`]
 //! over [`step`] is the plain reference engine: every trap leaves the loop.
-//! The in-loop answer table ([`FastSpec`] of [`FastMode`] entries) and its
-//! collected calls ([`BatchCall`]) are consumed by the fused burst
+//! The in-loop answer table ([`FastSpec`]) is consumed by the fused burst
 //! ([`crate::fuse::run_burst_fused`]).
 
 use ia_abi::{RawArgs, Signal, SysResult};
@@ -324,78 +323,33 @@ pub(crate) fn exec_insn(vm: &mut VmState, mem: &mut AddressSpace, insn: Insn) ->
     StepEvent::Continue
 }
 
-/// One fast-answered trap recorded for a deferred vectored upcall: the raw
-/// argument registers at the trap and the result that was applied to the
-/// return registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchCall {
-    /// Raw argument registers `r0..r5` at the trap.
-    pub args: RawArgs,
-    /// The kernel's result, already applied via [`VmState::apply_sysret`].
-    pub ret: SysResult,
-}
-
-/// How the in-loop fast path may answer one syscall number for one
-/// process — an entry in the per-process vDSO-style answer table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FastMode {
-    /// Not answerable in the loop; trap out to the ordinary dispatcher.
-    #[default]
-    Off,
-    /// Answer in the loop with no agent involvement (pay-per-use bypass).
-    Direct,
-    /// Answer in the loop *and* record a [`BatchCall`] so interested
-    /// agents later receive one vectored upcall for the whole burst.
-    Collect,
-}
-
 /// The per-process answer table for the in-loop syscall fast path — the
 /// router's verdict on which fast-answerable numbers may be answered
 /// inside the VM loop for one process, computed from the installed agent
 /// chain at the entry of each answering burst (and therefore invalidated
-/// for free on any chain mutation: the next burst recomputes it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// for free on any chain mutation: the next burst recomputes it). A number
+/// is answerable only when no agent on the chain is interested in it. The
+/// default answers nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FastSpec {
-    /// How `getpid` may be answered.
-    pub getpid: FastMode,
-    /// How `gettimeofday` may be answered.
-    pub gtod: FastMode,
-    /// Syscall number of the router's pending vectored batch, if any: a
-    /// collected call of another number would force a flush at that exact
-    /// clock point, so it leaves the loop instead.
-    pub pending_nr: Option<u32>,
-    /// Calls already in the router's pending batch.
-    pub pending_len: u32,
-    /// The router's batch capacity (flush threshold). The call that would
-    /// fill the batch leaves the loop, so the router flushes the vectored
-    /// upcall at the same virtual-clock point as when every call is routed.
-    pub batch_cap: u32,
+    /// Whether `getpid` may be answered in the loop.
+    pub getpid: bool,
+    /// Whether `gettimeofday` may be answered in the loop.
+    pub gtod: bool,
 }
 
 impl FastSpec {
     /// Everything off: never answer in the loop.
     pub const OFF: FastSpec = FastSpec {
-        getpid: FastMode::Off,
-        gtod: FastMode::Off,
-        pending_nr: None,
-        pending_len: 0,
-        batch_cap: u32::MAX,
+        getpid: false,
+        gtod: false,
     };
 
     /// Everything answered directly with no agent involvement.
     pub const DIRECT: FastSpec = FastSpec {
-        getpid: FastMode::Direct,
-        gtod: FastMode::Direct,
-        pending_nr: None,
-        pending_len: 0,
-        batch_cap: u32::MAX,
+        getpid: true,
+        gtod: true,
     };
-}
-
-impl Default for FastSpec {
-    fn default() -> FastSpec {
-        FastSpec::OFF
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use ia_agents::{DfsTraceAgent, ProfileAgent, TimeSymbolic, Timex, TraceAgent, UnionAgent};
 use ia_interpose::InterposedRouter;
-use ia_kernel::{Engine, KernelBuilder, MachineProfile, Observable, RunOutcome};
+use ia_kernel::{Engine, Kernel, KernelBuilder, MachineProfile, Observable, RunOutcome};
 
 /// Which workload to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,18 @@ pub enum AgentKind {
 }
 
 impl AgentKind {
-    /// All kinds, table order.
+    /// Every kind.
+    pub const ALL: [AgentKind; 7] = [
+        AgentKind::None,
+        AgentKind::Timex,
+        AgentKind::Trace,
+        AgentKind::Union,
+        AgentKind::TimeSymbolic,
+        AgentKind::DfsTrace,
+        AgentKind::Profile,
+    ];
+
+    /// The kinds of the paper's table rows, in table order.
     pub const TABLE_ROWS: [AgentKind; 4] = [
         AgentKind::None,
         AgentKind::Timex,
@@ -138,46 +149,7 @@ pub fn run_workload_observed(
     if let Some(cap) = recorder_capacity {
         k.obs.enable(cap);
     }
-    let pid = match workload {
-        Workload::Scribe => {
-            crate::scribe::setup(&mut k);
-            k.spawn_image(&crate::scribe::image(), &[b"scribe"], b"scribe")
-        }
-        Workload::Make8 => {
-            crate::make8::setup(&mut k);
-            crate::make8::spawn(&mut k)
-        }
-    };
-
-    let mut router = InterposedRouter::new();
-    match agent {
-        AgentKind::None => {}
-        AgentKind::Timex => {
-            ia_interpose::wrap_process(&mut k, &mut router, pid, Timex::boxed(3600), &[]);
-        }
-        AgentKind::Trace => {
-            let (a, _) = TraceAgent::new();
-            ia_interpose::wrap_process(&mut k, &mut router, pid, Box::new(a), &[]);
-        }
-        AgentKind::Union => {
-            let specs = union_specs(workload);
-            let refs: Vec<&[u8]> = specs.iter().map(Vec::as_slice).collect();
-            ia_interpose::wrap_process(&mut k, &mut router, pid, UnionAgent::boxed(&refs), &[]);
-        }
-        AgentKind::TimeSymbolic => {
-            ia_interpose::wrap_process(&mut k, &mut router, pid, TimeSymbolic::boxed(), &[]);
-        }
-        AgentKind::DfsTrace => {
-            let (a, _) = DfsTraceAgent::new();
-            ia_interpose::wrap_process(&mut k, &mut router, pid, a, &[]);
-        }
-        AgentKind::Profile => {
-            let (a, _) = ProfileAgent::new();
-            ia_interpose::wrap_process(&mut k, &mut router, pid, Box::new(a), &[]);
-        }
-    }
-
-    let outcome = k.run_with(&mut router);
+    let (outcome, router) = run_workload_in(&mut k, workload, agent);
     let stats = RunStats {
         virtual_secs: k.clock.elapsed_secs(),
         virtual_ns: k.clock.elapsed_ns(),
@@ -189,6 +161,56 @@ pub fn run_workload_observed(
         console: k.console.output().to_vec(),
     };
     (stats, k.observable())
+}
+
+/// Spawns `workload` into `k`, wraps it in `agent`, and runs it to the
+/// end on whatever configuration `k` was built with, returning how the run
+/// ended and the router (for its statistics).
+pub fn run_workload_in(
+    k: &mut Kernel,
+    workload: Workload,
+    agent: AgentKind,
+) -> (RunOutcome, InterposedRouter) {
+    let pid = match workload {
+        Workload::Scribe => {
+            crate::scribe::setup(k);
+            k.spawn_image(&crate::scribe::image(), &[b"scribe"], b"scribe")
+        }
+        Workload::Make8 => {
+            crate::make8::setup(k);
+            crate::make8::spawn(k)
+        }
+    };
+
+    let mut router = InterposedRouter::new();
+    match agent {
+        AgentKind::None => {}
+        AgentKind::Timex => {
+            ia_interpose::wrap_process(k, &mut router, pid, Timex::boxed(3600), &[]);
+        }
+        AgentKind::Trace => {
+            let (a, _) = TraceAgent::new();
+            ia_interpose::wrap_process(k, &mut router, pid, Box::new(a), &[]);
+        }
+        AgentKind::Union => {
+            let specs = union_specs(workload);
+            let refs: Vec<&[u8]> = specs.iter().map(Vec::as_slice).collect();
+            ia_interpose::wrap_process(k, &mut router, pid, UnionAgent::boxed(&refs), &[]);
+        }
+        AgentKind::TimeSymbolic => {
+            ia_interpose::wrap_process(k, &mut router, pid, TimeSymbolic::boxed(), &[]);
+        }
+        AgentKind::DfsTrace => {
+            let (a, _) = DfsTraceAgent::new();
+            ia_interpose::wrap_process(k, &mut router, pid, a, &[]);
+        }
+        AgentKind::Profile => {
+            let (a, _) = ProfileAgent::new();
+            ia_interpose::wrap_process(k, &mut router, pid, Box::new(a), &[]);
+        }
+    }
+
+    (k.run_with(&mut router), router)
 }
 
 #[cfg(test)]

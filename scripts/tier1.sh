@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo test -q --workspace --release
+cargo test -q --workspace --release --no-fail-fast
 
 # Static analysis gate: every in-tree workload and example image must lint
 # clean (zero errors, zero warnings). The JSON report is kept as a CI
