@@ -41,6 +41,28 @@ pub fn sample<T>(samples: usize, mut f: impl FnMut() -> T) -> Sampled {
     }
 }
 
+/// Times `N` operations against each other: in each of `reps` rounds,
+/// `op(leg)` runs `iters` times for every leg in turn, so the legs share
+/// host windows. Returns each leg's best mean ns per call over the rounds,
+/// so a cold cache or scheduling hiccup cannot inflate a number.
+pub fn best_mean_ns<const N: usize>(
+    reps: usize,
+    iters: usize,
+    mut op: impl FnMut(usize),
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..reps {
+        for (leg, best) in best.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                op(leg);
+            }
+            *best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
+        }
+    }
+    best
+}
+
 /// Runs one named benchmark case and prints a line in the shape
 /// `group/name  min .. median .. mean`.
 pub fn case<T>(group: &str, name: &str, samples: usize, f: impl FnMut() -> T) {
@@ -82,6 +104,14 @@ mod tests {
         });
         assert!(s.min_ns <= s.median_ns);
         assert!(s.min_ns <= s.mean_ns);
+    }
+
+    #[test]
+    fn best_mean_ns_times_each_leg() {
+        let mut calls = [0usize; 2];
+        let [a, b] = best_mean_ns(3, 10, |leg| calls[leg] += 1);
+        assert_eq!(calls, [30, 30]);
+        assert!(a.is_finite() && b.is_finite());
     }
 
     #[test]

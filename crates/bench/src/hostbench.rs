@@ -34,8 +34,9 @@ use ia_workloads::micro::{self, MicroCall};
 const COMPUTE_ITERS: u64 = 3_000_000;
 /// `getpid()` traps per trap-loop run.
 const TRAP_ITERS: u64 = 150_000;
-/// Timed repetitions per scenario; the best (minimum-time) run is kept.
-const REPS: usize = 3;
+/// Timed repetitions per scenario, each running every configuration
+/// once; each row keeps its best (minimum-time) repetition.
+const REPS: usize = 9;
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -107,7 +108,7 @@ fn compute_image(iters: u64) -> Image {
     b.build()
 }
 
-fn measure_once(img: &Image, agent: AgentCfg, fast: bool, fused: bool) -> (u64, u64, f64) {
+fn measure_once(img: &Image, agent: AgentCfg, (fused, fast): Config) -> (u64, u64, f64) {
     let mut k = KernelBuilder::new()
         .fast_path(fast)
         .engine(if fused { Engine::Fused } else { Engine::Plain })
@@ -123,34 +124,54 @@ fn measure_once(img: &Image, agent: AgentCfg, fast: bool, fused: bool) -> (u64, 
     (k.total_insns, k.total_syscalls, secs)
 }
 
-fn scenario(name: &str, img: &Image, agent: AgentCfg, fast: bool, fused: bool) -> Scenario {
-    let mut best: Option<(u64, u64, f64)> = None;
+/// `(fused engine, fast path)`.
+type Config = (bool, bool);
+
+/// The reference: plain engine, fast path off.
+const REFERENCE: Config = (false, false);
+/// The default configuration: fused engine, fast path on.
+const DEFAULT: Config = (true, true);
+
+/// Measures one scenario under each of `configs`, interleaved rep by rep
+/// (every repetition runs each configuration once, in order), and keeps
+/// each row's fastest repetition, so a ratio's two sides are timed at
+/// most one repetition apart.
+fn interleaved<const N: usize>(
+    name: &str,
+    img: &Image,
+    agent: AgentCfg,
+    configs: [Config; N],
+) -> [Scenario; N] {
+    let mut best = [(0, 0, f64::INFINITY); N];
     for _ in 0..REPS {
-        let r = measure_once(img, agent, fast, fused);
-        if best.as_ref().is_none_or(|b| r.2 < b.2) {
-            best = Some(r);
+        for (best, &config) in best.iter_mut().zip(&configs) {
+            let r = measure_once(img, agent, config);
+            if r.2 < best.2 {
+                *best = r;
+            }
         }
     }
-    let (insns, traps, host_secs) = best.expect("REPS > 0");
-    Scenario {
-        name: name.to_string(),
-        engine: if fused { "fused" } else { "plain" },
-        fast_path: fast,
-        insns,
-        traps,
-        host_secs,
-        minsns_per_sec: insns as f64 / host_secs / 1e6,
-        traps_per_sec: traps as f64 / host_secs,
-    }
+    std::array::from_fn(|i| {
+        let ((fused, fast), (insns, traps, host_secs)) = (configs[i], best[i]);
+        Scenario {
+            name: name.to_string(),
+            engine: if fused { "fused" } else { "plain" },
+            fast_path: fast,
+            insns,
+            traps,
+            host_secs,
+            minsns_per_sec: insns as f64 / host_secs / 1e6,
+            traps_per_sec: traps as f64 / host_secs,
+        }
+    })
 }
 
 /// Runs every scenario on the reference, on the fused engine without the
 /// trap fast path, and on the default configuration — each later column
 /// turning on one stage of the hot path, so the committed numbers carry
-/// each stage's before/after. A scenario's three configurations run back
-/// to back in each of [`best_round`]'s rounds, and all three rows come
-/// from the round whose default row was fastest, so every speedup divides
-/// rows measured in one host window.
+/// each stage's before/after. A scenario's three configurations are
+/// interleaved rep by rep (see [`interleaved`]), so every speedup divides
+/// rows measured in the same host windows.
 #[must_use]
 pub fn run_all() -> Vec<Scenario> {
     let compute = compute_image(COMPUTE_ITERS);
@@ -168,10 +189,12 @@ pub fn run_all() -> Vec<Scenario> {
         ("traps/pass_through", &traps, AgentCfg::Observer),
         ("traps/stacked3", &traps, AgentCfg::Stacked3),
     ] {
-        let configs = [(false, false), (true, false), (true, true)];
-        out.extend(best_round(2, || {
-            configs.map(|(fused, fast)| scenario(loop_name, img, agent, fast, fused))
-        }));
+        out.extend(interleaved(
+            loop_name,
+            img,
+            agent,
+            [REFERENCE, (true, false), DEFAULT],
+        ));
     }
     out
 }
@@ -187,21 +210,17 @@ pub const SMOKE_COMPUTE_SCENARIO: &str = "compute/no_agent";
 
 /// Measures [`SMOKE_SCENARIO`] on the default configuration (fused engine,
 /// fast path on) *and* on the reference (plain engine, fast path off),
-/// back to back in the same host window. The gate compares the
+/// interleaved rep by rep in the same host windows. The gate compares the
 /// live guarded/reference *ratio* against the committed one: shared CI
 /// hosts swing absolute throughput by 2× between frequency windows, and
 /// a ratio divides the window out while still catching hot-path
-/// regressions. Takes the best of several full measurement rounds: a
-/// gate must not trip on a cold cache or a scheduling hiccup.
+/// regressions. Each row keeps its best repetition: a gate must not trip
+/// on a cold cache or a scheduling hiccup.
 #[must_use]
 pub fn run_smoke() -> (Scenario, Scenario) {
     let traps = micro::loop_image(MicroCall::Getpid, TRAP_ITERS);
-    let [default, reference] = best_round(0, || {
-        [
-            scenario(SMOKE_SCENARIO, &traps, AgentCfg::None, true, true),
-            scenario(SMOKE_SCENARIO, &traps, AgentCfg::None, false, false),
-        ]
-    });
+    let [default, reference] =
+        interleaved(SMOKE_SCENARIO, &traps, AgentCfg::None, [DEFAULT, REFERENCE]);
     (default, reference)
 }
 
@@ -210,32 +229,13 @@ pub fn run_smoke() -> (Scenario, Scenario) {
 #[must_use]
 pub fn run_smoke_compute() -> (Scenario, Scenario) {
     let compute = compute_image(COMPUTE_ITERS);
-    let [default, reference] = best_round(0, || {
-        [
-            scenario(SMOKE_COMPUTE_SCENARIO, &compute, AgentCfg::None, true, true),
-            scenario(
-                SMOKE_COMPUTE_SCENARIO,
-                &compute,
-                AgentCfg::None,
-                false,
-                false,
-            ),
-        ]
-    });
+    let [default, reference] = interleaved(
+        SMOKE_COMPUTE_SCENARIO,
+        &compute,
+        AgentCfg::None,
+        [DEFAULT, REFERENCE],
+    );
     (default, reference)
-}
-
-/// Runs `round` three times and keeps the round whose guarded scenario
-/// (`round()[guarded]`) was fastest; the other rows come from the same
-/// round, so every ratio between them saw the same host window.
-fn best_round<const N: usize>(
-    guarded: usize,
-    mut round: impl FnMut() -> [Scenario; N],
-) -> [Scenario; N] {
-    (0..3)
-        .map(|_| round())
-        .min_by(|a, b| a[guarded].host_secs.total_cmp(&b[guarded].host_secs))
-        .expect("at least one round")
 }
 
 /// Renders the scenarios (plus per-stage speedups) as the

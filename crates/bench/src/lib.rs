@@ -25,7 +25,9 @@ pub mod overhead;
 pub mod snapbench;
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 
+use harness::best_mean_ns;
 use ia_agents::TimeSymbolic;
 use ia_interpose::{InterposedRouter, SysCtx};
 use ia_kernel::{KernelBuilder, MachineProfile, I486_25, VAX_6250};
@@ -200,11 +202,11 @@ pub fn table_3_4() -> Vec<LowLevelRow> {
     let p = I486_25;
 
     // Host-side analogues, measured with std::time.
-    let host_call = host_measure(|| std::hint::black_box(plain_call(std::hint::black_box(7))));
-    let host_virtual = {
-        let obj: Box<dyn Callee> = Box::new(Impl);
-        host_measure(|| std::hint::black_box(obj.call(std::hint::black_box(7))))
-    };
+    let obj: Box<dyn Callee> = Box::new(Impl);
+    let [host_call, host_virtual] = best_mean_ns(HOST_REPS, HOST_ITERS, |leg| {
+        let x = black_box(7);
+        black_box(if leg == 0 { plain_call(x) } else { obj.call(x) });
+    });
     let (host_intercept, host_downcall) = host_interposition_costs();
 
     vec![
@@ -253,17 +255,10 @@ impl Callee for Impl {
     }
 }
 
-fn host_measure(mut f: impl FnMut() -> u64) -> f64 {
-    const N: u32 = 200_000;
-    let mut acc = 0u64;
-    let start = std::time::Instant::now();
-    for _ in 0..N {
-        acc = acc.wrapping_add(f());
-    }
-    let ns = start.elapsed().as_nanos() as f64 / f64::from(N);
-    std::hint::black_box(acc);
-    ns
-}
+/// Rounds, and calls per leg in each round, of Table 3-4's host timings
+/// (see [`harness::best_mean_ns`]).
+const HOST_REPS: usize = 5;
+const HOST_ITERS: usize = 200_000;
 
 /// Host wall-clock cost, in ns per `getpid`, of the two legs of an
 /// intercepted trap as Table 3-4 splits them. The `htg_unix_syscall()` leg
@@ -271,26 +266,23 @@ fn host_measure(mut f: impl FnMut() -> u64) -> f64 {
 /// direct [`ia_kernel::Kernel::syscall`]. "Intercept and return" is the
 /// remainder: routing the trap through the interposed router to a
 /// full-interception null agent (whose one downcall reaches the kernel)
-/// minus the direct call, minus the downcall leg.
+/// minus the direct call, minus the downcall leg. The three legs are
+/// timed round by round, so each difference is taken within one host
+/// window.
 fn host_interposition_costs() -> (f64, f64) {
     use ia_kernel::SyscallRouter;
     let img = ia_vm::assemble("main: halt\n").expect("trivial image");
     let getpid = ia_abi::Sysno::Getpid.number();
     let mut k = KernelBuilder::new().build();
     let pid = k.spawn_image(&img, &[b"m"], b"m");
-    let direct_ns = host_measure(|| {
-        let _ = k.syscall(pid, getpid, [0; 6]);
-        0
-    });
-    let down_ns = host_measure(|| {
-        let _ = SysCtx::new(&mut k, pid, &mut [], 0).down(getpid, [0; 6]);
-        0
-    });
     let mut router = InterposedRouter::new();
     router.push_agent(pid, TimeSymbolic::boxed());
-    let routed_ns = host_measure(|| {
-        let _ = router.route(&mut k, pid, getpid, [0; 6], 0);
-        0
+    let [direct_ns, down_ns, routed_ns] = best_mean_ns(HOST_REPS, HOST_ITERS, |leg| {
+        black_box(match leg {
+            0 => k.syscall(pid, getpid, [0; 6]),
+            1 => SysCtx::new(&mut k, pid, &mut [], 0).down(getpid, [0; 6]),
+            _ => router.route(&mut k, pid, getpid, [0; 6], 0),
+        });
     });
     let downcall = (down_ns - direct_ns).max(0.0);
     let intercept = (routed_ns - direct_ns - downcall).max(0.0);

@@ -15,8 +15,9 @@
 //!   content bytes, i.e. what `snapshot()` cost before structural
 //!   sharing (and what an undo-log worst case degenerates to).
 //! * `kernel_snapshot_ns` — the full-world [`ia_kernel::Kernel::snapshot`]
-//!   over the same VFS with one resident process; dominated by the flat
-//!   1 MB address space, not the file count.
+//!   over the same VFS with one resident process; dominated by the
+//!   process's 1 MB address space (whose clone copies only the written
+//!   regions), not the file count.
 //! * `txn_commit_host_ns` / `txn_abort_host_ns` — a fixed three-file
 //!   transactional session under [`ia_agents::TxnAgent`], run to
 //!   completion over a preloaded VFS of each size. Begin is the O(1)
@@ -30,6 +31,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use crate::harness::best_mean_ns;
 use ia_agents::TxnAgent;
 use ia_interpose::InterposedRouter;
 use ia_kernel::{Kernel, KernelBuilder, RunOutcome};
@@ -64,25 +66,11 @@ fn populated_kernel(files: usize) -> Kernel {
     k
 }
 
-/// Times `op` in a loop of `iters`, returning mean ns per call; takes
-/// the best of `reps` loops so a cold cache or scheduling hiccup cannot
-/// inflate a committed number.
-fn best_mean_ns(reps: usize, iters: usize, mut op: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            op();
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
 fn vfs_snapshot_ns(k: &Kernel) -> f64 {
-    best_mean_ns(5, 10_000, || {
+    let [ns] = best_mean_ns(5, 10_000, |_| {
         black_box(k.fs.snapshot());
-    })
+    });
+    ns
 }
 
 /// The eager counterfactual: visit every file and clone its content into
@@ -91,20 +79,22 @@ fn vfs_eager_copy_ns(k: &mut Kernel, files: usize) -> f64 {
     let paths: Vec<String> = (0..files)
         .map(|i| format!("/data/d{}/f{i}", i / 100))
         .collect();
-    best_mean_ns(3, 10, || {
+    let [ns] = best_mean_ns(3, 10, |_| {
         let mut total = 0usize;
         for p in &paths {
             total += black_box(k.read_file(p.as_bytes()).expect("exists")).len();
         }
         black_box(total);
-    })
+    });
+    ns
 }
 
 // `&mut`: each capture takes a fresh id from the never-rewound counter.
 fn kernel_snapshot_ns(k: &mut Kernel) -> f64 {
-    best_mean_ns(3, 20, || {
+    let [ns] = best_mean_ns(3, 20, |_| {
         black_box(k.snapshot());
-    })
+    });
+    ns
 }
 
 /// A three-file transactional session: create, overwrite, unlink.

@@ -12,9 +12,10 @@
 //! and aggregate throughput.
 //!
 //! `--smoke` is the CI gate: 256 tenants, solo-vs-fleet determinism spot
-//! checks, and a self-calibrating scaling ratio — aggregate throughput at
-//! `min(8, host cores)` threads must reach at least `0.7 ×` linear over
-//! the single-threaded run of the same fleet.
+//! checks, and a self-calibrating scaling ratio — the best aggregate
+//! throughput at `min(8, host cores)` threads must reach at least `0.7 ×`
+//! linear over the best single-threaded run of the same fleet, the two
+//! run in alternating rounds.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -47,15 +48,20 @@ fn render_json(report: &FleetReport, spin_up_ns: f64, (hits, misses): (u64, u64)
 fn smoke() -> ExitCode {
     const TENANTS: usize = 256;
     const POOL: usize = 16;
+    /// Parallel/serial round pairs behind the scaling ratio.
+    const ROUNDS: usize = 3;
     let threads = host_threads();
     let base = pool_base(POOL);
+    let run = |threads| {
+        let tenants = spawn_pool(&base, TENANTS, POOL, workload::tenant_agents);
+        Fleet::new(threads).run(tenants)
+    };
 
     // Determinism spot check: every 32nd tenant solo vs in-fleet. The
     // solo reference runs on a *private* base built identically to the
     // shared one (same image pool, its own exec cache) — base content is
     // part of the Observable (VFS digest, file counts), so it must match.
-    let tenants = spawn_pool(&base, TENANTS, POOL, workload::tenant_agents);
-    let (results, par) = Fleet::new(threads).run(tenants);
+    let (results, first) = run(threads);
     for id in (0..TENANTS).step_by(32) {
         let (outcome, obs) = solo_observable(
             &pool_base(POOL),
@@ -70,17 +76,21 @@ fn smoke() -> ExitCode {
         }
     }
 
-    // Scaling ratio: same fleet at 1 thread vs `threads`.
-    let serial_tenants = spawn_pool(&base, TENANTS, POOL, workload::tenant_agents);
-    let (_, ser) = Fleet::new(1).run(serial_tenants);
-    let ratio = par.syscalls_per_sec() / ser.syscalls_per_sec().max(1e-9);
+    // Scaling ratio: the same fleet at `threads` and at 1 thread, in
+    // alternating rounds so both sides see the same host windows; the
+    // best parallel rate over the best serial one.
+    let mut par = first.syscalls_per_sec();
+    let mut ser = 0f64;
+    for round in 0..ROUNDS {
+        if round > 0 {
+            par = par.max(run(threads).1.syscalls_per_sec());
+        }
+        ser = ser.max(run(1).1.syscalls_per_sec());
+    }
+    let ratio = par / ser.max(1e-9);
     let floor = 0.7 * threads as f64;
     println!(
-        "smoke: {} tenants, {} threads, {:.0} syscalls/s parallel vs {:.0} serial (ratio {ratio:.2}, floor {floor:.2})",
-        TENANTS,
-        threads,
-        par.syscalls_per_sec(),
-        ser.syscalls_per_sec(),
+        "smoke: {TENANTS} tenants, {threads} threads, best of {ROUNDS} rounds: {par:.0} syscalls/s parallel vs {ser:.0} serial (ratio {ratio:.2}, floor {floor:.2})",
     );
     if threads > 1 && ratio < floor {
         eprintln!("smoke: FAIL scaling ratio {ratio:.2} under the {floor:.2} floor");

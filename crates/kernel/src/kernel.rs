@@ -2,8 +2,7 @@
 //! and socket tables, the console and the virtual clock, and implements the
 //! bottom instance of the system interface.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -218,18 +217,6 @@ pub struct Kernel {
     pub(crate) wakeups: Vec<WakeEvent>,
     pub(crate) exit_log: HashMap<Pid, u32>,
     pub(crate) flocks: HashMap<Ino, FlockState>,
-    /// Pids currently `Runnable`, maintained on every state transition so
-    /// the scheduler's round-robin pick is a range query, not a scan.
-    pub(crate) run_queue: BTreeSet<Pid>,
-    /// Pids currently `Blocked`, so wakeup scans touch only waiters.
-    pub(crate) blocked_queue: BTreeSet<Pid>,
-    /// Min-heap of `(deadline_ns, pid)` interval-timer expirations.
-    /// Entries are lazily invalidated: an entry is live only while the
-    /// process's `itimer` still carries the same deadline.
-    pub(crate) timer_heap: BinaryHeap<Reverse<(u64, Pid)>>,
-    /// Min-heap of `(deadline_ns, pid)` blocked-`select` timeouts, lazily
-    /// invalidated against the process's actual wait channel.
-    pub(crate) select_heap: BinaryHeap<Reverse<(u64, Pid)>>,
     /// Scheduler hot-path counters (host-side; see [`PerfCounters`]).
     pub perf: PerfCounters,
     /// Total syscalls dispatched at the kernel level, for reports.
@@ -405,10 +392,6 @@ impl KernelBuilder {
             wakeups: Vec::new(),
             exit_log: HashMap::new(),
             flocks: HashMap::new(),
-            run_queue: BTreeSet::new(),
-            blocked_queue: BTreeSet::new(),
-            timer_heap: BinaryHeap::new(),
-            select_heap: BinaryHeap::new(),
             perf: PerfCounters::default(),
             total_syscalls: 0,
             total_insns: 0,
@@ -558,12 +541,10 @@ impl Kernel {
             usage: Usage::default(),
             itimer: None,
             name: name.to_vec(),
-            slice_left: 0,
             priority: 0,
             select_deadline: None,
         };
         self.procs.insert(pid, proc);
-        self.run_queue.insert(pid);
         pid
     }
 
@@ -638,7 +619,6 @@ impl Kernel {
         }
         if sig == Signal::SIGCONT && p.state == ProcState::Stopped {
             p.state = ProcState::Runnable;
-            self.run_queue.insert(pid);
             // A default-action SIGCONT's whole job was the resume.
             if matches!(
                 p.sig.action(sig).disposition,
@@ -680,8 +660,6 @@ impl Kernel {
         let entries = p.fds.drain();
         p.state = ProcState::Zombie(status);
         p.pending_trap = None;
-        self.run_queue.remove(&pid);
-        self.blocked_queue.remove(&pid);
         for e in entries {
             self.release_file(e.file);
         }

@@ -23,11 +23,9 @@ pub enum WaitChannel {
     Child,
     /// Any signal (`sigsuspend`).
     AnySignal,
-    /// `select`: any descriptor activity or the timeout.
-    Select {
-        /// Virtual-clock deadline in ns, `u64::MAX` for none.
-        deadline_ns: u64,
-    },
+    /// `select`: any descriptor activity or the timeout held in
+    /// [`Process::select_deadline`].
+    Select,
     /// Terminal input.
     TtyInput,
     /// A listening socket's backlog to become non-empty.
@@ -190,11 +188,10 @@ pub struct Process {
     pub itimer: Option<(u64, u64)>,
     /// Command name, for diagnostics and `trace` output.
     pub name: Vec<u8>,
-    /// Instructions left in the current scheduling slice.
-    pub slice_left: u32,
     /// Scheduling priority (`nice`); bookkeeping only.
     pub priority: i32,
-    /// Deadline stashed by a blocked `select`, in virtual ns.
+    /// Deadline of the `select` in progress, in virtual ns (`u64::MAX` for
+    /// none); kept across the call's restarts.
     pub select_deadline: Option<u64>,
 }
 
@@ -212,12 +209,10 @@ impl Process {
         self.euid == 0 || self.euid == other.euid || self.uid == other.uid
     }
 
-    /// Builds the `fork` child: identical machine state and descriptors,
-    /// but the address space is duplicated through
-    /// [`AddressSpace::fork_clone`], which copies only the regions the
-    /// parent has actually written instead of the whole space. The child
-    /// starts runnable with fresh usage counters, no timer, no pending
-    /// signals, and a 0 return value in its registers.
+    /// Builds the `fork` child: identical machine state, descriptors and
+    /// address space (whose clone copies only the regions the parent has
+    /// written). The child starts runnable with fresh usage counters, no
+    /// timer, no pending signals, and a 0 return value in its registers.
     #[must_use]
     pub fn fork_child(&self, child_pid: Pid) -> Process {
         let mut vm = self.vm.clone();
@@ -229,7 +224,7 @@ impl Process {
             ppid: self.pid,
             pgrp: self.pgrp,
             vm,
-            mem: self.mem.fork_clone(),
+            mem: self.mem.clone(),
             code: Arc::clone(&self.code),
             fused: Arc::clone(&self.fused),
             state: ProcState::Runnable,
@@ -246,7 +241,6 @@ impl Process {
             usage: Usage::default(),
             itimer: None,
             name: self.name.clone(),
-            slice_left: 0,
             priority: self.priority,
             select_deadline: None,
         }

@@ -7,11 +7,14 @@
 //! registered traps through per-process agent chains first — Figures 1-2
 //! through 1-4.
 //!
-//! [`run`] is the one scheduler. Each round picks a process from the
-//! kernel's runnable set, charges the virtual clock once by the batched
-//! retired count (bit-identical to per-instruction charging, since the
-//! per-instruction cost is a constant), and finds the next deadline
-//! through the timer and select heaps instead of scanning every process.
+//! [`run`] is the one scheduler. The process table is its only state:
+//! each round derives the runnable pick, the due interval timers, the
+//! wakeups and the next deadline from a scan of the live processes (no
+//! workload runs more than a handful at once), and charges the virtual
+//! clock once by the batched retired count (bit-identical to
+//! per-instruction charging, since the per-instruction cost is a
+//! constant). A select's timeout lives in
+//! [`Process::select_deadline`] alone.
 //! The [`Engine`] picks the loop a round runs:
 //!
 //! * [`Engine::Fused`] — production. When nothing could preempt between
@@ -25,8 +28,6 @@
 //! The differential tests and `ia-conform` require the two to agree on the
 //! complete [`crate::Observable`], virtual clock included.
 
-use std::cmp::Reverse;
-
 use ia_abi::signal::{DefaultAction, SigDisposition, Signal};
 use ia_abi::types::SigContext;
 use ia_abi::wire::Wire;
@@ -35,7 +36,7 @@ use ia_vm::fuse::{run_burst_fused, AnswerTable, FusedBurst, FUSED_KINDS};
 use ia_vm::machine::{run_slice, FastSpec, SliceEnd};
 
 use crate::kernel::{Engine, Kernel, SysOutcome, WakeEvent};
-use crate::process::{PendingTrap, Pid, ProcState, WaitChannel};
+use crate::process::{PendingTrap, Pid, ProcState, Process, WaitChannel};
 
 /// Instructions per scheduling slice.
 pub const SLICE: u32 = 100;
@@ -154,8 +155,8 @@ pub enum RunOutcome {
 /// through the burst gate, a run of back-to-back slices) in the kernel's
 /// [`Engine`]; accounting (virtual clock, `user_insns`, total instruction
 /// count) is charged once per round by the batched retired count.
-/// Scheduling decisions read the kernel's maintained runnable set and
-/// deadline heaps, so a round costs O(log procs) rather than O(procs).
+/// Scheduling decisions are read off the process table, so no index can
+/// fall out of step with it.
 pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) -> RunOutcome {
     let mut steps: u64 = 0;
     let mut last_pid: Pid = 0;
@@ -175,17 +176,13 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
                 wake_expired_selects(k);
                 continue;
             }
-            let blocked: Vec<Pid> = k
-                .blocked_queue
-                .iter()
-                .copied()
-                .filter(|pid| {
-                    matches!(
-                        k.procs.get(pid).map(|p| p.state),
-                        Some(ProcState::Blocked(_))
-                    )
-                })
+            let mut blocked: Vec<Pid> = k
+                .procs
+                .values()
+                .filter(|p| matches!(p.state, ProcState::Blocked(_)))
+                .map(|p| p.pid)
                 .collect();
+            blocked.sort_unstable();
             if !blocked.is_empty() {
                 return RunOutcome::Deadlock { blocked };
             }
@@ -232,10 +229,13 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
         let remaining = limits.max_steps.saturating_sub(steps).max(1);
         let fused_engine = k.engine == Engine::Fused;
         let burst = fused_engine
-            && k.run_queue.len() == 1
-            && k.timer_heap.is_empty()
-            && k.select_heap.is_empty()
-            && k.wakeups.is_empty();
+            && k.wakeups.is_empty()
+            && k.procs
+                .values()
+                .filter(|p| p.state == ProcState::Runnable)
+                .count()
+                == 1
+            && earliest_deadline(k).is_none();
         let (max, table) = if burst {
             let table = if k.fast_path {
                 answer_table(k, pid, router.fast_spec(k, pid))
@@ -421,13 +421,6 @@ fn dispatch<R: SyscallRouter>(
             p.state = ProcState::Blocked(ch);
             p.pending_trap = Some(PendingTrap { nr, args, restarts });
             p.usage.nvcsw += 1;
-            k.run_queue.remove(&pid);
-            k.blocked_queue.insert(pid);
-            if let WaitChannel::Select { deadline_ns } = ch {
-                if deadline_ns != u64::MAX {
-                    k.select_heap.push(Reverse((deadline_ns, pid)));
-                }
-            }
         }
     }
 }
@@ -486,8 +479,6 @@ fn deliver_signals<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid) {
                 DefaultAction::Ignore | DefaultAction::Continue => continue,
                 DefaultAction::Stop => {
                     p.state = ProcState::Stopped;
-                    k.run_queue.remove(&pid);
-                    k.blocked_queue.remove(&pid);
                     return;
                 }
                 DefaultAction::Terminate => {
@@ -505,10 +496,7 @@ fn deliver_signals<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid) {
                 }
                 if matches!(p.state, ProcState::Blocked(_)) {
                     p.state = ProcState::Runnable;
-                    k.blocked_queue.remove(&pid);
-                    k.run_queue.insert(pid);
                 }
-                let p = k.procs.get_mut(&pid).expect("present above");
                 // The mask the context restores: a suspended process goes
                 // back to its pre-sigsuspend mask.
                 let restore_mask = p.sig.suspend_saved.take().unwrap_or(p.sig.mask);
@@ -538,23 +526,23 @@ fn deliver_signals<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid) {
     }
 }
 
-/// True while `(deadline, pid)` is the live arming of `pid`'s interval
-/// timer; stale heap entries fail this and are discarded lazily.
-fn timer_entry_armed(k: &Kernel, deadline: u64, pid: Pid) -> bool {
-    k.procs.get(&pid).is_some_and(|p| {
-        !matches!(p.state, ProcState::Zombie(_)) && p.itimer.is_some_and(|(d, _)| d == deadline)
-    })
+/// The deadline of `p`'s interval timer while it is armed and `p` lives.
+fn timer_deadline(p: &Process) -> Option<u64> {
+    if matches!(p.state, ProcState::Zombie(_)) {
+        return None;
+    }
+    p.itimer.map(|(deadline, _)| deadline)
 }
 
-/// True while `(deadline, pid)` matches a live timed select.
-fn select_entry_waiting(k: &Kernel, deadline: u64, pid: Pid) -> bool {
-    k.procs.get(&pid).is_some_and(|p| {
-        matches!(p.state, ProcState::Blocked(WaitChannel::Select { deadline_ns })
-            if deadline_ns == deadline)
-    })
+/// The timeout of `p`'s blocked `select`, if it has one.
+fn select_timeout(p: &Process) -> Option<u64> {
+    match p.state {
+        ProcState::Blocked(WaitChannel::Select) => p.select_deadline.filter(|&d| d != u64::MAX),
+        _ => None,
+    }
 }
 
-/// Fires expired interval timers from the deadline heap.
+/// Fires expired interval timers in `(deadline, pid)` order.
 ///
 /// An overdue periodic timer fires once and is rescheduled *past* `now`,
 /// preserving its phase: `next = deadline + interval * periods_elapsed`.
@@ -563,147 +551,87 @@ fn select_entry_waiting(k: &Kernel, deadline: u64, pid: Pid) -> bool {
 /// refire it once per scheduler pass until it caught up.)
 fn fire_timers(k: &mut Kernel) {
     let now = k.clock.elapsed_ns();
-    while let Some(&Reverse((deadline, pid))) = k.timer_heap.peek() {
-        if !timer_entry_armed(k, deadline, pid) {
-            k.timer_heap.pop();
-            continue;
-        }
-        if deadline > now {
-            break;
-        }
-        k.timer_heap.pop();
-        let p = k.procs.get_mut(&pid).expect("armed entry");
-        let (_, interval) = p.itimer.expect("armed entry");
-        if interval > 0 {
-            let next = deadline + interval * ((now - deadline) / interval + 1);
-            p.itimer = Some((next, interval));
-            k.timer_heap.push(Reverse((next, pid)));
-        } else {
-            p.itimer = None;
-        }
+    let mut due: Vec<(u64, Pid)> = k
+        .procs
+        .values()
+        .filter_map(|p| timer_deadline(p).filter(|&d| d <= now).map(|d| (d, p.pid)))
+        .collect();
+    due.sort_unstable();
+    for (deadline, pid) in due {
+        let p = k.procs.get_mut(&pid).expect("listed");
+        let (_, interval) = p.itimer.expect("listed");
+        p.itimer = (interval > 0).then(|| {
+            (
+                deadline + interval * ((now - deadline) / interval + 1),
+                interval,
+            )
+        });
         k.perf.timer_fires += 1;
         let _ = k.post_signal(pid, Signal::SIGALRM);
     }
 }
 
 /// Moves blocked processes whose wakeup condition fired back to runnable.
-/// Only current waiters (the blocked queue) are examined.
 fn apply_wakeups(k: &mut Kernel) {
     let events = k.take_wakeups();
     if events.is_empty() {
         return;
     }
-    let blocked: Vec<(Pid, WaitChannel)> = k
-        .blocked_queue
-        .iter()
-        .filter_map(|&pid| match k.procs.get(&pid).map(|p| p.state) {
-            Some(ProcState::Blocked(ch)) => Some((pid, ch)),
-            _ => None,
-        })
-        .collect();
-    for (pid, ch) in blocked {
-        let woken = events.iter().any(|ev| wakes(*ev, ch, pid, k));
-        if woken {
-            if let Some(p) = k.procs.get_mut(&pid) {
+    for p in k.procs.values_mut() {
+        if let ProcState::Blocked(ch) = p.state {
+            if events.iter().any(|&ev| wakes(ev, ch, p)) {
                 p.state = ProcState::Runnable;
             }
-            k.blocked_queue.remove(&pid);
-            k.run_queue.insert(pid);
         }
     }
 }
 
-fn wakes(ev: WakeEvent, ch: WaitChannel, pid: Pid, k: &Kernel) -> bool {
+fn wakes(ev: WakeEvent, ch: WaitChannel, p: &Process) -> bool {
     match (ev, ch) {
         (WakeEvent::Pipe(a), WaitChannel::PipeReadable(b) | WaitChannel::PipeWritable(b)) => a == b,
-        (WakeEvent::ChildOf(parent), WaitChannel::Child) => parent == pid,
-        (WakeEvent::SignalTo(target), _) => {
-            // A deliverable signal interrupts any wait.
-            target == pid
-                && k.procs
-                    .get(&pid)
-                    .is_some_and(|p| p.sig.deliverable().is_some())
-        }
+        (WakeEvent::ChildOf(parent), WaitChannel::Child) => parent == p.pid,
+        // A deliverable signal interrupts any wait.
+        (WakeEvent::SignalTo(target), _) => target == p.pid && p.sig.deliverable().is_some(),
         (WakeEvent::Tty, WaitChannel::TtyInput) => true,
         (WakeEvent::Sock(_), WaitChannel::SockAccept) => true,
         // Selects wake conservatively on any I/O-ish event and re-poll.
-        (WakeEvent::Pipe(_) | WakeEvent::Tty | WakeEvent::Sock(_), WaitChannel::Select { .. }) => {
-            true
-        }
+        (WakeEvent::Pipe(_) | WakeEvent::Tty | WakeEvent::Sock(_), WaitChannel::Select) => true,
         _ => false,
     }
 }
 
-/// Wakes selects whose deadline has passed, from the deadline heap.
+/// Wakes selects whose timeout has passed.
 fn wake_expired_selects(k: &mut Kernel) {
     let now = k.clock.elapsed_ns();
-    while let Some(&Reverse((deadline, pid))) = k.select_heap.peek() {
-        if !select_entry_waiting(k, deadline, pid) {
-            k.select_heap.pop();
-            continue;
-        }
-        if deadline > now {
-            break;
-        }
-        k.select_heap.pop();
-        if let Some(p) = k.procs.get_mut(&pid) {
+    for p in k.procs.values_mut() {
+        if select_timeout(p).is_some_and(|d| d <= now) {
             p.state = ProcState::Runnable;
         }
-        k.blocked_queue.remove(&pid);
-        k.run_queue.insert(pid);
     }
 }
 
-/// Earliest future event that pure time passage will trigger: the minimum
-/// of the valid tops of the timer and select heaps.
-fn earliest_deadline(k: &mut Kernel) -> Option<u64> {
-    let timer = loop {
-        match k.timer_heap.peek() {
-            None => break None,
-            Some(&Reverse((deadline, pid))) => {
-                if timer_entry_armed(k, deadline, pid) {
-                    break Some(deadline);
-                }
-                k.timer_heap.pop();
-            }
-        }
-    };
-    let select = loop {
-        match k.select_heap.peek() {
-            None => break None,
-            Some(&Reverse((deadline, pid))) => {
-                if select_entry_waiting(k, deadline, pid) {
-                    break Some(deadline);
-                }
-                k.select_heap.pop();
-            }
-        }
-    };
-    match (timer, select) {
-        (Some(t), Some(s)) => Some(t.min(s)),
-        (t, None) => t,
-        (None, s) => s,
-    }
+/// Earliest future event that pure time passage will trigger: the first
+/// armed interval timer or timed `select`.
+fn earliest_deadline(k: &Kernel) -> Option<u64> {
+    k.procs
+        .values()
+        .flat_map(|p| timer_deadline(p).into_iter().chain(select_timeout(p)))
+        .min()
 }
 
-/// Round-robin pick from the runnable queue: the lowest runnable pid
-/// strictly greater than `last`, wrapping to the lowest runnable pid.
-/// Entries that are no longer runnable (which the queue invariants should
-/// prevent) are discarded rather than spun on.
-fn pick_runnable(k: &mut Kernel, last: Pid) -> Option<Pid> {
-    use std::ops::Bound;
-    loop {
-        let cand = k
-            .run_queue
-            .range((Bound::Excluded(last), Bound::Unbounded))
-            .next()
-            .copied()
-            .or_else(|| k.run_queue.iter().next().copied())?;
-        if is_runnable(k, cand) {
-            return Some(cand);
-        }
-        k.run_queue.remove(&cand);
-    }
+/// Round-robin pick: the lowest runnable pid strictly greater than
+/// `last`, wrapping to the lowest runnable pid.
+fn pick_runnable(k: &Kernel, last: Pid) -> Option<Pid> {
+    let runnable = || {
+        k.procs
+            .values()
+            .filter(|p| p.state == ProcState::Runnable)
+            .map(|p| p.pid)
+    };
+    runnable()
+        .filter(|&pid| pid > last)
+        .min()
+        .or_else(|| runnable().min())
 }
 
 impl Kernel {
@@ -719,9 +647,6 @@ impl Kernel {
 }
 
 #[cfg(test)]
-mod model;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::KernelBuilder;
@@ -734,8 +659,24 @@ mod tests {
     }
 
     fn arm_timer(k: &mut Kernel, pid: Pid, deadline: u64, interval: u64) {
-        k.procs.get_mut(&pid).unwrap().itimer = Some((deadline, interval));
-        k.timer_heap.push(Reverse((deadline, pid)));
+        k.proc_mut(pid).unwrap().itimer = Some((deadline, interval));
+    }
+
+    /// Parks `pid` in a `select` whose timeout is `deadline` (`u64::MAX`
+    /// for none), as `sys_select` leaves it.
+    fn block_in_select(k: &mut Kernel, pid: Pid, deadline: u64) {
+        let p = k.proc_mut(pid).unwrap();
+        p.state = ProcState::Blocked(WaitChannel::Select);
+        p.select_deadline = Some(deadline);
+    }
+
+    fn kernel_with_idle_procs(n: usize) -> Kernel {
+        let (mut k, _) = kernel_with_idle_proc();
+        let img = ia_vm::assemble("main: halt\n").unwrap();
+        for _ in 1..n {
+            k.spawn_image(&img, &[b"idle"], b"idle");
+        }
+        k
     }
 
     #[test]
@@ -843,30 +784,162 @@ mod tests {
         fire_timers(&mut k);
         assert_eq!(k.proc(pid).unwrap().itimer, None);
         assert_eq!(k.perf.timer_fires, 1);
-        assert!(k.timer_heap.is_empty() || earliest_deadline(&mut k).is_none());
+        assert_eq!(earliest_deadline(&k), None);
     }
 
     #[test]
-    fn cancelled_timer_entry_is_discarded_lazily() {
-        let (mut k, pid) = kernel_with_idle_proc();
-        arm_timer(&mut k, pid, 900, 0);
-        // The process disarms the timer; the heap entry goes stale.
-        k.procs.get_mut(&pid).unwrap().itimer = None;
-        k.clock.advance_ns(2_000);
-        fire_timers(&mut k);
-        assert_eq!(k.perf.timer_fires, 0);
-        assert!(!k.proc(pid).unwrap().sig.pending.contains(Signal::SIGALRM));
-        assert!(k.timer_heap.is_empty());
+    fn pick_is_round_robin_with_wrap() {
+        let mut k = kernel_with_idle_procs(4);
+        k.proc_mut(3).unwrap().state = ProcState::Blocked(WaitChannel::Child);
+        k.proc_mut(4).unwrap().state = ProcState::Stopped;
+        k.spawn_image(&ia_vm::assemble("main: halt\n").unwrap(), &[b"i"], b"i");
+        // Runnable: 1, 2, 5. The next runnable pid above `last`, wrapping.
+        let picks: Vec<_> = [0, 1, 2, 3, 5, 9]
+            .iter()
+            .map(|&last| pick_runnable(&k, last))
+            .collect();
+        assert_eq!(picks, [1, 2, 5, 5, 1, 1].map(Some));
     }
 
     #[test]
-    fn run_queue_tracks_process_lifecycle() {
-        let (mut k, pid) = kernel_with_idle_proc();
-        assert!(k.run_queue.contains(&pid));
-        let outcome = k.run_to_completion();
-        assert_eq!(outcome, RunOutcome::AllExited);
-        assert!(!k.run_queue.contains(&pid));
-        assert!(k.blocked_queue.is_empty());
+    fn terminated_process_is_never_picked() {
+        let mut k = kernel_with_idle_procs(3);
+        k.proc_mut(2).unwrap().ppid = 1;
+        // pid 2 stays a zombie for its parent; orphan pid 3 is reaped.
+        k.terminate(2, ia_abi::signal::wait_status_exited(0));
+        k.terminate(3, ia_abi::signal::wait_status_exited(0));
+        assert!(matches!(k.proc(2).unwrap().state, ProcState::Zombie(_)));
+        assert!(k.proc(3).is_err());
+        for last in 0..5 {
+            assert_eq!(pick_runnable(&k, last), Some(1), "after {last}");
+        }
+        k.terminate(1, ia_abi::signal::wait_status_exited(0));
+        assert_eq!(pick_runnable(&k, 0), None);
+        assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+    }
+
+    #[test]
+    fn earliest_deadline_spans_timers_and_timed_selects() {
+        let mut k = kernel_with_idle_procs(3);
+        assert_eq!(earliest_deadline(&k), None);
+        arm_timer(&mut k, 1, 900, 0);
+        block_in_select(&mut k, 2, 500);
+        block_in_select(&mut k, 3, u64::MAX);
+        assert_eq!(earliest_deadline(&k), Some(500));
+        // A select woken early (by I/O) keeps its deadline for the restart
+        // but no longer counts.
+        k.proc_mut(2).unwrap().state = ProcState::Runnable;
+        assert_eq!(earliest_deadline(&k), Some(900));
+        // Nor does a dead process's timer.
+        k.proc_mut(1).unwrap().state = ProcState::Zombie(0);
+        assert_eq!(earliest_deadline(&k), None);
+    }
+
+    #[test]
+    fn expired_select_wakes_and_untimed_one_waits() {
+        let mut k = kernel_with_idle_procs(2);
+        block_in_select(&mut k, 1, 500);
+        block_in_select(&mut k, 2, u64::MAX);
+        k.clock.advance_ns(499);
+        wake_expired_selects(&mut k);
+        assert!(!is_runnable(&k, 1), "not yet due");
+        k.clock.advance_ns(1);
+        wake_expired_selects(&mut k);
+        assert!(is_runnable(&k, 1), "due at its deadline");
+        assert!(!is_runnable(&k, 2), "no timeout");
+    }
+
+    #[test]
+    fn wakeups_move_only_matching_waiters() {
+        let mut k = kernel_with_idle_procs(3);
+        let (a, b) = (ia_vfs::PipeId(1), ia_vfs::PipeId(2));
+        k.proc_mut(1).unwrap().state = ProcState::Blocked(WaitChannel::PipeReadable(a));
+        k.proc_mut(2).unwrap().state = ProcState::Blocked(WaitChannel::PipeWritable(b));
+        block_in_select(&mut k, 3, u64::MAX);
+        k.wakeups.push(WakeEvent::Pipe(a));
+        apply_wakeups(&mut k);
+        // The pipe's waiter and (conservatively) the select wake.
+        assert!(is_runnable(&k, 1));
+        assert!(!is_runnable(&k, 2));
+        assert!(is_runnable(&k, 3));
+    }
+
+    #[test]
+    fn itimer_set_on_the_process_fires() {
+        // The process table is the only timer state: arming `itimer`
+        // directly (no `setitimer`) is enough for SIGALRM to arrive. Its
+        // default action kills the compute loop before it exits.
+        let img = ia_vm::assemble(
+            "main: li r10, 100000\nloop: addi r10, r10, -1\njnz r10, loop\nli r0, 0\nsys exit\n",
+        )
+        .unwrap();
+        let mut k = KernelBuilder::new().build();
+        let pid = k.spawn_image(&img, &[b"t"], b"t");
+        arm_timer(&mut k, pid, 1_000_000, 0);
+        assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+        assert_eq!(k.perf.timer_fires, 1);
+        assert_eq!(
+            k.exit_status(pid),
+            Some(ia_abi::signal::wait_status_signaled(Signal::SIGALRM))
+        );
+    }
+
+    #[test]
+    fn select_woken_by_io_leaves_the_burst_gate_open() {
+        // The parent blocks in a select with a 100 s timeout; the child's
+        // write wakes it long before. Once the child is reaped the parent
+        // runs alone, so its getpid loop is answered inside the burst.
+        let src = "
+.data
+tv:     .quad 100
+        .quad 0
+rset:   .space 8
+status: .space 8
+.text
+main:   sys pipe
+        mov r10, r0
+        mov r11, r2
+        sys fork
+        jz r0, child
+        li r3, 8            ; the read end, fd 3
+        la r1, rset
+        st r3, (r1)
+        li r0, 4
+        la r1, rset
+        li r2, 0
+        li r3, 0
+        la r4, tv
+        sys select
+        mov r12, r0
+        li r0, 0
+        la r1, status
+        li r2, 0
+        li r3, 0
+        sys wait4
+        li r9, 1000
+loop:   sys getpid
+        addi r9, r9, -1
+        jnz r9, loop
+        mov r0, r12
+        sys exit
+child:  li r9, 500          ; let the parent reach its select first
+spin:   addi r9, r9, -1
+        jnz r9, spin
+        mov r0, r11
+        la r1, rset
+        li r2, 1
+        sys write
+        li r0, 0
+        sys exit
+";
+        let img = ia_vm::assemble(src).unwrap();
+        let (k, _, pid) = run_default_and_reference(&img);
+        assert_eq!(
+            k.exit_status(pid),
+            Some(ia_abi::signal::wait_status_exited(1))
+        );
+        assert!(k.clock.elapsed_ns() < 1_000_000_000, "woken by I/O");
+        assert_eq!(k.fast_stats.hits(), 1000);
     }
 
     #[test]

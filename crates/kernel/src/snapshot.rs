@@ -54,13 +54,14 @@ pub struct ClientView {
 }
 
 /// A full capture of the kernel's world state: filesystem, process table
-/// (including every address space), descriptor and socket tables, console,
-/// scheduler queues, timers, clocks and counters — the whole [`Kernel`]
+/// (including every address space, timer and wait channel), descriptor and
+/// socket tables, console, clocks and counters — the whole [`Kernel`]
 /// value, cloned, minus its flight recorder.
 ///
 /// The filesystem part shares structure with the live kernel (O(1), see
-/// [`ia_vfs::FsSnapshot`]); every process's address space is copied whole,
-/// so the total cost is O(processes × address-space size).
+/// [`ia_vfs::FsSnapshot`]); each address space copies only the regions
+/// its process has written, so the total cost is O(processes × written
+/// bytes).
 ///
 /// [`Kernel::restore`] keeps the restoring kernel's host configuration —
 /// machine profile, engine, fast-path switch, flight recorder, exec cache
@@ -87,8 +88,8 @@ impl Kernel {
 
     /// Rewinds the world to `snap`. The host configuration listed on
     /// [`KernelSnapshot`] persists; everything else — filesystem,
-    /// processes, descriptors, sockets, console, queues, timers, clock,
-    /// counters — is restored bit-identically.
+    /// processes, descriptors, sockets, console, clock, counters — is
+    /// restored bit-identically.
     ///
     /// Callers holding router state (agent chains, pending upcall batches,
     /// compiled dispatch tables) must invalidate it too; see
@@ -192,31 +193,9 @@ impl Kernel {
     pub fn check_invariants(&self) -> Vec<String> {
         let mut bad = Vec::new();
 
-        // Scheduler queues and process states must agree.
-        for &pid in &self.run_queue {
-            match self.procs.get(&pid).map(|p| &p.state) {
-                Some(ProcState::Runnable) => {}
-                other => bad.push(format!("run_queue pid {pid} has state {other:?}")),
-            }
-        }
-        for &pid in &self.blocked_queue {
-            match self.procs.get(&pid).map(|p| &p.state) {
-                Some(ProcState::Blocked(_)) => {}
-                other => bad.push(format!("blocked_queue pid {pid} has state {other:?}")),
-            }
-        }
         for p in self.procs.values() {
-            match p.state {
-                ProcState::Runnable if !self.run_queue.contains(&p.pid) => {
-                    bad.push(format!("runnable pid {} missing from run_queue", p.pid));
-                }
-                ProcState::Blocked(_) if !self.blocked_queue.contains(&p.pid) => {
-                    bad.push(format!("blocked pid {} missing from blocked_queue", p.pid));
-                }
-                ProcState::Zombie(_) if p.fds.iter().count() != 0 => {
-                    bad.push(format!("zombie pid {} still holds descriptors", p.pid));
-                }
-                _ => {}
+            if matches!(p.state, ProcState::Zombie(_)) && p.fds.iter().count() != 0 {
+                bad.push(format!("zombie pid {} still holds descriptors", p.pid));
             }
         }
 
@@ -260,12 +239,6 @@ impl Kernel {
         }
         if self.sockets.live() != 0 {
             bad.push(format!("{} sockets leaked", self.sockets.live()));
-        }
-        if !self.run_queue.is_empty() || !self.blocked_queue.is_empty() {
-            bad.push(format!(
-                "scheduler queues not empty: run={:?} blocked={:?}",
-                self.run_queue, self.blocked_queue
-            ));
         }
         bad
     }

@@ -590,9 +590,7 @@ impl Kernel {
                 }
                 return Ok(SysOutcome::ok1(u64::from(count)));
             }
-            Ok(SysOutcome::Block(WaitChannel::Select {
-                deadline_ns: deadline,
-            }))
+            Ok(SysOutcome::Block(WaitChannel::Select))
         })();
         match r {
             Ok(o) => o,

@@ -35,7 +35,6 @@ impl Kernel {
             self.files.incref(f);
         }
         self.procs.insert(child_pid, child);
-        self.run_queue.insert(child_pid);
         SysOutcome::Done(Ok([u64::from(child_pid), 0]))
     }
 

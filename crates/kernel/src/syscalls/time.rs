@@ -103,9 +103,6 @@ impl Kernel {
             let p = self.proc_mut(pid)?;
             let old = p.itimer;
             p.itimer = new;
-            if let Some((deadline, _)) = new {
-                self.timer_heap.push(std::cmp::Reverse((deadline, pid)));
-            }
             if args[2] != 0 {
                 let it = match old {
                     Some((deadline, interval)) => ItimerVal {

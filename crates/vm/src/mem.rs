@@ -15,11 +15,12 @@ pub const DEFAULT_MEM_SIZE: usize = 1 << 20;
 /// A process's data/stack address space.
 ///
 /// Writes are tracked with two high-water marks — the top of the dirty
-/// data region and the bottom of the dirty stack region — so `fork` and
-/// `execve` touch only the bytes a process has actually used instead of
-/// the whole space. Reads of never-written memory return zeros either
-/// way, so the marks are invisible to programs.
-#[derive(Debug, Clone)]
+/// data region and the bottom of the dirty stack region — so a clone (for
+/// `fork` or a kernel snapshot) and `execve` touch only the bytes a
+/// process has actually used instead of the whole space. Reads of
+/// never-written memory return zeros either way, so the marks are
+/// invisible to programs.
+#[derive(Debug)]
 pub struct AddressSpace {
     mem: Vec<u8>,
     /// Current program break (top of the data/heap region).
@@ -28,6 +29,27 @@ pub struct AddressSpace {
     data_hwm: usize,
     /// Inclusive start of the dirty high (stack) region.
     stack_lwm: usize,
+}
+
+/// Same size, break and contents, but only the dirty data and stack
+/// regions are transferred; the rest of the copy is freshly zeroed (which
+/// the allocator provides without touching pages). Never-written bytes are
+/// zero by construction, so the copy is byte-for-byte identical to a full
+/// one.
+impl Clone for AddressSpace {
+    fn clone(&self) -> AddressSpace {
+        let mut mem = vec![0u8; self.mem.len()];
+        let hwm = self.data_hwm;
+        mem[..hwm].copy_from_slice(&self.mem[..hwm]);
+        let lwm = self.stack_lwm.max(hwm);
+        mem[lwm..].copy_from_slice(&self.mem[lwm..]);
+        AddressSpace {
+            mem,
+            brk: self.brk,
+            data_hwm: self.data_hwm,
+            stack_lwm: self.stack_lwm,
+        }
+    }
 }
 
 impl AddressSpace {
@@ -54,27 +76,6 @@ impl AddressSpace {
     pub fn live_bytes(&self) -> usize {
         let lwm = self.stack_lwm.max(self.data_hwm);
         self.data_hwm + (self.mem.len() - lwm)
-    }
-
-    /// A copy for `fork`: same size, break and contents, but only the
-    /// dirty data and stack regions are transferred; the rest of the
-    /// child's space is freshly zeroed (which the allocator provides
-    /// without touching pages). Never-written parent bytes are zero by
-    /// construction, so the child is byte-for-byte identical to a full
-    /// clone.
-    #[must_use]
-    pub fn fork_clone(&self) -> AddressSpace {
-        let mut mem = vec![0u8; self.mem.len()];
-        let hwm = self.data_hwm;
-        mem[..hwm].copy_from_slice(&self.mem[..hwm]);
-        let lwm = self.stack_lwm.max(hwm);
-        mem[lwm..].copy_from_slice(&self.mem[lwm..]);
-        AddressSpace {
-            mem,
-            brk: self.brk,
-            data_hwm: self.data_hwm,
-            stack_lwm: self.stack_lwm,
-        }
     }
 
     /// Total size in bytes.
@@ -271,12 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn fork_clone_is_byte_identical_but_bounded() {
+    fn clone_is_byte_identical_but_bounded() {
         let mut m = AddressSpace::new(1 << 16, 1024);
         assert_eq!(m.live_bytes(), 0);
         m.write_u64(100, 0xdead).unwrap();
         m.write_u64((1 << 16) - 16, 0xbeef).unwrap(); // stack octant
-        let c = m.fork_clone();
+        let c = m.clone();
         assert_eq!(c.brk(), m.brk());
         assert_eq!(c.size(), m.size());
         for addr in [0u64, 100, 5000, (1 << 16) - 16, (1 << 16) - 8] {
@@ -309,7 +310,7 @@ mod tests {
         let mut m = AddressSpace::new(size, 0);
         let boundary = (size - size / 8) as u64;
         m.write_bytes(boundary - 4, &[9; 8]).unwrap(); // straddles
-        let c = m.fork_clone();
+        let c = m.clone();
         assert_eq!(
             c.read_bytes(boundary - 4, 8).unwrap(),
             m.read_bytes(boundary - 4, 8).unwrap()
