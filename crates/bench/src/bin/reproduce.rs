@@ -25,45 +25,40 @@ use ia_bench::{
 /// ratio below the committed baseline before CI fails.
 const SMOKE_TOLERANCE: f64 = 0.20;
 
-/// Extracts a committed field of one scenario row — matched by name,
-/// engine, and fast-path flag — from the `BENCH_1.json` text.
+/// Extracts one scenario's committed speedup from the
+/// [`hostbench::SMOKE_SECTION`] object of the `BENCH_1.json` text.
 /// Hand-rolled: the workspace builds offline with no serialization
-/// dependency, and the document is our own line-per-scenario writer's
+/// dependency, and the document is our own line-per-entry writer's
 /// output.
-fn baseline_field(json: &str, name: &str, engine: &str, fast: bool, field: &str) -> Option<f64> {
+fn baseline_speedup(json: &str, name: &str) -> Option<f64> {
+    let header = format!("\"{}\": {{", hostbench::SMOKE_SECTION);
+    let key = format!("\"{name}\": ");
     json.lines()
-        .find(|l| {
-            l.contains(&format!("\"name\": \"{name}\""))
-                && l.contains(&format!("\"engine\": \"{engine}\""))
-                && l.contains(&format!("\"fast_path\": {fast}"))
-        })
-        .and_then(|l| {
-            let rest = l.split(&format!("\"{field}\": ")).nth(1)?;
-            rest.split([',', '}']).next()?.trim().parse().ok()
-        })
+        .skip_while(|l| !l.contains(&header))
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('}'))
+        .find_map(|l| l.split(&key).nth(1))
+        .and_then(|v| v.trim().trim_end_matches(',').parse().ok())
 }
 
-/// One smoke gate: compares the live throughput ratio of the default
+/// One smoke gate: compares the live paired speedup (see
+/// [`hostbench::run_smoke`]) of the default
 /// configuration (fused engine, fast path on) over the reference (plain
 /// engine, fast path off) against the committed one, failing beyond
-/// [`SMOKE_TOLERANCE`]. Both sides of each ratio are measured in the same
-/// host window, so a slow (or fast) CI host cancels out instead of
-/// tripping — or masking — the gate.
-fn smoke_gate(json: &str, what: &str, name: &str, field: &str, live: f64) -> bool {
-    let committed_guarded = baseline_field(json, name, "fused", true, field);
-    let committed_reference = baseline_field(json, name, "plain", false, field);
-    let (Some(guarded), Some(reference)) = (committed_guarded, committed_reference) else {
-        eprintln!("smoke: missing {name} default/reference rows in BENCH_1.json");
+/// [`SMOKE_TOLERANCE`]. Both sides of each repetition's ratio are
+/// measured back to back, so a slow (or fast) CI host cancels out
+/// instead of tripping — or masking — the gate.
+fn smoke_gate(json: &str, what: &str, name: &str, live: f64) -> bool {
+    let Some(committed) = baseline_speedup(json, name).filter(|&c| c > 0.0) else {
+        eprintln!(
+            "smoke: missing {name} in BENCH_1.json's {}",
+            hostbench::SMOKE_SECTION
+        );
         return false;
     };
-    if reference <= 0.0 {
-        eprintln!("smoke: degenerate {name} plain baseline in BENCH_1.json");
-        return false;
-    }
-    let committed = guarded / reference;
     let floor = committed * (1.0 - SMOKE_TOLERANCE);
     println!(
-        "smoke: {name}: live {what} ratio {live:.2}x vs committed {committed:.2}x (floor {floor:.2}x)"
+        "smoke: {name}: live {what} paired ratio {live:.2}x vs committed {committed:.2}x (floor {floor:.2}x)"
     );
     if live < floor {
         eprintln!(
@@ -109,20 +104,16 @@ fn smoke() {
             std::process::exit(1);
         }
     };
-    let (traps, traps_ref) = hostbench::run_smoke();
-    let (compute, compute_ref) = hostbench::run_smoke_compute();
     let ok = smoke_gate(
         &json,
         "traps/s",
         hostbench::SMOKE_SCENARIO,
-        "traps_per_sec",
-        traps.traps_per_sec / traps_ref.traps_per_sec.max(1e-9),
+        hostbench::run_smoke(),
     ) & smoke_gate(
         &json,
         "Minsns/s",
         hostbench::SMOKE_COMPUTE_SCENARIO,
-        "minsns_per_sec",
-        compute.minsns_per_sec / compute_ref.minsns_per_sec.max(1e-9),
+        hostbench::run_smoke_compute(),
     ) & txn_scaling_gate();
     if !ok {
         std::process::exit(1);
@@ -155,9 +146,7 @@ fn write_bench(path: &str, json: &str) {
     }
 }
 
-/// Measures the snapshot-cost + fleet document. Fleet first: spin-up
-/// latency is allocator-sensitive, so measure it on a fresh heap before
-/// the snapshot sweep churns it.
+/// Measures the snapshot-cost + fleet document.
 fn bench3() -> String {
     let fleet = fleetbench::run_all();
     snapbench::render_json(&snapbench::run_all(), &snapbench::txn_scaling(5), &fleet)

@@ -63,22 +63,17 @@ fn measure(tenants: usize, threads: usize) -> FleetSample {
 }
 
 /// Sweeps [`FLEET_SIZES`] at 1 thread and at `min(8, host cores)`
-/// threads (deduplicated on single-core hosts). Largest fleet first:
-/// spin-up latency is allocator-sensitive (dropping the first fleet's
-/// 1 MB address spaces retunes glibc's mmap threshold, after which
-/// spin-up allocations fall back to a churned sbrk heap), so the 10k+
-/// acceptance point must run on the fresh heap.
+/// threads (deduplicated on single-core hosts).
 #[must_use]
 pub fn run_all() -> Vec<FleetSample> {
     let par = workload::host_threads();
     let mut out = Vec::new();
-    for tenants in FLEET_SIZES.iter().rev().copied() {
+    for tenants in FLEET_SIZES {
+        out.push(measure(tenants, 1));
         if par > 1 {
             out.push(measure(tenants, par));
         }
-        out.push(measure(tenants, 1));
     }
-    out.reverse();
     out
 }
 

@@ -35,7 +35,8 @@ const COMPUTE_ITERS: u64 = 3_000_000;
 /// `getpid()` traps per trap-loop run.
 const TRAP_ITERS: u64 = 150_000;
 /// Timed repetitions per scenario, each running every configuration
-/// once; each row keeps its best (minimum-time) repetition.
+/// once; each row keeps its best (minimum-time) repetition, and each
+/// speedup is the median of the repetitions' paired ratios.
 const REPS: usize = 9;
 
 /// One measured configuration.
@@ -55,6 +56,10 @@ pub struct Scenario {
     pub traps: u64,
     /// Best host wall-clock seconds over the repetitions.
     pub host_secs: f64,
+    /// Host seconds of every repetition, in order. Rows of one scenario
+    /// share the repetition index, so `rep_secs[i]` of two rows were
+    /// timed back to back (see [`paired_speedup`]).
+    pub rep_secs: Vec<f64>,
     /// Millions of simulated instructions per host second.
     pub minsns_per_sec: f64,
     /// Traps per host second.
@@ -133,26 +138,28 @@ const REFERENCE: Config = (false, false);
 const DEFAULT: Config = (true, true);
 
 /// Measures one scenario under each of `configs`, interleaved rep by rep
-/// (every repetition runs each configuration once, in order), and keeps
-/// each row's fastest repetition, so a ratio's two sides are timed at
-/// most one repetition apart.
+/// (every repetition runs each configuration once, in order). Each row
+/// keeps its fastest repetition as its throughput and every repetition's
+/// time for [`paired_speedup`].
 fn interleaved<const N: usize>(
     name: &str,
     img: &Image,
     agent: AgentCfg,
     configs: [Config; N],
 ) -> [Scenario; N] {
-    let mut best = [(0, 0, f64::INFINITY); N];
+    let mut counts = [(0, 0); N];
+    let mut reps: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(REPS));
     for _ in 0..REPS {
-        for (best, &config) in best.iter_mut().zip(&configs) {
-            let r = measure_once(img, agent, config);
-            if r.2 < best.2 {
-                *best = r;
-            }
+        for ((count, reps), &config) in counts.iter_mut().zip(&mut reps).zip(&configs) {
+            let (insns, traps, secs) = measure_once(img, agent, config);
+            *count = (insns, traps);
+            reps.push(secs);
         }
     }
     std::array::from_fn(|i| {
-        let ((fused, fast), (insns, traps, host_secs)) = (configs[i], best[i]);
+        let ((fused, fast), (insns, traps)) = (configs[i], counts[i]);
+        let rep_secs = std::mem::take(&mut reps[i]);
+        let host_secs = rep_secs.iter().copied().fold(f64::INFINITY, f64::min);
         Scenario {
             name: name.to_string(),
             engine: if fused { "fused" } else { "plain" },
@@ -160,18 +167,39 @@ fn interleaved<const N: usize>(
             insns,
             traps,
             host_secs,
+            rep_secs,
             minsns_per_sec: insns as f64 / host_secs / 1e6,
             traps_per_sec: traps as f64 / host_secs,
         }
     })
 }
 
+/// How many times faster `quick` ran than `slow`: the median over
+/// repetitions of the two rows' paired time ratio. The two sides of each
+/// pair were timed back to back, so a host window that speeds up or slows
+/// down one repetition cancels out of its ratio, and the median ignores
+/// the odd repetition that ran alone in one.
+fn paired_speedup(slow: &Scenario, quick: &Scenario) -> f64 {
+    let mut ratios: Vec<f64> = slow
+        .rep_secs
+        .iter()
+        .zip(&quick.rep_secs)
+        .map(|(s, q)| s / q.max(1e-9))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    match ratios.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => ratios[n / 2],
+        n => (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0,
+    }
+}
+
 /// Runs every scenario on the reference, on the fused engine without the
 /// trap fast path, and on the default configuration — each later column
 /// turning on one stage of the hot path, so the committed numbers carry
 /// each stage's before/after. A scenario's three configurations are
-/// interleaved rep by rep (see [`interleaved`]), so every speedup divides
-/// rows measured in the same host windows.
+/// interleaved rep by rep (see [`interleaved`]), and every speedup is a
+/// [`paired_speedup`] of rows measured in the same host windows.
 #[must_use]
 pub fn run_all() -> Vec<Scenario> {
     let compute = compute_image(COMPUTE_ITERS);
@@ -203,39 +231,41 @@ pub fn run_all() -> Vec<Scenario> {
 /// default configuration (fused engine, fast path on).
 pub const SMOKE_SCENARIO: &str = "traps/no_agent";
 
+/// The `BENCH_1.json` section holding each scenario's default-over-reference
+/// [`paired_speedup`], against which `reproduce --smoke` gates.
+pub const SMOKE_SECTION: &str = "speedup_default_over_reference";
+
 /// The compute scenario the CI smoke check guards: the bare compute loop
 /// on the default configuration, gating interpreter throughput in
 /// Minsns/s.
 pub const SMOKE_COMPUTE_SCENARIO: &str = "compute/no_agent";
 
-/// Measures [`SMOKE_SCENARIO`] on the default configuration (fused engine,
-/// fast path on) *and* on the reference (plain engine, fast path off),
-/// interleaved rep by rep in the same host windows. The gate compares the
-/// live guarded/reference *ratio* against the committed one: shared CI
-/// hosts swing absolute throughput by 2× between frequency windows, and
-/// a ratio divides the window out while still catching hot-path
-/// regressions. Each row keeps its best repetition: a gate must not trip
-/// on a cold cache or a scheduling hiccup.
+/// Measures [`SMOKE_SCENARIO`] on the reference (plain engine, fast path
+/// off) and the default configuration (fused engine, fast path on),
+/// interleaved rep by rep in that order as in [`run_all`], and returns
+/// the default's [`paired_speedup`] over the reference. The gate compares
+/// it against the committed one: shared CI hosts swing absolute
+/// throughput by 2× between frequency windows, and a paired ratio
+/// divides the window out while still catching hot-path regressions.
 #[must_use]
-pub fn run_smoke() -> (Scenario, Scenario) {
+pub fn run_smoke() -> f64 {
     let traps = micro::loop_image(MicroCall::Getpid, TRAP_ITERS);
-    let [default, reference] =
-        interleaved(SMOKE_SCENARIO, &traps, AgentCfg::None, [DEFAULT, REFERENCE]);
-    (default, reference)
+    let [reference, default] =
+        interleaved(SMOKE_SCENARIO, &traps, AgentCfg::None, [REFERENCE, DEFAULT]);
+    paired_speedup(&reference, &default)
 }
 
-/// Measures [`SMOKE_COMPUTE_SCENARIO`] on the default configuration plus
-/// the reference, same pairing and best-of discipline as [`run_smoke`].
+/// [`run_smoke`] for [`SMOKE_COMPUTE_SCENARIO`].
 #[must_use]
-pub fn run_smoke_compute() -> (Scenario, Scenario) {
+pub fn run_smoke_compute() -> f64 {
     let compute = compute_image(COMPUTE_ITERS);
-    let [default, reference] = interleaved(
+    let [reference, default] = interleaved(
         SMOKE_COMPUTE_SCENARIO,
         &compute,
         AgentCfg::None,
-        [DEFAULT, REFERENCE],
+        [REFERENCE, DEFAULT],
     );
-    (default, reference)
+    paired_speedup(&reference, &default)
 }
 
 /// Renders the scenarios (plus per-stage speedups) as the
@@ -268,7 +298,8 @@ pub fn render_json(scenarios: &[Scenario]) -> String {
             .find(|s| s.name == name && s.engine == engine && s.fast_path == fast)
     };
     // Each ratio compares runs taken in this same process, turning on one
-    // hot-path stage at a time: execution engine, then trap fast path.
+    // hot-path stage at a time (execution engine, then trap fast path),
+    // then both at once: the ratio `reproduce --smoke` gates.
     for (section, slow, quick) in [
         (
             "speedup_fused_over_plain",
@@ -280,11 +311,12 @@ pub fn render_json(scenarios: &[Scenario]) -> String {
             ("fused", false),
             ("fused", true),
         ),
+        (SMOKE_SECTION, ("plain", false), ("fused", true)),
     ] {
         let mut speedups = Json::block();
         for name in &names {
             if let (Some(slow), Some(quick)) = (of(name, slow), of(name, quick)) {
-                speedups = speedups.field(name, Json::fixed(slow.host_secs / quick.host_secs, 2));
+                speedups = speedups.field(name, Json::fixed(paired_speedup(slow, quick), 2));
             }
         }
         doc = doc.field(section, speedups);

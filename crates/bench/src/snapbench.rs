@@ -16,8 +16,8 @@
 //!   sharing (and what an undo-log worst case degenerates to).
 //! * `kernel_snapshot_ns` — the full-world [`ia_kernel::Kernel::snapshot`]
 //!   over the same VFS with one resident process; dominated by the
-//!   process's 1 MB address space (whose clone copies only the written
-//!   regions), not the file count.
+//!   process's address space (whose clone copies only its written
+//!   extents), not the file count.
 //! * `txn_commit_host_ns` / `txn_abort_host_ns` — a fixed three-file
 //!   transactional session under [`ia_agents::TxnAgent`], run to
 //!   completion over a preloaded VFS of each size. Begin is the O(1)

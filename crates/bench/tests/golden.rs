@@ -29,6 +29,7 @@ fn scenarios() -> Vec<Scenario> {
                 insns,
                 traps,
                 host_secs: secs,
+                rep_secs: vec![secs * 1.5, secs],
                 minsns_per_sec: insns as f64 / secs / 1e6,
                 traps_per_sec: traps as f64 / secs,
             });

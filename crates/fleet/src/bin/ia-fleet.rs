@@ -15,7 +15,9 @@
 //! checks, and a self-calibrating scaling ratio — the best aggregate
 //! throughput at `min(8, host cores)` threads must reach at least `0.7 ×`
 //! linear over the best single-threaded run of the same fleet, the two
-//! run in alternating rounds.
+//! run in alternating rounds. Last, the process's peak resident set
+//! (`VmHWM`) must stay under 64 MiB; where `/proc` is absent the check
+//! is skipped and says so.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -96,8 +98,34 @@ fn smoke() -> ExitCode {
         eprintln!("smoke: FAIL scaling ratio {ratio:.2} under the {floor:.2} floor");
         return ExitCode::FAILURE;
     }
-    println!("smoke: ok (determinism x8, scaling gate)");
+
+    // Memory gate: after seven 256-tenant fleets, this process's peak
+    // resident set must stay small, since a tenant holds only the guest
+    // memory it has written.
+    match peak_rss_kib() {
+        Some(kib) => {
+            let mib = kib as f64 / 1024.0;
+            println!("smoke: peak RSS {mib:.1} MiB (limit {PEAK_RSS_LIMIT_MIB} MiB)");
+            if mib > PEAK_RSS_LIMIT_MIB as f64 {
+                eprintln!("smoke: FAIL peak RSS {mib:.1} MiB over {PEAK_RSS_LIMIT_MIB} MiB");
+                return ExitCode::FAILURE;
+            }
+        }
+        None => println!("smoke: /proc/self/status has no VmHWM; peak RSS check skipped"),
+    }
+    println!("smoke: ok (determinism x8, scaling gate, memory gate)");
     ExitCode::SUCCESS
+}
+
+/// The smoke's peak resident-set ceiling.
+const PEAK_RSS_LIMIT_MIB: u64 = 64;
+
+/// This process's peak resident set in KiB (`VmHWM`), where the host has
+/// a Linux-style `/proc`.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 fn main() -> ExitCode {

@@ -210,9 +210,11 @@ impl Process {
     }
 
     /// Builds the `fork` child: identical machine state, descriptors and
-    /// address space (whose clone copies only the regions the parent has
-    /// written). The child starts runnable with fresh usage counters, no
-    /// timer, no pending signals, and a 0 return value in its registers.
+    /// address space, whose clone copies only the extents the parent has
+    /// written and allocates nothing for the rest, so a fork costs
+    /// O(written bytes). The child starts runnable with fresh usage
+    /// counters, no timer, no pending signals, and a 0 return value in its
+    /// registers.
     #[must_use]
     pub fn fork_child(&self, child_pid: Pid) -> Process {
         let mut vm = self.vm.clone();

@@ -59,9 +59,10 @@ pub struct ClientView {
 /// value, cloned, minus its flight recorder.
 ///
 /// The filesystem part shares structure with the live kernel (O(1), see
-/// [`ia_vfs::FsSnapshot`]); each address space copies only the regions
-/// its process has written, so the total cost is O(processes × written
-/// bytes).
+/// [`ia_vfs::FsSnapshot`]); each address space holds, and its clone
+/// copies, only the data and stack extents its process has written, with
+/// no allocation of the full space, so the total cost is O(processes ×
+/// written bytes).
 ///
 /// [`Kernel::restore`] keeps the restoring kernel's host configuration —
 /// machine profile, engine, fast-path switch, flight recorder, exec cache

@@ -100,8 +100,8 @@ fn dup_shares_the_file_offset() {
         4
     );
     let mem = &k.proc(pid).unwrap().mem;
-    assert_eq!(mem.read_bytes(buf, 4).unwrap(), b"abcd");
-    assert_eq!(mem.read_bytes(buf + 8, 4).unwrap(), b"efgh");
+    assert_eq!(&mem.read_bytes(buf, 4).unwrap()[..], b"abcd");
+    assert_eq!(&mem.read_bytes(buf + 8, 4).unwrap()[..], b"efgh");
 }
 
 #[test]
@@ -754,8 +754,8 @@ fn readv_writev_scatter_gather() {
         7
     );
     let mem = &k.proc(pid).unwrap().mem;
-    assert_eq!(mem.read_bytes(0x5000, 2).unwrap(), b"ab");
-    assert_eq!(mem.read_bytes(0x5100, 5).unwrap(), b"cdefg");
+    assert_eq!(&mem.read_bytes(0x5000, 2).unwrap()[..], b"ab");
+    assert_eq!(&mem.read_bytes(0x5100, 5).unwrap()[..], b"cdefg");
 }
 
 #[test]
@@ -816,7 +816,7 @@ fn hard_links_visible_through_descriptor_io() {
     let n = ok_val(call(&mut k, pid, Sysno::Read, [fd, 0x3000, 32, 0, 0, 0]));
     assert_eq!(n, 12);
     assert_eq!(
-        k.proc(pid).unwrap().mem.read_bytes(0x3000, 12).unwrap(),
+        &k.proc(pid).unwrap().mem.read_bytes(0x3000, 12).unwrap()[..],
         b"shared-bytes"
     );
     // Unlink the original; the alias still works.
