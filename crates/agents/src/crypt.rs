@@ -275,7 +275,7 @@ mod tests {
         k.mkdir_p(b"/vault").unwrap();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, CryptAgent::boxed(b"/vault", b"k3y!"));
+        ia_interpose::push_agent(&mut k, pid, CryptAgent::boxed(b"/vault", b"k3y!"));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
 
         assert_eq!(k.console.output_string(), "attack at dawn");
@@ -313,7 +313,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, CryptAgent::boxed(b"/vault", b"k3y!"));
+        ia_interpose::push_agent(&mut k, pid, CryptAgent::boxed(b"/vault", b"k3y!"));
         k.run_with(&mut router);
         assert_eq!(k.read_file(b"/tmp/clear.txt").unwrap(), b"plain");
     }

@@ -749,7 +749,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let mut router = InterposedRouter::new();
         let (agent, handle) = DfsTraceAgent::new();
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"t"], b"t");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"t"], b"t");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
 
         let summary = handle.summary();
@@ -974,7 +974,7 @@ mod analysis_tests {
         let mut k = KernelBuilder::new().build();
         let mut router = InterposedRouter::new();
         let (agent, handle) = DfsTraceAgent::new();
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"w"], b"w");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"w"], b"w");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         let a = analyze(&handle.records());
         let hot = &a.per_path[&b"/tmp/hot".to_vec()];

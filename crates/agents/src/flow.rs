@@ -502,7 +502,7 @@ mod tests {
         k.write_file(b"/public/note", b"noteval!").unwrap();
         let mut router = InterposedRouter::new();
         let (agent, handle) = FlowGuardAgent::new(policy);
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"m"], b"m");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"m"], b"m");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         (k, handle)
     }

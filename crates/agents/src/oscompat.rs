@@ -197,7 +197,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"legacy"], b"legacy");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, OsCompatAgent::legacy_bsd());
+        ia_interpose::push_agent(&mut k, pid, OsCompatAgent::legacy_bsd());
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.read_file(b"/tmp/legacy.out").unwrap(), b"old world");
         assert_eq!(
@@ -226,7 +226,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"legacy"], b"legacy");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, OsCompatAgent::legacy_bsd());
+        ia_interpose::push_agent(&mut k, pid, OsCompatAgent::legacy_bsd());
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(
             k.exit_status(pid),
@@ -252,7 +252,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"hpux"], b"hpux");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, OsCompatAgent::foreign(200));
+        ia_interpose::push_agent(&mut k, pid, OsCompatAgent::foreign(200));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.console.output_string(), "HPUX");
     }

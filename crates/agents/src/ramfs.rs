@@ -616,7 +616,7 @@ mod tests {
         let files_before = k.fs.stats().files;
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, RamFsAgent::boxed(b"/ram"));
+        ia_interpose::push_agent(&mut k, pid, RamFsAgent::boxed(b"/ram"));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.console.output_string(), "kept in the agent");
         assert_eq!(
@@ -692,7 +692,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, RamFsAgent::boxed(b"/ram"));
+        ia_interpose::push_agent(&mut k, pid, RamFsAgent::boxed(b"/ram"));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         let names: Vec<&str> = k.console.output_string().leak().lines().collect();
         assert!(names.contains(&"a.txt"), "{names:?}");
@@ -734,7 +734,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, RamFsAgent::boxed(b"/ram"));
+        ia_interpose::push_agent(&mut k, pid, RamFsAgent::boxed(b"/ram"));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(
             k.exit_status(pid),

@@ -623,7 +623,7 @@ mod tests {
         k.write_file(b"/etc/public", b"hello").unwrap();
         let mut router = InterposedRouter::new();
         let (agent, handle) = SandboxAgent::new(policy);
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"evil"], b"evil");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"evil"], b"evil");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         (k, handle)
     }
@@ -767,7 +767,7 @@ mod tests {
                 }
             },
         );
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"m"], b"m");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"m"], b"m");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert!(k.read_file(b"/etc/tmpjunk").is_err(), "allowed unlink ran");
         assert!(
@@ -849,7 +849,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let mut router = InterposedRouter::new();
         let (agent, handle, _) = SandboxAgent::from_footprint(&img);
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"m"], b"m");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"m"], b"m");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.console.output_string(), "hi");
         assert!(handle.violations().is_empty(), "no false positives");

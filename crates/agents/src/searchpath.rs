@@ -149,7 +149,11 @@ mod tests {
         k.write_file(b"/second/tool", b"from-second").unwrap();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, SearchPathAgent::boxed(&[b"/pathdir=/first:/second"]));
+        ia_interpose::push_agent(
+            &mut k,
+            pid,
+            SearchPathAgent::boxed(&[b"/pathdir=/first:/second"]),
+        );
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.console.output_string(), "from-second");
 
@@ -161,7 +165,11 @@ mod tests {
         k.write_file(b"/second/tool", b"from-second").unwrap();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, SearchPathAgent::boxed(&[b"/pathdir=/first:/second"]));
+        ia_interpose::push_agent(
+            &mut k,
+            pid,
+            SearchPathAgent::boxed(&[b"/pathdir=/first:/second"]),
+        );
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.console.output_string(), "from-first!");
     }
@@ -194,7 +202,11 @@ mod tests {
         k.mkdir_p(b"/second").unwrap();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, SearchPathAgent::boxed(&[b"/pathdir=/first:/second"]));
+        ia_interpose::push_agent(
+            &mut k,
+            pid,
+            SearchPathAgent::boxed(&[b"/pathdir=/first:/second"]),
+        );
         k.run_with(&mut router);
         assert_eq!(k.read_file(b"/first/new.txt").unwrap(), b"x");
         assert!(k.read_file(b"/second/new.txt").is_err());

@@ -61,7 +61,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, TimeSymbolic::boxed());
+        ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(router.stats.intercepted, 4);
         assert_eq!(router.stats.passthrough, 0);
@@ -83,7 +83,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, TimeSymbolic::boxed());
+        ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
         k.run_with(&mut router);
 
         let delta = k.clock.elapsed_ns() - plain.clock.elapsed_ns();

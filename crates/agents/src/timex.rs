@@ -96,7 +96,7 @@ mod tests {
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
         if let Some(off) = offset {
-            router.push_agent(pid, Timex::boxed(off));
+            ia_interpose::push_agent(&mut k, pid, Timex::boxed(off));
         }
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         let status = k.exit_status(pid).unwrap();
@@ -124,7 +124,6 @@ mod tests {
         let mut router = InterposedRouter::new();
         let pid = ia_interpose::spawn_with_agent(
             &mut k,
-            &mut router,
             Timex::boxed(0),
             &[b"+100".to_vec()],
             &img,

@@ -354,15 +354,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let mut router = InterposedRouter::new();
         let (agent, handle) = TraceAgent::new();
-        spawn_with_agent(
-            &mut k,
-            &mut router,
-            Box::new(agent),
-            &[],
-            &img,
-            &[b"client"],
-            b"client",
-        );
+        spawn_with_agent(&mut k, Box::new(agent), &[], &img, &[b"client"], b"client");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         (k, handle)
     }

@@ -323,7 +323,7 @@ mod tests {
         if commit {
             handle.set_commit();
         }
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"m"], b"m");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"m"], b"m");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         (k, handle)
     }
@@ -403,7 +403,7 @@ mod tests {
         k.write_file(b"/home/doc.txt", b"original").unwrap();
         let mut router = InterposedRouter::new();
         let (agent, _handle) = TxnAgent::new();
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"m"], b"m");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"m"], b"m");
         k.run_with(&mut router);
         assert_eq!(k.console.output_string(), "updated");
         assert_eq!(
@@ -468,7 +468,7 @@ mod tests {
         let mut router = InterposedRouter::new();
         let (agent, handle) = TxnAgent::new();
         handle.set_abort();
-        ia_interpose::spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"m"], b"m");
+        ia_interpose::spawn_with_agent(&mut k, agent, &[], &img, &[b"m"], b"m");
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(handle.outcome(), Some(Decision::Abort));
         assert!(

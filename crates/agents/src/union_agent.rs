@@ -406,7 +406,7 @@ mod tests {
         let img = ia_vm::assemble(src).unwrap();
         let pid = k.spawn_image(&img, &[b"c"], b"c");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, UnionAgent::boxed(&[b"/u=/src:/obj"]));
+        ia_interpose::push_agent(k, pid, UnionAgent::boxed(&[b"/u=/src:/obj"]));
         let out = k.run_with(&mut router);
         (out, router)
     }

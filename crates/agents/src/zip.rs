@@ -405,7 +405,7 @@ mod tests {
         k.mkdir_p(b"/arch").unwrap();
         let pid = k.spawn_image(&img, &[b"z"], b"z");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, ZipAgent::boxed(b"/arch"));
+        ia_interpose::push_agent(&mut k, pid, ZipAgent::boxed(b"/arch"));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
 
         assert_eq!(k.console.output_string(), "x".repeat(48));

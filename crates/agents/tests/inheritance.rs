@@ -99,15 +99,7 @@ fn trace_follows_the_whole_process_tree_across_exec() {
     .unwrap();
     let mut router = InterposedRouter::new();
     let (agent, handle) = TraceAgent::with_log(b"/tmp/tree.trace");
-    spawn_with_agent(
-        &mut k,
-        &mut router,
-        Box::new(agent),
-        &[],
-        &parent,
-        &[b"p"],
-        b"p",
-    );
+    spawn_with_agent(&mut k, Box::new(agent), &[], &parent, &[b"p"], b"p");
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     let text = handle.text();
     assert!(text.contains("fork()"), "{text}");
@@ -162,7 +154,7 @@ fn crypt_state_survives_fork_without_corruption() {
     let img = assemble(src).unwrap();
     let pid = k.spawn_image(&img, &[b"c"], b"c");
     let mut router = InterposedRouter::new();
-    router.push_agent(pid, CryptAgent::boxed(b"/vault", b"kk"));
+    ia_interpose::push_agent(&mut k, pid, CryptAgent::boxed(b"/vault", b"kk"));
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     let mut at_rest = k.read_file(b"/vault/shared").unwrap();
     assert_eq!(at_rest.len(), 22);
@@ -209,7 +201,6 @@ fn union_view_holds_for_exece_binaries_found_through_the_view() {
     let mut router = InterposedRouter::new();
     let pid = spawn_with_agent(
         &mut k,
-        &mut router,
         UnionAgent::boxed(&[b"/view=/bin:/bin2"]),
         &[],
         &launcher,
@@ -248,10 +239,10 @@ fn deep_fork_trees_keep_one_chain_per_process() {
     let img = assemble(src).unwrap();
     let pid = k.spawn_image(&img, &[b"g"], b"g");
     let mut router = InterposedRouter::new();
-    router.push_agent(pid, TimeSymbolic::boxed());
+    ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert_eq!(router.stats.chains_forked, 2, "one clone per fork");
     for p in [pid, pid + 1, pid + 2] {
-        assert!(!router.has_chain(p), "chain for {p} cleaned up");
+        assert!(!ia_interpose::has_chain(&k, p), "chain for {p} cleaned up");
     }
 }

@@ -35,11 +35,11 @@ fn run_mix(agents: usize, symbolic: bool, narrow: bool) -> u64 {
     let mut router = InterposedRouter::new();
     for _ in 0..agents {
         if narrow {
-            router.push_agent(pid, ia_agents::Timex::boxed(1));
+            ia_interpose::push_agent(&mut k, pid, ia_agents::Timex::boxed(1));
         } else if symbolic {
-            router.push_agent(pid, ia_agents::TimeSymbolic::boxed());
+            ia_interpose::push_agent(&mut k, pid, ia_agents::TimeSymbolic::boxed());
         } else {
-            router.push_agent(pid, Box::new(RawNull));
+            ia_interpose::push_agent(&mut k, pid, Box::new(RawNull));
         }
     }
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);

@@ -25,7 +25,7 @@ fn main() {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"m"], b"m");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, TimeSymbolic::boxed());
+        ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
         case(GROUP, "intercepted_one_agent", SAMPLES, || {
             router.route(&mut k, pid, nr, [0; 6], 0)
         });
@@ -36,7 +36,7 @@ fn main() {
         let pid = k.spawn_image(&img, &[b"m"], b"m");
         let mut router = InterposedRouter::new();
         for _ in 0..3 {
-            router.push_agent(pid, TimeSymbolic::boxed());
+            ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
         }
         case(GROUP, "intercepted_three_agents", SAMPLES, || {
             router.route(&mut k, pid, nr, [0; 6], 0)
@@ -47,7 +47,7 @@ fn main() {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"m"], b"m");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, ia_agents::Timex::boxed(1)); // narrow interests
+        ia_interpose::push_agent(&mut k, pid, ia_agents::Timex::boxed(1)); // narrow interests
         case(GROUP, "passthrough_uninterested_agent", SAMPLES, || {
             router.route(&mut k, pid, nr, [0; 6], 0)
         });

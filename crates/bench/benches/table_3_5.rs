@@ -13,7 +13,7 @@ fn run(call: MicroCall, with_agent: bool) -> u64 {
     let pid = k.spawn_image(&micro::loop_image(call, 32), &[b"m"], b"m");
     let mut router = InterposedRouter::new();
     if with_agent {
-        router.push_agent(pid, TimeSymbolic::boxed());
+        ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
     }
     k.run_with(&mut router);
     k.clock.elapsed_ns()

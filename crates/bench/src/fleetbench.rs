@@ -63,10 +63,13 @@ fn measure(tenants: usize, threads: usize) -> FleetSample {
 }
 
 /// Sweeps [`FLEET_SIZES`] at 1 thread and at `min(8, host cores)`
-/// threads (deduplicated on single-core hosts).
+/// threads (deduplicated on single-core hosts), after one untimed run of
+/// the first row.
 #[must_use]
 pub fn run_all() -> Vec<FleetSample> {
     let par = workload::host_threads();
+    // A warm-up, so the first timed row does not run cold.
+    let _ = measure(FLEET_SIZES[0], 1);
     let mut out = Vec::new();
     for tenants in FLEET_SIZES {
         out.push(measure(tenants, 1));

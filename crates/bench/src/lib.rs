@@ -92,6 +92,7 @@ fn statements_in(rel_paths: &[&str]) -> usize {
 /// paper counts as the 2467-statement reusable base for `timex`/`trace`).
 pub const TOOLKIT_BASE_FILES: &[&str] = &[
     "crates/interpose/src/agent.rs",
+    "crates/interpose/src/chain.rs",
     "crates/interpose/src/interest.rs",
     "crates/interpose/src/loader.rs",
     "crates/interpose/src/router.rs",
@@ -276,7 +277,7 @@ fn host_interposition_costs() -> (f64, f64) {
     let mut k = KernelBuilder::new().build();
     let pid = k.spawn_image(&img, &[b"m"], b"m");
     let mut router = InterposedRouter::new();
-    router.push_agent(pid, TimeSymbolic::boxed());
+    ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
     let [direct_ns, down_ns, routed_ns] = best_mean_ns(HOST_REPS, HOST_ITERS, |leg| {
         black_box(match leg {
             0 => k.syscall(pid, getpid, [0; 6]),
@@ -314,7 +315,7 @@ fn measure_micro(call: MicroCall, agent: bool, profile: MachineProfile) -> f64 {
         let pid = k.spawn_image(&micro::loop_image(call, n), &[b"m"], b"m");
         let mut router = InterposedRouter::new();
         if agent {
-            router.push_agent(pid, TimeSymbolic::boxed());
+            ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
         }
         let out = k.run_with(&mut router);
         assert_eq!(out, ia_kernel::RunOutcome::AllExited, "{}", call.name());

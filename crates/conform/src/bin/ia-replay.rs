@@ -7,10 +7,11 @@
 //! be *re-executed*: restore the nearest world snapshot taken at or
 //! before `a`, run forward, and the recorder must emit the identical
 //! events again. This binary records a seeded conform program with
-//! periodic [`WorldSnapshot`]s, then proves exactly that.
+//! periodic kernel snapshots (agent chains and pending upcalls included),
+//! then proves exactly that.
 //!
 //! ```text
-//! ia-replay --selftest                    # tier-1 gate: windows across seeds
+//! ia-replay --selftest                    # tier-1 gate: windows across seeds and stacks
 //! ia-replay --seed 7 --from 120 --to 200  # replay one window, print events
 //! ```
 //!
@@ -25,8 +26,8 @@
 use std::process::ExitCode;
 
 use ia_conform::{sample, world, OpSet, Program, StackKind};
-use ia_interpose::{restore_world, snapshot_world, InterposedRouter, WorldSnapshot};
-use ia_kernel::{run, Kernel, KernelBuilder, Observable, RunLimits, RunOutcome};
+use ia_interpose::InterposedRouter;
+use ia_kernel::{run, Kernel, KernelBuilder, KernelSnapshot, Observable, RunLimits, RunOutcome};
 use ia_obs::{Obs, Stamped};
 
 /// Ring capacity while recording: large enough that no selftest run ever
@@ -41,7 +42,9 @@ struct Recording {
     /// `events[i]` has `seq == i` (the recording ring never drops).
     keys: Vec<String>,
     /// `(seq-at-capture, snapshot)`, ascending.
-    snaps: Vec<(u64, WorldSnapshot)>,
+    snaps: Vec<(u64, KernelSnapshot)>,
+    /// The agent stack the client ran under.
+    stack: StackKind,
     /// Step-chunk size the recorder ran with. Chunk boundaries are
     /// observable (an interrupted slice is accounted as two [`Slice`]
     /// events), so a replay must re-execute with the same chunking —
@@ -53,10 +56,10 @@ struct Recording {
     outcome: RunOutcome,
 }
 
-fn build_world(program: &Program) -> (Kernel, InterposedRouter) {
-    let (mut k, router) = world(program, KernelBuilder::new(), StackKind::Stacked.agents());
+fn build_world(program: &Program, stack: StackKind) -> Kernel {
+    let mut k = world(program, KernelBuilder::new(), stack.agents());
     k.obs.enable(RING);
-    (k, router)
+    k
 }
 
 /// Renders one stamped event with layer ids resolved through `obs`, so
@@ -81,13 +84,15 @@ fn event_key(obs: &Obs, e: &Stamped) -> String {
     format!("v={} {body}", e.vclock_ns)
 }
 
-/// Runs `program` to completion in `chunk`-step increments, snapshotting
-/// the world at every chunk boundary (including step 0).
-fn record(program: &Program, chunk: u64) -> Recording {
-    let (mut k, mut router) = build_world(program);
+/// Runs `program` under `stack` to completion in `chunk`-step
+/// increments, snapshotting the world at every chunk boundary (including
+/// step 0).
+fn record(program: &Program, stack: StackKind, chunk: u64) -> Recording {
+    let mut k = build_world(program, stack);
+    let mut router = InterposedRouter::new();
     let mut snaps = Vec::new();
     let outcome = loop {
-        snaps.push((k.obs.recorded(), snapshot_world(&mut k, &mut router)));
+        snaps.push((k.obs.recorded(), k.snapshot()));
         match run(&mut k, &mut router, RunLimits { max_steps: chunk }) {
             RunOutcome::StepLimit => continue,
             other => break other,
@@ -103,6 +108,7 @@ fn record(program: &Program, chunk: u64) -> Recording {
     Recording {
         keys,
         snaps,
+        stack,
         chunk,
         final_obs: k.observable(),
         outcome,
@@ -136,8 +142,8 @@ fn replay_window(program: &Program, rec: &Recording, a: u64, b: u64) -> Result<R
     // A fresh world, rewound to the snapshot. The recorder is not part of
     // the capture (observation must stay inert), so re-enabling it starts
     // a fresh stream whose seq 0 corresponds to reference seq `tag`.
-    let (mut k, mut router) = build_world(program);
-    restore_world(&mut k, &mut router, snap);
+    let mut k = build_world(program, rec.stack);
+    k.restore(snap);
     k.obs.enable(RING);
 
     let need = b - tag;
@@ -145,7 +151,7 @@ fn replay_window(program: &Program, rec: &Recording, a: u64, b: u64) -> Result<R
     while k.obs.recorded() < need && outcome == RunOutcome::StepLimit {
         outcome = run(
             &mut k,
-            &mut router,
+            &mut InterposedRouter::new(),
             RunLimits {
                 max_steps: rec.chunk,
             },
@@ -155,7 +161,7 @@ fn replay_window(program: &Program, rec: &Recording, a: u64, b: u64) -> Result<R
         return Err(format!(
             "replay from snapshot {} (seq {tag}) stopped with {outcome:?} after {} events, \
              needed {need} to cover [{a}, {b})",
-            snap.id(),
+            snap.id,
             k.obs.recorded()
         ));
     }
@@ -165,7 +171,7 @@ fn replay_window(program: &Program, rec: &Recording, a: u64, b: u64) -> Result<R
         while outcome == RunOutcome::StepLimit {
             outcome = run(
                 &mut k,
-                &mut router,
+                &mut InterposedRouter::new(),
                 RunLimits {
                     max_steps: rec.chunk,
                 },
@@ -198,7 +204,7 @@ fn replay_window(program: &Program, rec: &Recording, a: u64, b: u64) -> Result<R
             return Err(format!(
                 "window [{a}, {b}) diverged at seq {seq} (snapshot {}, local seq {}):\n  \
                  recorded: {want_key}\n  replayed: {got_key}",
-                snap.id(),
+                snap.id,
                 seq - tag
             ));
         }
@@ -206,24 +212,29 @@ fn replay_window(program: &Program, rec: &Recording, a: u64, b: u64) -> Result<R
     }
     Ok(Replayed {
         window,
-        snap_id: snap.id(),
+        snap_id: snap.id,
         snap_seq: *tag,
     })
 }
 
-/// The tier-1 gate: across several seeds, record with snapshots and
-/// replay full tails, interior windows, and windows starting strictly
-/// between snapshots. Everything must reproduce bit-identically.
+/// The tier-1 gate: across several seeds, under the stacked agents and
+/// under the batching observer (whose snapshots hold pending vectored
+/// upcalls), record with snapshots and replay full tails, interior
+/// windows, and windows starting strictly between snapshots. Everything
+/// must reproduce bit-identically.
 fn selftest() -> Result<(), String> {
     let mut windows = 0u64;
     let mut events = 0u64;
-    for seed in [1u64, 4, 11, 23] {
+    for (stack, seed) in [StackKind::Stacked, StackKind::Batched]
+        .into_iter()
+        .flat_map(|stack| [1u64, 4, 11, 23].map(|seed| (stack, seed)))
+    {
         let program = sample(seed, 18, OpSet::ALL);
-        let rec = record(&program, 100);
+        let rec = record(&program, stack, 100);
         let total = rec.keys.len() as u64;
         if rec.snaps.len() < 2 {
             return Err(format!(
-                "seed {seed}: only {} snapshot(s) — run too short to exercise time travel",
+                "{stack:?} seed {seed}: only {} snapshot(s) — run too short to exercise time travel",
                 rec.snaps.len()
             ));
         }
@@ -238,12 +249,12 @@ fn selftest() -> Result<(), String> {
             if a >= b.min(total) {
                 continue;
             }
-            let r = replay_window(&program, &rec, a, b)?;
+            let r = replay_window(&program, &rec, a, b).map_err(|d| format!("{stack:?}: {d}"))?;
             windows += 1;
             events += r.window.len() as u64;
         }
         println!(
-            "seed {seed}: {} events, {} snapshots, outcome {:?} — all windows reproduced",
+            "{stack:?} seed {seed}: {} events, {} snapshots, outcome {:?} — all windows reproduced",
             total,
             rec.snaps.len(),
             rec.outcome
@@ -318,7 +329,7 @@ fn main() -> ExitCode {
         };
     }
     let program = sample(o.seed, o.ops, OpSet::ALL);
-    let rec = record(&program, o.chunk);
+    let rec = record(&program, StackKind::Stacked, o.chunk);
     let total = rec.keys.len() as u64;
     println!(
         "recorded seed {}: {} events, {} snapshots, outcome {:?}",

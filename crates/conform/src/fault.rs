@@ -134,8 +134,8 @@ pub fn run_fault_case(program: &Program, case: FaultCase) -> Result<(), String> 
     // Fast path forced on: injected errors must stay consistent with
     // in-loop answers engaged.
     let (agent, _injected) = FaultInjector::boxed(case.target, case.every, case.errno);
-    let (mut k, mut router) = world(program, KernelBuilder::new().fast_path(true), vec![agent]);
-    let outcome = run_world(&mut k, &mut router);
+    let mut k = world(program, KernelBuilder::new().fast_path(true), vec![agent]);
+    let outcome = run_world(&mut k);
     if outcome != RunOutcome::AllExited {
         return Err(format!("[{case}] wedged the machine: {outcome:?}"));
     }
@@ -164,8 +164,8 @@ mod tests {
     fn injector_counts_and_injects() {
         let p = sample(9, 15, OpSet::ALL);
         let (agent, injected) = FaultInjector::boxed(Sysno::Write, 2, Errno::EIO);
-        let (mut k, mut router) = world(&p, KernelBuilder::new(), vec![agent]);
-        assert_eq!(run_world(&mut k, &mut router), RunOutcome::AllExited);
+        let mut k = world(&p, KernelBuilder::new(), vec![agent]);
+        assert_eq!(run_world(&mut k), RunOutcome::AllExited);
         assert!(injected.load(Ordering::Relaxed) > 0);
         assert!(k.check_quiescent().is_empty());
     }

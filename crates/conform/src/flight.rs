@@ -40,9 +40,9 @@ pub fn record_flight(repro: &Repro) -> String {
         (None, Some(case)) => ("tree-injector", vec![crate::tree::frontier_injector(case)]),
         (None, None) => ("stacked", StackKind::Stacked.agents()),
     };
-    let (mut k, mut router) = world(&repro.program, KernelBuilder::new(), agents);
+    let mut k = world(&repro.program, KernelBuilder::new(), agents);
     k.obs.enable(FLIGHT_CAPACITY);
-    let outcome = run_world(&mut k, &mut router);
+    let outcome = run_world(&mut k);
 
     let mut s = String::new();
     let _ = writeln!(

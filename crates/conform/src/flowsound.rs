@@ -51,7 +51,7 @@ fn record_flows(program: &Program, fault: Option<&FaultCase>) -> Result<Vec<Flow
     if let Some(case) = fault {
         agents.push(FaultInjector::boxed(case.target, case.every, case.errno).0);
     }
-    let (mut k, mut router) = world(program, KernelBuilder::new(), agents);
+    let mut k = world(program, KernelBuilder::new(), agents);
     // Pre-create and pre-label the pool files so labelled bytes exist from
     // the first read, whatever order the generated ops run in (nothing has
     // run yet).
@@ -62,7 +62,7 @@ fn record_flows(program: &Program, fault: Option<&FaultCase>) -> Result<Vec<Flow
             .map_err(|e| format!("seeding {path}: {}", e.name()))?;
         handle.seed_ino(ino, 1 << i);
     }
-    let outcome = run_world(&mut k, &mut router);
+    let outcome = run_world(&mut k);
     if outcome != RunOutcome::AllExited {
         return Err(format!("flow run did not complete: {outcome:?}"));
     }

@@ -26,11 +26,7 @@ pub const MAX_STEPS: u64 = 50_000_000;
 /// program's file pool ([`Program::setup`]), the program spawned as
 /// `conform`, and `agents` wrapped around it in order.
 #[must_use]
-pub fn world(
-    program: &Program,
-    config: KernelBuilder,
-    agents: Vec<Box<dyn Agent>>,
-) -> (Kernel, InterposedRouter) {
+pub fn world(program: &Program, config: KernelBuilder, agents: Vec<Box<dyn Agent>>) -> Kernel {
     let mut k = config.build();
     Program::setup(&mut k);
     let pid = k.spawn_image(&program.compile(), &[b"conform"], b"conform");
@@ -38,15 +34,15 @@ pub fn world(
     for a in agents {
         wrap_process(&mut k, &mut router, pid, a, &[]);
     }
-    (k, router)
+    k
 }
 
 /// Runs a [`world`] until every process has exited or [`MAX_STEPS`]
 /// instructions have retired.
-pub fn run_world(k: &mut Kernel, router: &mut InterposedRouter) -> RunOutcome {
+pub fn run_world(k: &mut Kernel) -> RunOutcome {
     run(
         k,
-        router,
+        &mut InterposedRouter::new(),
         RunLimits {
             max_steps: MAX_STEPS,
         },
@@ -111,8 +107,8 @@ pub fn run_config_full(
     agents: Vec<Box<dyn Agent>>,
 ) -> Observation {
     let config = KernelBuilder::new().fast_path(fast).engine(engine);
-    let (mut k, mut router) = world(program, config, agents);
-    let outcome = run_world(&mut k, &mut router);
+    let mut k = world(program, config, agents);
+    let outcome = run_world(&mut k);
     let leaks = if outcome == RunOutcome::AllExited {
         k.check_quiescent()
     } else {

@@ -75,8 +75,8 @@ pub fn check_soundness(program: &Program) -> Result<(), String> {
     let set = static_footprint(program);
 
     let (recorder, traced) = SyscallRecorder::new();
-    let (mut k, mut router) = world(program, KernelBuilder::new(), vec![Box::new(recorder)]);
-    let outcome = run_world(&mut k, &mut router);
+    let mut k = world(program, KernelBuilder::new(), vec![Box::new(recorder)]);
+    let outcome = run_world(&mut k);
     if outcome != RunOutcome::AllExited {
         return Err(format!("soundness run did not complete: {outcome:?}"));
     }

@@ -4,11 +4,11 @@
 //! The linear fault schedule ([`crate::fault`]) drives one trajectory per
 //! case — every n-th call of one syscall fails. Tree mode instead treats
 //! each intercepted call of the target syscall as a *decision site*: the
-//! world is captured once as a [`WorldSnapshot`] template (O(1) for the
-//! filesystem, thanks to structural sharing), and each leaf of the binary
-//! decision tree — a distinct fault/pass assignment for the first
-//! `depth` sites — runs in a world branched from that template by
-//! [`restore_world`]. The injector follows the leaf's decision string;
+//! world is captured once as a [`KernelSnapshot`] template (O(1) for the
+//! filesystem, thanks to structural sharing; the agent chains ride in the
+//! processes), and each leaf of the binary decision tree — a distinct
+//! fault/pass assignment for the first `depth` sites — runs in a world
+//! branched from that template by [`Kernel::restore`]. The injector follows the leaf's decision string;
 //! sites beyond the explored frontier pass through.
 //!
 //! Every leaf is executed twice — on the default configuration (fused
@@ -22,10 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ia_abi::{Errno, RawArgs, Sysno};
-use ia_interpose::{
-    restore_world, snapshot_world, Agent, InterestSet, InterposedRouter, SysCtx, WorldSnapshot,
-};
-use ia_kernel::{Engine, Kernel, KernelBuilder, RunOutcome, SysOutcome};
+use ia_interpose::{Agent, InterestSet, SysCtx};
+use ia_kernel::{Engine, Kernel, KernelBuilder, KernelSnapshot, RunOutcome, SysOutcome};
 
 use crate::gen::Program;
 use crate::oracle::{
@@ -114,12 +112,11 @@ impl Agent for TreeInjector {
     }
 }
 
-/// One kernel configuration's world: the live kernel+router pair and
-/// the pristine template every leaf branches from.
+/// One kernel configuration's world: the live kernel and the pristine
+/// template every leaf branches from.
 struct TreeWorld {
     k: Kernel,
-    router: InterposedRouter,
-    template: WorldSnapshot,
+    template: KernelSnapshot,
     site: Arc<AtomicU64>,
     schedule: Arc<Mutex<Vec<bool>>>,
     injected: Arc<AtomicU64>,
@@ -138,13 +135,12 @@ impl TreeWorld {
             injected: injected.clone(),
         });
         let config = KernelBuilder::new().fast_path(fast).engine(engine);
-        let (mut k, mut router) = world(program, config, vec![injector]);
+        let mut k = world(program, config, vec![injector]);
         // The template: everything is loaded but nothing has run. Restoring
         // it is the branch point for every leaf.
-        let template = snapshot_world(&mut k, &mut router);
+        let template = k.snapshot();
         TreeWorld {
             k,
-            router,
             template,
             site,
             schedule,
@@ -153,18 +149,18 @@ impl TreeWorld {
     }
 
     fn snapshot_id(&self) -> u64 {
-        self.template.id()
+        self.template.id
     }
 
     /// Branches a fresh world off the template and runs one leaf to
     /// completion. Returns the observation and the number of decision
     /// sites the leaf actually passed through.
     fn run_leaf(&mut self, schedule: &[bool]) -> Result<(Observation, u64), String> {
-        restore_world(&mut self.k, &mut self.router, &self.template);
+        self.k.restore(&self.template);
         *self.schedule.lock().unwrap() = schedule.to_vec();
         self.site.store(0, Ordering::Relaxed);
         self.injected.store(0, Ordering::Relaxed);
-        let outcome = run_world(&mut self.k, &mut self.router);
+        let outcome = run_world(&mut self.k);
         if outcome != RunOutcome::AllExited {
             return Err(format!("wedged the machine: {outcome:?}"));
         }

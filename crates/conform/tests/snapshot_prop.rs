@@ -10,10 +10,14 @@
 //! 2. **Branch isolation** — mutations in a branched world never leak
 //!    into the trunk or into sibling branches, and the trunk finishes
 //!    exactly as an unbranched run would.
+//! 3. **Inert capture** — taking snapshots of a run with a vectored upcall
+//!    pending changes nothing about it, and a restore from such a capture
+//!    replays the same end state.
 
+use ia_agents::PassThrough;
 use ia_conform::{sample, OpSet, Program};
-use ia_interpose::InterposedRouter;
-use ia_kernel::{run, Kernel, KernelBuilder, KernelSnapshot, Observable, RunLimits};
+use ia_interpose::{wrap_process, InterposedRouter};
+use ia_kernel::{run, Kernel, KernelBuilder, KernelSnapshot, Observable, RunLimits, RunOutcome};
 use ia_prng::Prng;
 
 fn world(seed: u64) -> (Kernel, InterposedRouter) {
@@ -127,6 +131,84 @@ fn branch_mutations_never_leak_into_trunk_or_siblings() {
             k.observable(),
             control.observable(),
             "seed {seed}: branching perturbed the trunk's future"
+        );
+    }
+}
+
+/// 120 `getpid`s under [`PassThrough`], which takes every call as a
+/// vectored upcall: 120 calls in 4 batches of at most 32.
+fn getpid_loop() -> (Kernel, PassThrough) {
+    let src = "
+main:   li r10, 120
+loop:   addi r10, r10, -1
+        sys getpid
+        jnz r10, loop
+        li r0, 0
+        sys exit
+";
+    let img = ia_vm::assemble(src).unwrap();
+    let mut k = KernelBuilder::new().build();
+    let pid = k.spawn_image(&img, &[b"loop"], b"loop");
+    let agent = PassThrough::boxed();
+    let probe = agent.probe();
+    wrap_process(&mut k, &mut InterposedRouter::new(), pid, agent, &[]);
+    (k, probe)
+}
+
+/// A capture, the agent's counters and the kernel's syscall count when it
+/// was taken.
+type Capture = (KernelSnapshot, (u64, u64), u64);
+
+/// Runs `k` to the end in `every`-step chunks, snapshotting it at every
+/// chunk boundary.
+fn run_capturing(k: &mut Kernel, probe: &PassThrough, every: u64) -> Vec<Capture> {
+    let mut captures = Vec::new();
+    let mut router = InterposedRouter::new();
+    while run(k, &mut router, RunLimits { max_steps: every }) == RunOutcome::StepLimit {
+        captures.push((k.snapshot(), probe.counters(), k.total_syscalls));
+    }
+    captures
+}
+
+#[test]
+fn snapshots_taken_mid_batch_change_nothing() {
+    let (mut straight, probe) = getpid_loop();
+    assert_eq!(
+        straight.run_with(&mut InterposedRouter::new()),
+        RunOutcome::AllExited
+    );
+    let end = straight.observable();
+    assert_eq!(probe.counters(), (4, 120), "4 vectored upcalls, 120 calls");
+
+    for every in [7, 13, 50] {
+        let (mut k, probe) = getpid_loop();
+        let captures = run_capturing(&mut k, &probe, every);
+        assert_eq!(
+            k.observable(),
+            end,
+            "every {every}: snapshots changed the run"
+        );
+        assert_eq!(probe.counters(), (4, 120), "every {every}: upcalls changed");
+
+        // A capture holding a pending batch: the kernel had executed more
+        // calls than the agent had observed.
+        let (snap, at_capture, syscalls) = captures
+            .iter()
+            .find(|(_, (_, calls), syscalls)| syscalls > calls && *calls > 0)
+            .expect("a capture taken mid-batch");
+        assert!(*syscalls > at_capture.1);
+        k.restore(snap);
+        let before = probe.counters();
+        assert_eq!(
+            k.run_with(&mut InterposedRouter::new()),
+            RunOutcome::AllExited
+        );
+        assert_eq!(k.observable(), end, "every {every}: replay diverged");
+        let after = probe.counters();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (4 - at_capture.0, 120 - at_capture.1),
+            "every {every}: the replay delivered a different set of upcalls"
         );
     }
 }

@@ -561,7 +561,8 @@ mod tests {
         let img = ia_vm::assemble(src).unwrap();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(
+        ia_interpose::push_agent(
+            &mut k,
             pid,
             Box::new(Symbolic::new(FsAgent::new("redirect", Redirect))),
         );
@@ -595,7 +596,8 @@ mod tests {
         let img = ia_vm::assemble(src).unwrap();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(
+        ia_interpose::push_agent(
+            &mut k,
             pid,
             Box::new(Symbolic::new(FsAgent::new("redirect", Redirect))),
         );

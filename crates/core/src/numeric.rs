@@ -110,7 +110,7 @@ mod tests {
         let mut remap = RemapAgent::new();
         remap.map_range(200, 260, -200); // foreign = native + 200
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, Box::new(remap));
+        ia_interpose::push_agent(&mut k, pid, Box::new(remap));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.console.output_string(), "foreign");
     }
@@ -148,7 +148,7 @@ mod tests {
         let mut remap = RemapAgent::new();
         remap.map_range(200, 260, -200);
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, Box::new(remap));
+        ia_interpose::push_agent(&mut k, pid, Box::new(remap));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(router.stats.chains_forked, 1);
         assert_eq!(k.console.output_string(), "child");

@@ -384,7 +384,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, Box::new(Symbolic::new(Null)));
+        ia_interpose::push_agent(&mut k, pid, Box::new(Symbolic::new(Null)));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
 
         assert_eq!(plain.console.output_string(), k.console.output_string());
@@ -416,7 +416,7 @@ mod tests {
         let mut k = KernelBuilder::new().build();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, Box::new(Symbolic::new(PidPlus(40))));
+        ia_interpose::push_agent(&mut k, pid, Box::new(Symbolic::new(PidPlus(40))));
         k.run_with(&mut router);
         let status = k.exit_status(pid).unwrap();
         assert_eq!(status >> 8, u64::from(pid) as u32 + 40);

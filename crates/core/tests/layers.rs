@@ -137,7 +137,8 @@ fn dup_shares_the_open_object_and_only_the_last_close_is_final() {
     let counting = Counting::default();
     let events = counting.events.clone();
     let mut router = InterposedRouter::new();
-    router.push_agent(
+    ia_interpose::push_agent(
+        &mut k,
         pid,
         Box::new(Symbolic::new(FsAgent::new("counting", counting))),
     );

@@ -2,10 +2,10 @@
 //!
 //! The paper's agents are per-process; the north star is "millions of
 //! users". This crate closes the gap between one single-threaded `Kernel`
-//! and a *fleet* of them: every tenant is a whole world — kernel, router,
-//! agent chains — that is [`Send`] and cheap to mass-instantiate, and the
-//! [`Fleet`] drives thousands of them across host threads in bounded-step
-//! quanta.
+//! and a *fleet* of them: every tenant is a whole world — one kernel,
+//! whose processes carry their agent chains — that is [`Send`] and cheap
+//! to mass-instantiate, and the [`Fleet`] drives thousands of them across
+//! host threads in bounded-step quanta.
 //!
 //! # Sharing (what tenants have in common)
 //!
@@ -119,26 +119,25 @@ impl FleetBase {
     }
 }
 
-/// One tenant: a whole world (kernel + router + agent chains), parked
-/// between quanta. `Tenant` is `Send` — the pool migrates it freely.
+/// One tenant: a whole world — one kernel, whose processes carry their
+/// agent chains — parked between quanta. `Tenant` is `Send` — the pool
+/// migrates it freely. Each quantum runs through a fresh
+/// [`InterposedRouter`], which holds only host-side counters.
 pub struct Tenant {
     /// Caller-chosen identity (index into the fleet's result vector).
     pub id: usize,
     /// The tenant's kernel.
     pub kernel: Kernel,
-    /// The tenant's interposition router.
-    pub router: InterposedRouter,
     turns: u64,
 }
 
 impl Tenant {
     /// Wraps an already-assembled world.
     #[must_use]
-    pub fn new(id: usize, kernel: Kernel, router: InterposedRouter) -> Tenant {
+    pub fn new(id: usize, kernel: Kernel) -> Tenant {
         Tenant {
             id,
             kernel,
-            router,
             turns: 0,
         }
     }
@@ -161,7 +160,7 @@ impl Tenant {
         for a in agents {
             wrap_process(&mut kernel, &mut router, pid, a, &[]);
         }
-        Tenant::new(id, kernel, router)
+        Tenant::new(id, kernel)
     }
 
     /// Like [`Tenant::spawn`], but loading the client from `path` in the
@@ -182,7 +181,7 @@ impl Tenant {
         for a in agents {
             wrap_process(&mut kernel, &mut router, pid, a, &[]);
         }
-        Tenant::new(id, kernel, router)
+        Tenant::new(id, kernel)
     }
 }
 
@@ -341,7 +340,7 @@ impl Fleet {
                             .saturating_sub(t.turns.saturating_mul(fleet.quantum));
                         let outcome = run(
                             &mut t.kernel,
-                            &mut t.router,
+                            &mut InterposedRouter::new(),
                             RunLimits {
                                 max_steps: fleet.quantum.min(budget_left.max(1)),
                             },
@@ -402,7 +401,11 @@ pub fn solo_observable(
     max_steps: u64,
 ) -> (RunOutcome, Observable) {
     let mut t = Tenant::spawn_path(base, 0, path, argv, agents);
-    let outcome = run(&mut t.kernel, &mut t.router, RunLimits { max_steps });
+    let outcome = run(
+        &mut t.kernel,
+        &mut InterposedRouter::new(),
+        RunLimits { max_steps },
+    );
     (outcome, t.kernel.observable())
 }
 

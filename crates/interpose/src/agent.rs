@@ -25,8 +25,8 @@ pub enum SignalVerdict {
 /// `ia-toolkit` crate layers typed, object-structured interfaces on top;
 /// almost no agent implements this trait directly.
 ///
-/// Agents are [`Send`]: a tenant (kernel + router + chains) migrates
-/// between host threads in the fleet's work-stealing pool, so no agent may
+/// Agents are [`Send`]: a tenant (one kernel, whose processes carry their
+/// chains) migrates between host threads in the fleet's work-stealing pool, so no agent may
 /// hold thread-pinned state (`Rc`, `RefCell`, raw pointers). State shared
 /// between an agent and its forked clones or a host-side handle must use
 /// `Arc<Mutex<…>>`/atomics — and such sharing must stay *within* one
@@ -37,6 +37,12 @@ pub trait Agent: Send {
 
     /// The trap numbers this agent intercepts. Traps outside the union of
     /// all chained agents' interests bypass the chain entirely.
+    ///
+    /// Interests are read when the chain changes — install, [`with_chain`],
+    /// fork, and every snapshot, branch or restore, which copy the chain —
+    /// and the union compiled then gates every trap until the next change.
+    ///
+    /// [`with_chain`]: crate::with_chain
     fn interests(&self) -> InterestSet;
 
     /// One-time initialization when the agent is loaded around a process.
@@ -57,12 +63,10 @@ pub trait Agent: Send {
         SignalVerdict::Deliver
     }
 
-    /// True when [`Agent::interests`] never changes over the agent's
-    /// lifetime. The router compiles a fixed-interest chain's batchable
-    /// numbers and in-loop answer verdicts at install time; an agent whose
-    /// interests can vary must return `false`, which turns off vectored
-    /// upcalls and the in-loop fast path for its process, so the chain walk
-    /// re-queries `interests()` on every intercepted trap.
+    /// Nothing reads this: every chain's interests are compiled when the
+    /// chain changes (see [`Agent::interests`]). It remains only because an
+    /// out-of-workspace delegating agent (the `perfbench` probe) still
+    /// forwards it.
     fn interests_fixed(&self) -> bool {
         true
     }

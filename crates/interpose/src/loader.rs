@@ -12,45 +12,38 @@ use ia_kernel::{Kernel, Pid};
 use ia_vm::Image;
 
 use crate::agent::{Agent, SysCtx};
+use crate::chain::{flush_pending, push_agent, take_chain};
 use crate::router::InterposedRouter;
 
 /// Wraps `agent` around an existing process: pushes it on top of the
-/// chain, charges the agent start-up cost, and runs `init`.
+/// chain the process carries, charges the agent start-up cost, and runs
+/// `init`. The router argument is unused: the chain lives in the kernel.
 pub fn wrap_process(
     k: &mut Kernel,
-    router: &mut InterposedRouter,
+    _router: &mut InterposedRouter,
     pid: Pid,
     mut agent: Box<dyn Agent>,
     agent_args: &[Vec<u8>],
 ) {
-    // Installing an agent mutates the chain: any batched calls must be
+    // Installing an agent changes the chain: any batched calls must be
     // observed by the old configuration first.
-    router.flush_pending(k, pid);
+    flush_pending(k, pid);
     let cost = k.profile.agent_startup_ns;
     k.clock.advance_ns(cost);
     if let Ok(p) = k.proc_mut(pid) {
         p.usage.sys_ns += cost;
     }
     // init runs with the *existing* chain below the new agent.
-    let inited = router
-        .with_chain(pid, |agents| {
-            let mut ctx = SysCtx::new(k, pid, agents, 0);
-            agent.init(&mut ctx, agent_args);
-        })
-        .is_some();
-    if !inited {
-        let mut below: Vec<Box<dyn Agent>> = Vec::new();
-        let mut ctx = SysCtx::new(k, pid, &mut below, 0);
-        agent.init(&mut ctx, agent_args);
-    }
-    router.push_agent(pid, agent);
+    let mut chain = take_chain(k, pid).unwrap_or_default();
+    agent.init(&mut SysCtx::new(k, pid, &mut chain.agents, 0), agent_args);
+    k.set_emulation(pid, chain);
+    push_agent(k, pid, agent);
 }
 
 /// Spawns `image` as a fresh process already wrapped by `agent` — the
 /// common `agent_loader prog args...` invocation.
 pub fn spawn_with_agent(
     k: &mut Kernel,
-    router: &mut InterposedRouter,
     agent: Box<dyn Agent>,
     agent_args: &[Vec<u8>],
     image: &Image,
@@ -58,7 +51,7 @@ pub fn spawn_with_agent(
     name: &[u8],
 ) -> Pid {
     let pid = k.spawn_image(image, argv, name);
-    wrap_process(k, router, pid, agent, agent_args);
+    wrap_process(k, &mut InterposedRouter::new(), pid, agent, agent_args);
     pid
 }
 
@@ -66,14 +59,13 @@ pub fn spawn_with_agent(
 /// simulated filesystem, exactly as the paper's loader did.
 pub fn load_with_agent(
     k: &mut Kernel,
-    router: &mut InterposedRouter,
     agent: Box<dyn Agent>,
     agent_args: &[Vec<u8>],
     path: &[u8],
     argv: &[&[u8]],
 ) -> Result<Pid, Errno> {
     let pid = k.spawn(path, argv)?;
-    wrap_process(k, router, pid, agent, agent_args);
+    wrap_process(k, &mut InterposedRouter::new(), pid, agent, agent_args);
     Ok(pid)
 }
 
@@ -119,7 +111,6 @@ mod tests {
         let before = k.clock.elapsed_ns();
         let pid = spawn_with_agent(
             &mut k,
-            &mut router,
             Box::new(InitProbe {
                 inited_with: vec![],
             }),
@@ -129,7 +120,7 @@ mod tests {
             b"client",
         );
         assert!(k.clock.elapsed_ns() - before >= k.profile.agent_startup_ns);
-        assert!(router.has_chain(pid));
+        assert!(crate::has_chain(&k, pid));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     }
 
@@ -141,7 +132,6 @@ mod tests {
         let mut router = InterposedRouter::new();
         let pid = load_with_agent(
             &mut k,
-            &mut router,
             Box::new(InitProbe {
                 inited_with: vec![],
             }),
@@ -158,7 +148,6 @@ mod tests {
         assert_eq!(
             load_with_agent(
                 &mut k,
-                &mut router,
                 Box::new(InitProbe {
                     inited_with: vec![]
                 }),

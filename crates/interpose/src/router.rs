@@ -1,13 +1,11 @@
-//! The interposed router: attaches agent chains to the scheduler's trap
-//! path.
-
-use std::collections::HashMap;
+//! The interposed router: runs traps through the agent chains the kernel
+//! keeps in each process.
 
 use ia_abi::{RawArgs, Signal, Sysno};
-use ia_kernel::{BatchCall, FastSpec, Kernel, KernelSnapshot, Pid, SysOutcome, SyscallRouter};
+use ia_kernel::{BatchCall, FastSpec, Kernel, Pid, SysOutcome, SyscallRouter};
 
 use crate::agent::{dispatch_chain, signal_chain, Agent, SysCtx};
-use crate::interest::InterestSet;
+use crate::chain::{as_chain, chain, has_chain, into_chain, take_chain, Chain, PendingBatch};
 
 /// Maximum calls buffered in one vectored upcall before it is flushed.
 pub const BATCH_CAP: usize = 32;
@@ -25,113 +23,10 @@ pub struct RouterStats {
     pub chains_forked: u64,
 }
 
-/// Consecutive same-number calls awaiting delivery as one vectored upcall.
-struct PendingBatch {
-    nr: u32,
-    calls: Vec<BatchCall>,
-}
-
-/// One process's agent chain plus everything compiled from it at
-/// install/modify time: the interest union, the batchable-number set, and
-/// any pending vectored upcall.
-struct Chain {
-    agents: Vec<Box<dyn Agent>>,
-    interest: InterestSet,
-    /// Numbers where every interested agent accepts vectored upcalls.
-    batchable: InterestSet,
-    /// All agents report fixed interests, so `batchable` and the in-loop
-    /// answer verdicts are trustworthy between mutations.
-    fixed: bool,
-    pending: Option<PendingBatch>,
-}
-
-impl Chain {
-    fn new() -> Chain {
-        Chain {
-            agents: Vec::new(),
-            interest: InterestSet::NONE,
-            batchable: InterestSet::NONE,
-            fixed: true,
-            pending: None,
-        }
-    }
-
-    /// Recompiles every cached set from the current agent list. Called on
-    /// each chain mutation (install, removal, fork) — this *is* the
-    /// batching and vDSO invalidation rule: mutation implies recompilation.
-    fn recompute(&mut self) {
-        self.interest = self
-            .agents
-            .iter()
-            .fold(InterestSet::NONE, |acc, a| acc.union(&a.interests()));
-        self.fixed = self.agents.iter().all(|a| a.interests_fixed());
-        self.batchable = InterestSet::NONE;
-        if !self.fixed {
-            return;
-        }
-        for nr in self.interest.iter() {
-            let all_batch = self
-                .agents
-                .iter()
-                .all(|a| !a.interests().contains(nr) || a.batch_interests().contains(nr));
-            if all_batch {
-                self.batchable.add(nr);
-            }
-        }
-    }
-
-    /// Delivers the pending vectored upcall, if any: charges the single
-    /// amortized interception cost and hands each batch-interested agent
-    /// the recorded calls. Charging order mirrors the per-call intercepted
-    /// path (intercept, then one virtual call per visited agent).
-    fn flush(&mut self, k: &mut Kernel, pid: Pid) {
-        let Some(batch) = self.pending.take() else {
-            return;
-        };
-        let nr = batch.nr;
-        k.obs
-            .layer_enter("interpose", pid, nr, k.clock.elapsed_ns());
-        let cost = k.profile.intercept_ns;
-        k.clock.advance_ns(cost);
-        if let Ok(p) = k.proc_mut(pid) {
-            p.usage.sys_ns += cost;
-        }
-        for i in 0..self.agents.len() {
-            if !self.agents[i].interests().contains(nr)
-                || !self.agents[i].batch_interests().contains(nr)
-            {
-                continue;
-            }
-            let vcost = k.profile.virtual_call_ns;
-            k.clock.advance_ns(vcost);
-            if let Ok(p) = k.proc_mut(pid) {
-                p.usage.sys_ns += vcost;
-            }
-            let layer = self.agents[i].name();
-            k.obs.layer_enter(layer, pid, nr, k.clock.elapsed_ns());
-            let (cur, below) = self.agents.split_at_mut(i + 1);
-            let mut ctx = SysCtx::new(k, pid, below, 0);
-            cur[i].syscall_batch(&mut ctx, nr, &batch.calls);
-            k.obs.layer_exit(
-                layer,
-                pid,
-                nr,
-                SysOutcome::ok().obs_outcome(),
-                k.clock.elapsed_ns(),
-            );
-        }
-        k.obs.layer_exit(
-            "interpose",
-            pid,
-            nr,
-            SysOutcome::ok().obs_outcome(),
-            k.clock.elapsed_ns(),
-        );
-    }
-}
-
 /// A [`SyscallRouter`] that runs registered traps through per-process agent
-/// chains before (or instead of) the kernel.
+/// chains before (or instead of) the kernel. The chains live in the
+/// kernel's processes (see [`crate::chain`]); the router holds only its
+/// host-side counters, so any router can drive any kernel.
 ///
 /// ```
 /// use ia_interpose::InterposedRouter;
@@ -146,210 +41,41 @@ impl Chain {
 /// ```
 #[derive(Default)]
 pub struct InterposedRouter {
-    chains: HashMap<Pid, Chain>,
     /// Observation counters.
     pub stats: RouterStats,
 }
 
 impl InterposedRouter {
-    /// A router with no chains: behaves exactly like the identity router
-    /// until agents are loaded.
+    /// A router with zeroed counters.
     #[must_use]
     pub fn new() -> InterposedRouter {
         InterposedRouter::default()
-    }
-
-    /// Pushes an agent on top of `pid`'s chain (the new agent sees traps
-    /// first). This is the simulated `task_set_emulation()` registration.
-    pub fn push_agent(&mut self, pid: Pid, agent: Box<dyn Agent>) {
-        let chain = self.chains.entry(pid).or_insert_with(Chain::new);
-        chain.agents.insert(0, agent);
-        chain.recompute();
-    }
-
-    /// Delivers any pending vectored upcall for `pid` immediately. Callers
-    /// that mutate the chain (the loader, tests driving [`Self::with_chain`])
-    /// use this first so agents observe the calls made under the *old*
-    /// chain configuration before it changes.
-    pub fn flush_pending(&mut self, k: &mut Kernel, pid: Pid) {
-        if let Some(chain) = self.chains.get_mut(&pid) {
-            chain.flush(k, pid);
-        }
-    }
-
-    /// Removes every agent from `pid`'s chain, returning them.
-    pub fn remove_chain(&mut self, pid: Pid) -> Vec<Box<dyn Agent>> {
-        self.chains.remove(&pid).map_or(Vec::new(), |c| c.agents)
-    }
-
-    /// True if `pid` runs under at least one agent.
-    #[must_use]
-    pub fn has_chain(&self, pid: Pid) -> bool {
-        self.chains.get(&pid).is_some_and(|c| !c.agents.is_empty())
-    }
-
-    /// Number of agents wrapped around `pid`.
-    #[must_use]
-    pub fn chain_len(&self, pid: Pid) -> usize {
-        self.chains.get(&pid).map_or(0, |c| c.agents.len())
-    }
-
-    /// Borrow an agent on a chain (top = 0), for post-run inspection by
-    /// tests and tools.
-    #[must_use]
-    pub fn agent(&self, pid: Pid, idx: usize) -> Option<&dyn Agent> {
-        self.chains
-            .get(&pid)
-            .and_then(|c| c.agents.get(idx))
-            .map(AsRef::as_ref)
-    }
-
-    /// Runs a closure against an agent on the chain, downcast by the
-    /// caller. (Rust-side replacement for the paper's direct object access.)
-    pub fn with_chain<R>(
-        &mut self,
-        pid: Pid,
-        f: impl FnOnce(&mut Vec<Box<dyn Agent>>) -> R,
-    ) -> Option<R> {
-        self.chains.get_mut(&pid).map(|c| {
-            let r = f(&mut c.agents);
-            c.recompute();
-            r
-        })
     }
 
     /// Clones `parent`'s chain onto `child` and runs `init_child` hooks —
     /// what happens implicitly on Mach because agents share the client's
     /// address space.
     fn fork_chain(&mut self, k: &mut Kernel, parent: Pid, child: Pid) {
-        let Some(pc) = self.chains.get(&parent) else {
+        let Some(pc) = chain(k, parent) else {
             return;
         };
+        let mut agents: Vec<Box<dyn Agent>> = pc.agents.iter().map(|a| a.clone_box()).collect();
         // Toolkit fork bookkeeping plus child-side agent initialization —
         // the paper's "approximately 10 milliseconds" added to fork.
         k.clock
             .advance_ns(k.profile.agent_fork_ns + k.profile.agent_child_init_ns);
-        let mut agents: Vec<Box<dyn Agent>> = pc.agents.iter().map(|a| a.clone_box()).collect();
         for i in 0..agents.len() {
             let (cur, below) = agents.split_at_mut(i + 1);
             let mut ctx = SysCtx::new(k, child, below, 0);
             cur[i].init_child(&mut ctx);
         }
-        let mut chain = Chain::new();
-        chain.agents = agents;
+        let mut chain = Chain {
+            agents,
+            ..Chain::default()
+        };
         chain.recompute();
-        self.chains.insert(child, chain);
+        k.set_emulation(child, Box::new(chain));
         self.stats.chains_forked += 1;
-    }
-}
-
-/// A capture of every agent chain, taken with [`InterposedRouter::snapshot`].
-///
-/// Agents are captured through `Agent::clone_box` — the same mechanism a
-/// `fork` uses. Since [`Agent`] is `Send`, any interior state an agent
-/// shares with its clones is held behind thread-safe handles
-/// (`Arc<Mutex<…>>`, atomics); a capture therefore shares that state with
-/// the live chain exactly as a forked chain would, and the whole snapshot
-/// remains `Send`. Agents whose capture must be *independent* deep-copy in
-/// `clone_box` instead. Either way the sharing is confined to one tenant —
-/// nothing here may alias state in another tenant's world.
-/// Compiled dispatch state (interest unions, batchable sets) is *not* captured:
-/// [`InterposedRouter::restore`] recompiles it from the restored agents,
-/// which is the chain-mutation invalidation rule applied to time travel.
-pub struct RouterSnapshot {
-    chains: Vec<(Pid, Vec<Box<dyn Agent>>)>,
-    stats: RouterStats,
-}
-
-impl Clone for RouterSnapshot {
-    fn clone(&self) -> Self {
-        RouterSnapshot {
-            chains: self
-                .chains
-                .iter()
-                .map(|(pid, agents)| (*pid, agents.iter().map(|a| a.clone_box()).collect()))
-                .collect(),
-            stats: self.stats,
-        }
-    }
-}
-
-/// A full world capture: kernel state plus agent chains. Build with
-/// [`snapshot_world`], rewind with [`restore_world`].
-#[derive(Clone)]
-pub struct WorldSnapshot {
-    /// The kernel's world state.
-    pub kernel: KernelSnapshot,
-    /// The router's agent chains.
-    pub router: RouterSnapshot,
-}
-
-impl WorldSnapshot {
-    /// The kernel snapshot's unique id, for repro artifacts.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.kernel.id
-    }
-}
-
-/// Captures kernel and router together. Pending vectored upcalls are
-/// delivered first (they belong to the past, not the future), so the
-/// capture never holds an in-flight batch.
-pub fn snapshot_world(k: &mut Kernel, router: &mut InterposedRouter) -> WorldSnapshot {
-    let router_snap = router.snapshot(k);
-    WorldSnapshot {
-        kernel: k.snapshot(),
-        router: router_snap,
-    }
-}
-
-/// Rewinds kernel and router to `snap`. See [`Kernel::restore`] and
-/// [`InterposedRouter::restore`] for what each side does.
-pub fn restore_world(k: &mut Kernel, router: &mut InterposedRouter, snap: &WorldSnapshot) {
-    k.restore(&snap.kernel);
-    router.restore(&snap.router);
-}
-
-impl InterposedRouter {
-    /// Captures every agent chain. Any pending vectored upcall is flushed
-    /// into `k` first (in pid order), so take the [`KernelSnapshot`]
-    /// *after* this call — or use [`snapshot_world`], which orders the two
-    /// correctly.
-    pub fn snapshot(&mut self, k: &mut Kernel) -> RouterSnapshot {
-        let mut pids: Vec<Pid> = self.chains.keys().copied().collect();
-        pids.sort_unstable();
-        for pid in &pids {
-            self.flush_pending(k, *pid);
-        }
-        RouterSnapshot {
-            chains: pids
-                .into_iter()
-                .map(|pid| {
-                    let agents = self.chains[&pid]
-                        .agents
-                        .iter()
-                        .map(|a| a.clone_box())
-                        .collect();
-                    (pid, agents)
-                })
-                .collect(),
-            stats: self.stats,
-        }
-    }
-
-    /// Rewinds every chain to `snap`. Live chains (and any pending upcall
-    /// batches they hold) are discarded — the rewound world re-executes
-    /// those calls itself — and each restored chain's interest union,
-    /// batchable set and vDSO gating are recompiled from scratch.
-    pub fn restore(&mut self, snap: &RouterSnapshot) {
-        self.chains.clear();
-        for (pid, agents) in &snap.chains {
-            let mut chain = Chain::new();
-            chain.agents = agents.iter().map(|a| a.clone_box()).collect();
-            chain.recompute();
-            self.chains.insert(*pid, chain);
-        }
-        self.stats = snap.stats;
     }
 }
 
@@ -363,20 +89,34 @@ impl SyscallRouter for InterposedRouter {
         restarts: u32,
     ) -> SysOutcome {
         let first_new_pid = k.next_pid();
-
-        let out = match self.chains.get_mut(&pid) {
-            None => {
-                self.stats.unmanaged += 1;
-                k.syscall(pid, nr, args)
-            }
-            Some(chain) if chain.batchable.contains(nr) => {
+        let slot = k.proc_mut(pid).ok().map(|p| &mut p.emulation);
+        // Agents run only in the intercepted branch below, with the chain
+        // out of the process, so `managed` holds for the whole call.
+        let Some((managed, interested)) = slot
+            .as_deref()
+            .and_then(as_chain)
+            .map(|c| (!c.agents.is_empty(), c.interest.contains(nr)))
+        else {
+            self.stats.unmanaged += 1;
+            return k.syscall(pid, nr, args);
+        };
+        let out = if interested {
+            // The agents need `&mut Kernel`, so the chain leaves the
+            // process while they run. It goes back even if the process
+            // is now a zombie, or is left behind if it was reaped, for
+            // `on_process_exit` to collect.
+            let mut chain = slot
+                .and_then(Option::take)
+                .and_then(into_chain)
+                .expect("read above");
+            self.stats.intercepted += 1;
+            let out = if chain.batchable.contains(nr) {
                 // Vectored upcall path (independent of the fast path and
-                // the engine): the kernel executes the call now; interested
-                // agents observe it later, in one batch.
+                // the engine): the kernel executes the call now;
+                // interested agents observe it later, in one batch.
                 if chain.pending.as_ref().is_some_and(|b| b.nr != nr) {
                     chain.flush(k, pid);
                 }
-                self.stats.intercepted += 1;
                 let out = k.syscall(pid, nr, args);
                 match out {
                     SysOutcome::Done(res) => {
@@ -394,12 +134,10 @@ impl SyscallRouter for InterposedRouter {
                     _ => chain.flush(k, pid),
                 }
                 out
-            }
-            Some(chain) if chain.interest.contains(nr) => {
+            } else {
                 // An individually intercepted call must not overtake a
                 // pending batch: agents observe calls in order.
                 chain.flush(k, pid);
-                self.stats.intercepted += 1;
                 // The obs enter comes first so the trap-redirection cost
                 // below is attributed to the "interpose" pseudo-layer.
                 k.obs
@@ -418,21 +156,22 @@ impl SyscallRouter for InterposedRouter {
                     k.clock.elapsed_ns(),
                 );
                 out
-            }
-            Some(_) => {
-                // Pay-per-use: no agent cost at all.
-                self.stats.passthrough += 1;
-                k.syscall(pid, nr, args)
-            }
+            };
+            k.set_emulation(pid, chain);
+            out
+        } else {
+            // Pay-per-use: no agent cost at all.
+            self.stats.passthrough += 1;
+            k.syscall(pid, nr, args)
         };
+        if !managed {
+            return out;
+        }
 
         // A successful execve under an agent pays the reimplementation tax:
         // the toolkit rebuilds the exec sequence from lower-level
         // primitives (§3.5.1.2).
-        if matches!(out, SysOutcome::NoReturn)
-            && Sysno::from_u32(nr) == Some(Sysno::Execve)
-            && self.has_chain(pid)
-        {
+        if matches!(out, SysOutcome::NoReturn) && Sysno::from_u32(nr) == Some(Sysno::Execve) {
             k.clock.advance_ns(k.profile.agent_exec_ns);
         }
 
@@ -440,27 +179,25 @@ impl SyscallRouter for InterposedRouter {
         // inside an agent or under a remapped number) inherits the chain.
         // Pids are never reused, so the children are among the pids
         // allocated during the call.
-        if self.has_chain(pid) {
-            for child in first_new_pid..k.next_pid() {
-                if k.proc(child).is_ok_and(|p| p.ppid == pid) {
-                    self.fork_chain(k, pid, child);
-                }
+        for child in first_new_pid..k.next_pid() {
+            if k.proc(child).is_ok_and(|p| p.ppid == pid) {
+                self.fork_chain(k, pid, child);
             }
         }
         out
     }
 
     fn filter_signal(&mut self, k: &mut Kernel, pid: Pid, sig: Signal) -> bool {
-        let Some(chain) = self.chains.get_mut(&pid) else {
-            return true;
-        };
-        if chain.agents.is_empty() {
+        if !has_chain(k, pid) {
             return true;
         }
+        let mut chain = take_chain(k, pid).expect("read above");
         // Agents must observe batched calls before the signal they might
         // react to.
         chain.flush(k, pid);
-        match signal_chain(k, pid, &mut chain.agents, sig) {
+        let verdict = signal_chain(k, pid, &mut chain.agents, sig);
+        k.set_emulation(pid, chain);
+        match verdict {
             Some(s) if s == sig => true,
             Some(replacement) => {
                 // Deliver the replacement on the next delivery pass.
@@ -472,7 +209,7 @@ impl SyscallRouter for InterposedRouter {
     }
 
     fn on_process_exit(&mut self, k: &mut Kernel, pid: Pid) {
-        if let Some(mut chain) = self.chains.remove(&pid) {
+        if let Some(mut chain) = take_chain(k, pid) {
             // Undelivered batched calls are observed before teardown.
             chain.flush(k, pid);
             // Agent teardown: close logs, flush state, release objects.
@@ -480,16 +217,10 @@ impl SyscallRouter for InterposedRouter {
         }
     }
 
-    fn fast_spec(&mut self, _k: &Kernel, pid: Pid) -> FastSpec {
-        let Some(chain) = self.chains.get(&pid) else {
+    fn fast_spec(&mut self, k: &Kernel, pid: Pid) -> FastSpec {
+        let Some(chain) = chain(k, pid) else {
             return FastSpec::DIRECT;
         };
-        if chain.agents.is_empty() {
-            return FastSpec::DIRECT;
-        }
-        if !chain.fixed {
-            return FastSpec::OFF;
-        }
         // A number is answered in the loop only when no agent is
         // interested in it; everything else ends the burst and is routed.
         let direct = |nr: Sysno| !chain.interest.contains(nr.number());
@@ -499,12 +230,12 @@ impl SyscallRouter for InterposedRouter {
         }
     }
 
-    fn note_fast_direct(&mut self, _k: &mut Kernel, pid: Pid, _nr: u32, count: u64) {
+    fn note_fast_direct(&mut self, k: &mut Kernel, pid: Pid, _nr: u32, count: u64) {
         // Mirrors what `route` would have counted per call: pay-per-use
         // passthrough under a chain, unmanaged without one. Direct calls
         // never flush a pending batch — the slow path would not have
         // flushed on a passthrough either.
-        if self.chains.contains_key(&pid) {
+        if chain(k, pid).is_some() {
             self.stats.passthrough += count;
         } else {
             self.stats.unmanaged += count;
@@ -516,6 +247,8 @@ impl SyscallRouter for InterposedRouter {
 mod tests {
     use super::*;
     use crate::agent::SignalVerdict;
+    use crate::chain::push_agent;
+    use crate::interest::InterestSet;
     use ia_abi::Sysno;
     use ia_kernel::RunOutcome;
 
@@ -569,7 +302,7 @@ mod tests {
         let mut router = InterposedRouter::new();
         let counter = Counter::default();
         let seen = counter.seen.clone();
-        router.push_agent(pid, Box::new(counter));
+        push_agent(&mut k2, pid, Box::new(counter));
         assert_eq!(k2.run_with(&mut router), RunOutcome::AllExited);
 
         assert_eq!(
@@ -611,7 +344,7 @@ mod tests {
                 Box::new(Narrow)
             }
         }
-        router.push_agent(pid, Box::new(Narrow));
+        push_agent(&mut k, pid, Box::new(Narrow));
         k.run_with(&mut router);
         assert_eq!(router.stats.intercepted, 0);
         assert_eq!(router.stats.passthrough, 3, "getpid x2 + exit bypassed");
@@ -641,7 +374,7 @@ mod tests {
         let mut router = InterposedRouter::new();
         let counter = Counter::default();
         let seen = counter.seen.clone();
-        router.push_agent(pid, Box::new(counter));
+        push_agent(&mut k, pid, Box::new(counter));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(router.stats.chains_forked, 1);
         // fork + wait4 + exit (parent) + getpid + exit (child) — the
@@ -658,10 +391,10 @@ mod tests {
         let img = ia_vm::assemble("main: li r0,0\n sys exit\n").unwrap();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, Box::new(Counter::default()));
-        assert!(router.has_chain(pid));
+        push_agent(&mut k, pid, Box::new(Counter::default()));
+        assert!(has_chain(&k, pid));
         k.run_with(&mut router);
-        assert!(!router.has_chain(pid));
+        assert!(!has_chain(&k, pid));
     }
 
     /// Suppresses SIGTERM — a tiny "protected environment".
@@ -711,7 +444,7 @@ mod tests {
         let img = ia_vm::assemble(src).unwrap();
         let pid = k.spawn_image(&img, &[b"t"], b"t");
         let mut router = InterposedRouter::new();
-        router.push_agent(pid, Box::new(Shield));
+        push_agent(&mut k, pid, Box::new(Shield));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
         assert_eq!(k.console.output_string(), "alive");
     }

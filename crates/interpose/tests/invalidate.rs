@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use ia_abi::{RawArgs, Sysno};
 use ia_interpose::{
-    restore_world, snapshot_world, wrap_process, Agent, BatchCall, InterestSet, InterposedRouter,
+    flush_pending, with_chain, wrap_process, Agent, BatchCall, InterestSet, InterposedRouter,
     SysCtx,
 };
 use ia_kernel::{
@@ -124,13 +124,12 @@ loop:   addi r10, r10, -1
     assert_eq!(drive(&mut k, &mut router, 150), RunOutcome::StepLimit);
     // Phase 4: remove the tap mid-run. Any pending vector is delivered
     // under the old chain before it changes.
-    router.flush_pending(&mut k, pid);
-    let removed = router
-        .with_chain(pid, |agents| {
-            assert_eq!(agents.len(), 2);
-            agents.remove(0)
-        })
-        .expect("chain still installed");
+    flush_pending(&mut k, pid);
+    let removed = with_chain(&mut k, pid, |agents| {
+        assert_eq!(agents.len(), 2);
+        agents.remove(0)
+    })
+    .expect("chain still installed");
     assert_eq!(removed.name(), "pid-tap");
     assert_eq!(drive(&mut k, &mut router, 5_000_000), RunOutcome::AllExited);
 
@@ -149,7 +148,7 @@ struct SnapRun {
     /// Watcher upcalls between the snapshot point and completion, first
     /// (pre-restore) leg.
     first_delta: u64,
-    /// Same span replayed after `restore_world` — must match exactly.
+    /// Same span replayed after `Kernel::restore` — must match exactly.
     second_delta: u64,
     watcher_batches: u64,
     intercepted: u64,
@@ -158,8 +157,9 @@ struct SnapRun {
 
 /// Snapshot mid-run with vectored upcalls in flight, run to completion,
 /// rewind, deliberately build a *fresh* pending batch, rewind again (the
-/// live batch must be discarded, not replayed), and run the same span a
-/// second time.
+/// live batch must be discarded and the captured one restored), and run
+/// the same span a second time. Each future runs under a fresh router,
+/// since a restore rewinds the kernel, not a router's host counters.
 fn run_snapshot_restore(fast: bool, engine: Engine) -> SnapRun {
     let src = "
 main:   li r10, 400
@@ -194,30 +194,39 @@ loop:   addi r10, r10, -1
     // vectored upcall is pending right now.
     assert_eq!(drive(&mut k, &mut router, 150), RunOutcome::StepLimit);
 
-    // Capture. The pending batch is flushed into the world first, so the
-    // snapshot holds no in-flight vector.
-    let world = snapshot_world(&mut k, &mut router);
+    // Capture. The pending batch is captured with the chain, undelivered.
+    let world = k.snapshot();
     let at_snap = calls.load(Ordering::Relaxed);
 
     // First future.
-    assert_eq!(drive(&mut k, &mut router, 5_000_000), RunOutcome::AllExited);
+    let mut first_router = InterposedRouter::new();
+    assert_eq!(
+        drive(&mut k, &mut first_router, 5_000_000),
+        RunOutcome::AllExited
+    );
     let first = k.observable();
-    let first_stats = router.stats;
     let first_delta = calls.load(Ordering::Relaxed) - at_snap;
 
     // Rewind, then run a short stretch so a *new* pending batch forms
     // under the restored chain...
-    restore_world(&mut k, &mut router, &world);
+    k.restore(&world);
     assert_eq!(drive(&mut k, &mut router, 120), RunOutcome::StepLimit);
-    // ...and rewind again: the live pending batch must be discarded, the
-    // chain's compiled sets rebuilt, the vDSO gating recomputed.
-    restore_world(&mut k, &mut router, &world);
+    // ...and rewind again: the live pending batch must be discarded and
+    // the captured chain, compiled sets included, put back.
+    k.restore(&world);
     let mid = calls.load(Ordering::Relaxed);
 
     // Second future: must be bit-identical to the first.
-    assert_eq!(drive(&mut k, &mut router, 5_000_000), RunOutcome::AllExited);
+    let mut second_router = InterposedRouter::new();
+    assert_eq!(
+        drive(&mut k, &mut second_router, 5_000_000),
+        RunOutcome::AllExited
+    );
     assert_eq!(k.observable(), first, "replayed future diverged");
-    assert_eq!(router.stats, first_stats, "router counters diverged");
+    assert_eq!(
+        second_router.stats, first_router.stats,
+        "router counters diverged"
+    );
     assert!(k.check_quiescent().is_empty(), "{:?}", k.check_quiescent());
 
     SnapRun {
@@ -225,7 +234,7 @@ loop:   addi r10, r10, -1
         first_delta,
         second_delta: calls.load(Ordering::Relaxed) - mid,
         watcher_batches: batches.load(Ordering::Relaxed),
-        intercepted: router.stats.intercepted,
+        intercepted: router.stats.intercepted + first_router.stats.intercepted,
         fast_hits: k.fast_stats.hits(),
     }
 }
@@ -278,5 +287,53 @@ fn chain_mutation_invalidates_fast_state_identically() {
         assert_eq!(fast.watcher_batches, other.watcher_batches, "vs {label}");
         assert_eq!(fast.intercepted, other.intercepted, "vs {label}");
         assert_eq!(fast.unmanaged, other.unmanaged, "vs {label}");
+    }
+}
+
+/// An orphan is reaped the moment it exits, so its chain waits in the
+/// kernel for the exit hook: the pending upcall is still delivered and the
+/// agent teardown still charged, whether the process ends by `exit`
+/// (routed through its chain) or by `halt` (never routed).
+#[test]
+fn a_reaped_orphans_chain_is_torn_down() {
+    for end in ["li r0, 0\n        sys exit", "halt"] {
+        let src = format!(
+            "
+main:   li r10, 5
+loop:   addi r10, r10, -1
+        sys getpid
+        jnz r10, loop
+        {end}
+"
+        );
+        let img = ia_vm::assemble(&src).unwrap();
+        let mut profile = ia_kernel::I486_25;
+        profile.agent_exit_ns = 1 << 40;
+        let mut k = KernelBuilder::new().profile(profile).build();
+        let pid = k.spawn_image(&img, &[b"orphan"], b"orphan");
+        let calls = Arc::new(AtomicU64::new(0));
+        let batches = Arc::new(AtomicU64::new(0));
+        let watcher = Watcher {
+            calls: calls.clone(),
+            batches: batches.clone(),
+        };
+        wrap_process(
+            &mut k,
+            &mut InterposedRouter::new(),
+            pid,
+            Box::new(watcher),
+            &[],
+        );
+        assert_eq!(
+            k.run_with(&mut InterposedRouter::new()),
+            RunOutcome::AllExited
+        );
+        assert!(k.proc(pid).is_err(), "{end}: the orphan was reaped");
+        assert_eq!(calls.load(Ordering::Relaxed), 5, "{end}: calls delivered");
+        assert_eq!(batches.load(Ordering::Relaxed), 1, "{end}: one upcall");
+        assert!(
+            k.clock.elapsed_ns() >= 1 << 40,
+            "{end}: agent teardown not charged"
+        );
     }
 }

@@ -50,32 +50,32 @@ fn wrap_and_unwrap_at_runtime() {
     assert_eq!(base, u64::from(pid));
 
     // Wrap: results shift.
-    r.push_agent(pid, Box::new(Tag(100)));
+    ia_interpose::push_agent(&mut k, pid, Box::new(Tag(100)));
     assert_eq!(getpid_via(&mut k, &mut r, pid), base + 100);
-    assert_eq!(r.chain_len(pid), 1);
-    assert_eq!(r.agent(pid, 0).unwrap().name(), "tag");
+    assert_eq!(ia_interpose::chain_len(&k, pid), 1);
+    assert_eq!(ia_interpose::agent(&k, pid, 0).unwrap().name(), "tag");
 
     // Stack another on top.
-    r.push_agent(pid, Box::new(Tag(1000)));
+    ia_interpose::push_agent(&mut k, pid, Box::new(Tag(1000)));
     assert_eq!(getpid_via(&mut k, &mut r, pid), base + 1100);
 
     // Unwrap everything: behaviour reverts exactly.
-    let removed = r.remove_chain(pid);
+    let removed = ia_interpose::remove_chain(&mut k, pid);
     assert_eq!(removed.len(), 2);
     assert_eq!(getpid_via(&mut k, &mut r, pid), base);
-    assert!(!r.has_chain(pid));
+    assert!(!ia_interpose::has_chain(&k, pid));
 }
 
 #[test]
 fn with_chain_recomputes_interest_after_mutation() {
     let (mut k, pid) = world();
     let mut r = InterposedRouter::new();
-    r.push_agent(pid, Box::new(Tag(5)));
+    ia_interpose::push_agent(&mut k, pid, Box::new(Tag(5)));
     assert_eq!(getpid_via(&mut k, &mut r, pid), u64::from(pid) + 5);
 
     // Drop the agent through with_chain: interest must be recomputed so
     // getpid stops being intercepted (and counted).
-    r.with_chain(pid, |agents| agents.clear());
+    ia_interpose::with_chain(&mut k, pid, |agents| agents.clear());
     let before = r.stats.intercepted;
     assert_eq!(getpid_via(&mut k, &mut r, pid), u64::from(pid));
     assert_eq!(r.stats.intercepted, before, "no interception after clear");
@@ -88,7 +88,7 @@ fn per_process_chains_are_independent() {
     let p1 = k.spawn_image(&img, &[b"a"], b"a");
     let p2 = k.spawn_image(&img, &[b"b"], b"b");
     let mut r = InterposedRouter::new();
-    r.push_agent(p1, Box::new(Tag(100)));
+    ia_interpose::push_agent(&mut k, p1, Box::new(Tag(100)));
 
     assert_eq!(getpid_via(&mut k, &mut r, p1), u64::from(p1) + 100);
     assert_eq!(
@@ -103,10 +103,10 @@ fn per_process_chains_are_independent() {
 fn stats_distinguish_intercepted_passthrough_unmanaged() {
     let (mut k, pid) = world();
     let mut r = InterposedRouter::new();
-    r.push_agent(pid, Box::new(Tag(1)));
+    ia_interpose::push_agent(&mut k, pid, Box::new(Tag(1)));
     let _ = r.route(&mut k, pid, Sysno::Getpid.number(), [0; 6], 0); // intercepted
     let _ = r.route(&mut k, pid, Sysno::Getuid.number(), [0; 6], 0); // passthrough
-    r.remove_chain(pid);
+    ia_interpose::remove_chain(&mut k, pid);
     let _ = r.route(&mut k, pid, Sysno::Getgid.number(), [0; 6], 0); // unmanaged
     assert_eq!(r.stats.intercepted, 1);
     assert_eq!(r.stats.passthrough, 1);
@@ -188,7 +188,7 @@ fn router_delivers_replacement_signals() {
     let mut k = KernelBuilder::new().build();
     let pid = k.spawn_image(&img, &[b"t"], b"t");
     let mut r = InterposedRouter::new();
-    r.push_agent(pid, Box::new(Swap));
+    ia_interpose::push_agent(&mut k, pid, Box::new(Swap));
     k.run_with(&mut r);
     assert_eq!(
         k.exit_status(pid),

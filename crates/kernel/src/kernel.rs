@@ -15,7 +15,7 @@ use crate::clock::{Clock, MachineProfile};
 use crate::console::{Console, DEV_NULL, DEV_TTY, DEV_ZERO};
 use crate::exec_cache::{ExecCache, PreparedImage};
 use crate::files::{FdEntry, FdTable, FileKind, OpenFiles, SockId};
-use crate::process::{Pid, ProcState, Process, SigState, Usage, WaitChannel};
+use crate::process::{Emulation, Pid, ProcState, Process, SigState, Usage, WaitChannel};
 use crate::socket::SocketTable;
 
 /// Outcome of a bottom-level system call.
@@ -216,6 +216,10 @@ pub struct Kernel {
     pub(crate) next_pid: Pid,
     pub(crate) wakeups: Vec<WakeEvent>,
     pub(crate) exit_log: HashMap<Pid, u32>,
+    /// The [`Emulation`] of the last process reaped the moment it exited
+    /// (an orphan has no table entry to hold it), kept under its pid until
+    /// [`Kernel::take_emulation`] collects it for the exit hook.
+    pub(crate) departed: Option<(Pid, Box<dyn Emulation>)>,
     pub(crate) flocks: HashMap<Ino, FlockState>,
     /// Scheduler hot-path counters (host-side; see [`PerfCounters`]).
     pub perf: PerfCounters,
@@ -391,6 +395,7 @@ impl KernelBuilder {
             next_pid: 1,
             wakeups: Vec::new(),
             exit_log: HashMap::new(),
+            departed: None,
             flocks: HashMap::new(),
             perf: PerfCounters::default(),
             total_syscalls: 0,
@@ -543,6 +548,7 @@ impl Kernel {
             name: name.to_vec(),
             priority: 0,
             select_deadline: None,
+            emulation: None,
         };
         self.procs.insert(pid, proc);
         pid
@@ -564,6 +570,27 @@ impl Kernel {
     /// Mutably borrows a process.
     pub fn proc_mut(&mut self, pid: Pid) -> Result<&mut Process, Errno> {
         self.procs.get_mut(&pid).ok_or(Errno::ESRCH)
+    }
+
+    /// Takes `pid`'s [`Emulation`] out: the process's own, or, for a
+    /// process reaped when it exited, the one it left behind.
+    pub fn take_emulation(&mut self, pid: Pid) -> Option<Box<dyn Emulation>> {
+        match self.procs.get_mut(&pid) {
+            Some(p) => p.emulation.take(),
+            None => self
+                .departed
+                .take_if(|(dead, _)| *dead == pid)
+                .map(|(_, e)| e),
+        }
+    }
+
+    /// Gives `pid` its [`Emulation`] back. If the process was reaped in
+    /// the meantime, it is left behind for [`Kernel::take_emulation`].
+    pub fn set_emulation(&mut self, pid: Pid, emulation: Box<dyn Emulation>) {
+        match self.procs.get_mut(&pid) {
+            Some(p) => p.emulation = Some(emulation),
+            None => self.departed = Some((pid, emulation)),
+        }
     }
 
     /// The pid the next `fork` or spawn will be given. Pids are never
@@ -684,7 +711,9 @@ impl Kernel {
         } else {
             // Orphan: nobody will wait; reap immediately.
             self.exit_log.insert(pid, status);
-            self.procs.remove(&pid);
+            if let Some(e) = self.procs.remove(&pid).and_then(|p| p.emulation) {
+                self.departed = Some((pid, e));
+            }
         }
     }
 

@@ -39,7 +39,9 @@ pub use kernel::{
     push_args, Engine, FastPathStats, FusionStats, Kernel, KernelBuilder, PerfCounters, SysOutcome,
     WakeEvent,
 };
-pub use process::{PendingTrap, Pid, ProcState, Process, SigAction, SigState, Usage, WaitChannel};
+pub use process::{
+    Emulation, PendingTrap, Pid, ProcState, Process, SigAction, SigState, Usage, WaitChannel,
+};
 pub use sched::{run, BatchCall, KernelRouter, RunLimits, RunOutcome, SyscallRouter, SLICE};
 pub use snapshot::{ClientView, KernelSnapshot, Observable};
 pub use socket::{SockState, Socket, SocketTable};

@@ -1,5 +1,7 @@
 //! Process state: machine context, credentials, descriptors, signals.
 
+use std::any::Any;
+use std::fmt;
 use std::sync::Arc;
 
 use ia_abi::signal::{SigDisposition, SigSet, Signal};
@@ -140,6 +142,28 @@ pub struct Usage {
     pub nsyscalls: u64,
 }
 
+/// A process's interposition state — the paper's per-task emulation
+/// vector. The kernel carries it without interpreting it: ia-interpose
+/// keeps its agent chain here and gets it back by an [`Any`] downcast. It
+/// dies with the process, is captured by every kernel snapshot and branch,
+/// and is not copied by `fork` (the interposition layer forks it itself).
+pub trait Emulation: Any + Send {
+    /// A copy for a snapshot, branch or restore of the kernel.
+    fn clone_box(&self) -> Box<dyn Emulation>;
+}
+
+impl Clone for Box<dyn Emulation> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
+}
+
+impl fmt::Debug for dyn Emulation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Emulation")
+    }
+}
+
 /// One simulated process.
 #[derive(Debug, Clone)]
 pub struct Process {
@@ -193,6 +217,10 @@ pub struct Process {
     /// Deadline of the `select` in progress, in virtual ns (`u64::MAX` for
     /// none); kept across the call's restarts.
     pub select_deadline: Option<u64>,
+    /// Interposition state (see [`Emulation`]); `None` when no agent
+    /// chain is installed, and while the router has the chain out to run
+    /// its agents.
+    pub emulation: Option<Box<dyn Emulation>>,
 }
 
 impl Process {
@@ -213,8 +241,8 @@ impl Process {
     /// address space, whose clone copies only the extents the parent has
     /// written and allocates nothing for the rest, so a fork costs
     /// O(written bytes). The child starts runnable with fresh usage
-    /// counters, no timer, no pending signals, and a 0 return value in its
-    /// registers.
+    /// counters, no timer, no pending signals, no [`Emulation`], and a 0
+    /// return value in its registers.
     #[must_use]
     pub fn fork_child(&self, child_pid: Pid) -> Process {
         let mut vm = self.vm.clone();
@@ -245,6 +273,7 @@ impl Process {
             name: self.name.clone(),
             priority: self.priority,
             select_deadline: None,
+            emulation: None,
         }
     }
 

@@ -54,9 +54,15 @@ pub struct ClientView {
 }
 
 /// A full capture of the kernel's world state: filesystem, process table
-/// (including every address space, timer and wait channel), descriptor and
-/// socket tables, console, clocks and counters — the whole [`Kernel`]
-/// value, cloned, minus its flight recorder.
+/// (including every address space, timer, wait channel and agent chain),
+/// descriptor and socket tables, console, clocks and counters — the whole
+/// [`Kernel`] value, cloned, minus its flight recorder.
+///
+/// A process's agent chain is captured as it stands, pending vectored
+/// upcall included, through
+/// [`Emulation::clone_box`](crate::Emulation::clone_box). Nothing is
+/// delivered to take a capture, so taking one never changes the run it
+/// captures.
 ///
 /// The filesystem part shares structure with the live kernel (O(1), see
 /// [`ia_vfs::FsSnapshot`]); each address space holds, and its clone
@@ -79,7 +85,10 @@ pub struct KernelSnapshot {
 impl Kernel {
     /// Captures the full world state. See [`KernelSnapshot`] for what is
     /// and is not included. Safe at any scheduler boundary (between
-    /// `run()` calls, or from inside an agent's syscall hook).
+    /// `run()` calls, or from inside an agent's syscall hook). A capture
+    /// taken from inside a hook holds no chain for the calling process:
+    /// the router has taken that chain out of the process while its agents
+    /// run.
     pub fn snapshot(&mut self) -> KernelSnapshot {
         KernelSnapshot {
             id: self.next_snapshot_id.fetch_add(1, Ordering::Relaxed),
@@ -90,11 +99,8 @@ impl Kernel {
     /// Rewinds the world to `snap`. The host configuration listed on
     /// [`KernelSnapshot`] persists; everything else — filesystem,
     /// processes, descriptors, sockets, console, clock, counters — is
-    /// restored bit-identically.
-    ///
-    /// Callers holding router state (agent chains, pending upcall batches,
-    /// compiled dispatch tables) must invalidate it too; see
-    /// `ia_interpose::InterposedRouter::snapshot`/`restore`.
+    /// restored bit-identically, agent chains and their pending upcalls
+    /// included.
     pub fn restore(&mut self, snap: &KernelSnapshot) {
         let host = std::mem::replace(self, snap.world.clone());
         self.profile = host.profile;

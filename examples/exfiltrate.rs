@@ -44,7 +44,7 @@ fn main() {
     let mut k = KernelBuilder::new().build();
     exfil::setup(&mut k);
     let mut router = InterposedRouter::new();
-    spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"exfil"], b"exfil");
+    spawn_with_agent(&mut k, agent, &[], &img, &[b"exfil"], b"exfil");
     let outcome = k.run_with(&mut router);
     println!("\nexfiltrator under FlowGuard: {outcome:?}");
     for v in handle.violations() {
@@ -67,7 +67,7 @@ fn main() {
     let mut k = KernelBuilder::new().build();
     exfil::setup(&mut k);
     let mut router = InterposedRouter::new();
-    spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"ok"], b"ok");
+    spawn_with_agent(&mut k, agent, &[], &img, &[b"ok"], b"ok");
     let outcome = k.run_with(&mut router);
     println!(
         "benign twin ran: {outcome:?}, violations: {}",

@@ -10,17 +10,16 @@
 //!    the two futures are bit-identical.
 //! 2. **Branching**: fork the world, run *different* futures in each,
 //!    and show neither leaks into the other.
-//! 3. **World capture under agents**: `snapshot_world` carries the agent
-//!    chains too, so an interposed run rewinds with its interposition.
+//! 3. **World capture under agents**: each process carries its agent
+//!    chain, so `Kernel::snapshot` captures it too and an interposed run
+//!    rewinds with its interposition.
 //!
 //! ```text
 //! cargo run --example ia_branch
 //! ```
 
 use interposition_agents::agents::Timex;
-use interposition_agents::interpose::{
-    restore_world, snapshot_world, wrap_process, InterposedRouter,
-};
+use interposition_agents::interpose::{wrap_process, InterposedRouter};
 use interposition_agents::kernel::{run, Kernel, KernelBuilder, RunLimits, RunOutcome};
 use interposition_agents::vm::assemble;
 
@@ -81,10 +80,10 @@ fn main() {
         run(&mut k, &mut router, RunLimits { max_steps: 300 }),
         RunOutcome::StepLimit
     );
-    let snap = snapshot_world(&mut k, &mut router);
+    let snap = k.snapshot();
     println!(
         "captured world snapshot {} mid-run (console so far: {:?})",
-        snap.id(),
+        snap.id,
         k.console.output_string()
     );
 
@@ -97,21 +96,19 @@ fn main() {
         first.clock_ns
     );
 
-    restore_world(&mut k, &mut router, &snap);
+    k.restore(&snap);
     run_all(&mut k, &mut router);
     assert_eq!(k.observable(), first, "replayed future must be identical");
     println!("second future: identical to the first, bit for bit");
 
     // --- 2. branching ---------------------------------------------------
     // Rewind once more and fork the world instead of replaying it.
-    restore_world(&mut k, &mut router, &snap);
+    k.restore(&snap);
     let mut branch = k.branch();
-    // The branch needs its own router: rebuild the agent chains from the
-    // capture (clone_box, recompiled dispatch state — the same rule a
-    // restore applies).
+    // The branch carries its own copies of the agent chains; any router
+    // drives it.
     let mut branch_router = InterposedRouter::new();
-    branch_router.restore(&snap.router);
-    println!("\nbranched the world at snapshot {}", snap.id());
+    println!("\nbranched the world at snapshot {}", snap.id);
 
     // The branch gets a different history: scribble over the log before
     // letting it finish.

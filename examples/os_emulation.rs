@@ -74,7 +74,6 @@ fn main() {
     // Legacy binary under the legacy-BSD personality.
     spawn_with_agent(
         &mut k,
-        &mut router,
         OsCompatAgent::legacy_bsd(),
         &[],
         &assemble(LEGACY).unwrap(),
@@ -85,7 +84,6 @@ fn main() {
     // Foreign binary under the offset personality.
     spawn_with_agent(
         &mut k,
-        &mut router,
         OsCompatAgent::foreign(200),
         &[],
         &assemble(HPUX).unwrap(),

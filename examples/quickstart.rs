@@ -65,15 +65,7 @@ fn main() {
     let mut k = KernelBuilder::new().build();
     let mut router = InterposedRouter::new();
     let (agent, trace) = TraceAgent::new();
-    spawn_with_agent(
-        &mut k,
-        &mut router,
-        Box::new(agent),
-        &[],
-        &image,
-        &[b"greet"],
-        b"greet",
-    );
+    spawn_with_agent(&mut k, Box::new(agent), &[], &image, &[b"greet"], b"greet");
     let outcome = k.run_with(&mut router);
     println!("outcome:  {outcome:?}");
     println!("console:  {}", k.console.output_string().trim_end());

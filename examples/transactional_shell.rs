@@ -66,7 +66,7 @@ fn main() {
     let mut router = InterposedRouter::new();
     let (agent, txn) = TxnAgent::new();
     txn.set_abort();
-    spawn_with_agent(&mut k, &mut router, agent, &[], &image, &[b"sh"], b"sh");
+    spawn_with_agent(&mut k, agent, &[], &image, &[b"sh"], b"sh");
     k.run_with(&mut router);
     println!(
         "  session touched: {:?}, whiteouts: {:?}",
@@ -88,7 +88,7 @@ fn main() {
     let mut router = InterposedRouter::new();
     let (agent, txn) = TxnAgent::new();
     txn.set_commit();
-    spawn_with_agent(&mut k, &mut router, agent, &[], &image, &[b"sh"], b"sh");
+    spawn_with_agent(&mut k, agent, &[], &image, &[b"sh"], b"sh");
     k.run_with(&mut router);
     show(&mut k, "after commit");
 

@@ -100,7 +100,6 @@ fn main() {
     let mut router = InterposedRouter::new();
     spawn_with_agent(
         &mut k,
-        &mut router,
         UnionAgent::boxed(&[b"/build=/src:/obj"]),
         &[],
         &image,

@@ -113,7 +113,6 @@ fn main() {
     let mut router = InterposedRouter::new();
     spawn_with_agent(
         &mut k,
-        &mut router,
         agent,
         &[],
         &image,

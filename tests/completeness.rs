@@ -63,7 +63,7 @@ fn every_syscall_passes_through_agents_unchanged() {
                 .unwrap();
             let mut router = InterposedRouter::new();
             if agent {
-                router.push_agent(pid, TimeSymbolic::boxed());
+                interposition_agents::interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
             }
             router.route(&mut k, pid, sys.number(), probe_args(sys), 0)
         };
@@ -153,7 +153,11 @@ fn signals_flow_through_the_agent_chain() {
     let pid = k.spawn_image(&img, &[b"sig"], b"sig");
     let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut router = InterposedRouter::new();
-    router.push_agent(pid, Box::new(SignalLog { seen: seen.clone() }));
+    interposition_agents::interpose::push_agent(
+        &mut k,
+        pid,
+        Box::new(SignalLog { seen: seen.clone() }),
+    );
     k.run_with(&mut router);
 
     assert_eq!(

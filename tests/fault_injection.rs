@@ -54,7 +54,7 @@ fn client_observes_injected_read_errors_and_recovers() {
     let pid = k.spawn_image(&img, &[b"r"], b"r");
     let (agent, injected) = FaultInjector::boxed(Sysno::Read, 3, Errno::EIO);
     let mut router = InterposedRouter::new();
-    router.push_agent(pid, agent);
+    interposition_agents::interpose::push_agent(&mut k, pid, agent);
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     // Every 3rd of 9 reads fails: exactly 3 observed failures.
     assert_eq!(
@@ -93,7 +93,7 @@ fn injected_open_failures_do_not_leak_descriptors() {
     let pid = k.spawn_image(&img, &[b"o"], b"o");
     let (agent, injected) = FaultInjector::boxed(Sysno::Open, 2, Errno::ENFILE);
     let mut router = InterposedRouter::new();
-    router.push_agent(pid, agent);
+    interposition_agents::interpose::push_agent(&mut k, pid, agent);
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert_eq!(injected.load(std::sync::atomic::Ordering::Relaxed), 10);
     // After exit every open file is released: only the shared tty remains
@@ -142,7 +142,7 @@ fn injecting_on_exit_cannot_keep_a_process_alive() {
     let img = assemble(src).unwrap();
     let pid = k.spawn_image(&img, &[b"e"], b"e");
     let mut router = InterposedRouter::new();
-    router.push_agent(pid, Box::new(ExitFlake { refusals: 4 }));
+    interposition_agents::interpose::push_agent(&mut k, pid, Box::new(ExitFlake { refusals: 4 }));
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert_eq!(k.exit_status(pid), Some(0));
 }

@@ -40,15 +40,7 @@ fn figure_1_2_user_code_at_the_interface() {
     let img = assemble(HELLO).unwrap();
     let mut router = InterposedRouter::new();
     let (agent, handle) = TraceAgent::with_log(b"/tmp/t.log");
-    spawn_with_agent(
-        &mut k,
-        &mut router,
-        Box::new(agent),
-        &[],
-        &img,
-        &[b"app"],
-        b"app",
-    );
+    spawn_with_agent(&mut k, Box::new(agent), &[], &img, &[b"app"], b"app");
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert_eq!(k.console.output_string(), "hi ");
     assert!(handle.text().contains("write(1,"), "agent saw the call");
@@ -68,25 +60,9 @@ fn figure_1_3_kernel_and_agents_provide_instances() {
     let (sandbox, _) = interposition_agents::agents::SandboxAgent::new(
         interposition_agents::agents::SandboxPolicy::locked_down(),
     );
-    spawn_with_agent(
-        &mut k,
-        &mut router,
-        sandbox,
-        &[],
-        &img,
-        &[b"untrusted"],
-        b"untrusted",
-    );
+    spawn_with_agent(&mut k, sandbox, &[], &img, &[b"untrusted"], b"untrusted");
     // Another client under a time-shifting agent.
-    spawn_with_agent(
-        &mut k,
-        &mut router,
-        Timex::boxed(3600),
-        &[],
-        &img,
-        &[b"mail"],
-        b"mail",
-    );
+    spawn_with_agent(&mut k, Timex::boxed(3600), &[], &img, &[b"mail"], b"mail");
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert_eq!(k.console.output_string().matches("hi ").count(), 4);
 }
@@ -127,7 +103,6 @@ fn figure_1_4_agents_share_state_across_instances() {
     for name in [&b"mail"[..], b"make"] {
         spawn_with_agent(
             &mut k,
-            &mut router,
             UnionAgent::boxed(&[b"/view=/a:/b"]),
             &[],
             &img,

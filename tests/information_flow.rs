@@ -57,7 +57,7 @@ fn flowguard_blocks_the_exfiltrator_at_the_socket() {
     exfil::setup(&mut k);
     let mut router = InterposedRouter::new();
     let (agent, handle) = FlowGuardAgent::new(policy);
-    spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"exfil"], b"exfil");
+    spawn_with_agent(&mut k, agent, &[], &img, &[b"exfil"], b"exfil");
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
 
     let violations = handle.violations();
@@ -86,7 +86,7 @@ fn benign_twin_runs_under_a_zero_cost_policy() {
     // Pay-per-use: the statically-clean image registers no interests at
     // all, so the guard never sees a single call.
     assert!(agent.interests().is_empty(), "clean policy has interests");
-    let pid = spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"ok"], b"ok");
+    let pid = spawn_with_agent(&mut k, agent, &[], &img, &[b"ok"], b"ok");
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert_eq!(
         k.exit_status(pid),
@@ -106,7 +106,7 @@ fn record_mode_traces_the_exfiltration_it_would_block() {
     exfil::setup(&mut k);
     let mut router = InterposedRouter::new();
     let (agent, handle) = FlowGuardAgent::new(policy);
-    spawn_with_agent(&mut k, &mut router, agent, &[], &img, &[b"rec"], b"rec");
+    spawn_with_agent(&mut k, agent, &[], &img, &[b"rec"], b"rec");
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert!(handle.violations().is_empty());
     let events = handle.events();

@@ -57,7 +57,11 @@ fn trace_observes_what_timex_fabricates() {
     wrap_process(&mut k, &mut router, pid, Box::new(trace), &[]);
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
     assert!(handle.text().contains("gettimeofday"));
-    assert_eq!(router.chain_len(pid), 0, "chains cleaned after exit");
+    assert_eq!(
+        interposition_agents::interpose::chain_len(&k, pid),
+        0,
+        "chains cleaned after exit"
+    );
 }
 
 #[test]
@@ -173,6 +177,6 @@ fn deep_chains_remain_correct() {
     for _ in 0..8 {
         wrap_process(&mut k, &mut router, pid, TimeSymbolic::boxed(), &[]);
     }
-    assert_eq!(router.chain_len(pid), 8);
+    assert_eq!(interposition_agents::interpose::chain_len(&k, pid), 8);
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
 }
