@@ -241,7 +241,15 @@ fn deep_fork_trees_keep_one_chain_per_process() {
     let mut router = InterposedRouter::new();
     ia_interpose::push_agent(&mut k, pid, TimeSymbolic::boxed());
     assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
-    assert_eq!(router.stats.chains_forked, 2, "one clone per fork");
+    // fork + wait4 + exit in the first two generations and exit in the
+    // third, each through the process's own (inherited) chain; a wait4
+    // that blocked is dispatched again.
+    assert!(
+        router.stats.intercepted >= 7,
+        "{} intercepted",
+        router.stats.intercepted
+    );
+    assert_eq!(router.stats.unmanaged, 0, "a child ran without a chain");
     for p in [pid, pid + 1, pid + 2] {
         assert!(!ia_interpose::has_chain(&k, p), "chain for {p} cleaned up");
     }

@@ -28,6 +28,8 @@ pub const HANDLER_INDEX: u64 = 2;
 const SIGALRM: u64 = 14;
 /// `SIGUSR1`'s number.
 const SIGUSR1: u64 = 30;
+/// `SIGKILL`'s number.
+const SIGKILL: u64 = 9;
 
 /// Wait-status a fork-exec child image exits with.
 pub const EXEC_CHILD_STATUS: u64 = 5;
@@ -121,6 +123,9 @@ pub enum ConfOp {
     ForkWait { payload: u8, status: u8 },
     /// fork; child execs `/bin/conform-child`; parent waits.
     ForkExecWait,
+    /// fork; child makes `calls` getpids and exits on its own; parent
+    /// SIGKILLs it (usually mid-calls) and waits.
+    ForkKill { calls: u8 },
     /// sigaction(SIGALRM) + one-shot setitimer + sigsuspend.
     AlarmHandler { delay_us: u16 },
     /// Pure sleep: `select(0, …, timeout)`.
@@ -201,6 +206,9 @@ pub fn sample(seed: u64, nops: usize, set: OpSet) -> Program {
             status: r.below(32) as u8,
         }),
         (OpSet::EXEC, |_| ConfOp::ForkExecWait),
+        (OpSet::PROC, |r| ConfOp::ForkKill {
+            calls: r.range_u64(2, 6) as u8,
+        }),
         (OpSet::SIG, |r| ConfOp::AlarmHandler {
             delay_us: r.range_u64(50, 2000) as u16,
         }),
@@ -382,6 +390,7 @@ impl ConfOp {
             ConfOp::SocketEcho { .. } => &[Socketpair, Write, Read, Close],
             ConfOp::ForkWait { .. } => &[Fork, Wait4, Write, Exit],
             ConfOp::ForkExecWait => &[Fork, Execve, Wait4, Exit],
+            ConfOp::ForkKill { .. } => &[Fork, Kill, Wait4, Getpid, Exit],
             ConfOp::AlarmHandler { .. } => &[
                 Sigaction,
                 Sigprocmask,
@@ -768,6 +777,43 @@ impl ConfOp {
                 b.jmp(again);
                 b.bind(end);
             }
+            ConfOp::ForkKill { calls } => {
+                let end = b.new_label();
+                let child = b.new_label();
+                let wait = b.new_label();
+                b.sys(Sysno::Fork);
+                b.jnz(1, end);
+                b.jz(0, child);
+                // Parent: the child runs next and the two alternate trap
+                // by trap, so the kill lands while the child's calls (and
+                // any batch of them) are in flight. A vetoed kill leaves
+                // the child to exit on its own; the wait is bounded.
+                b.mov(8, 0);
+                b.li(1, SIGKILL);
+                b.sys(Sysno::Kill);
+                b.li(14, 8);
+                b.bind(wait);
+                b.jz(14, end);
+                b.mov(0, 8);
+                b.li(1, 0);
+                b.li(2, 0);
+                b.li(3, 0);
+                b.sys(Sysno::Wait4);
+                b.jz(1, end);
+                b.addi(14, 14, -1);
+                b.jmp(wait);
+                b.bind(child);
+                b.li(14, u64::from(calls % 8).max(1));
+                let call = b.here();
+                b.sys(Sysno::Getpid);
+                b.addi(14, 14, -1);
+                b.jnz(14, call);
+                let again = b.here();
+                b.li(0, 0);
+                b.sys(Sysno::Exit);
+                b.jmp(again);
+                b.bind(end);
+            }
             ConfOp::AlarmHandler { delay_us } => {
                 let end = b.new_label();
                 // One-shot itimerval, baked per-op: interval {0,0}, value
@@ -853,6 +899,7 @@ mod tests {
                     op,
                     ConfOp::ForkWait { .. }
                         | ConfOp::ForkExecWait
+                        | ConfOp::ForkKill { .. }
                         | ConfOp::PipeEcho { .. }
                         | ConfOp::SelectPipe { .. }
                         | ConfOp::SocketEcho { .. }
@@ -874,6 +921,24 @@ mod tests {
             assert_eq!(k.run_to_completion(), RunOutcome::AllExited, "seed {seed}");
             assert!(k.check_quiescent().is_empty(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn fork_kill_lands_while_the_child_is_mid_calls() {
+        use crate::oracle::{check_program, run_stack, StackKind};
+        let p = Program {
+            seed: 1,
+            ops: vec![ConfOp::ForkKill { calls: 5 }],
+        };
+        check_program(&p).unwrap();
+        // The kill lands before the child gets to exit on its own.
+        let o = run_stack(&p, StackKind::Batched);
+        assert_eq!(
+            o.obs.client.exit_statuses.get(&2),
+            Some(&ia_abi::signal::wait_status_signaled(
+                ia_abi::Signal::SIGKILL
+            ))
+        );
     }
 
     #[test]

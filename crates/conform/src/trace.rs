@@ -52,6 +52,7 @@ fn op_fields(op: &ConfOp) -> (&'static str, u32, u32) {
         SocketEcho { payload } => ("socket_echo", payload.into(), 0),
         ForkWait { payload, status } => ("fork_wait", payload.into(), status.into()),
         ForkExecWait => ("fork_exec_wait", 0, 0),
+        ForkKill { calls } => ("fork_kill", calls.into(), 0),
         AlarmHandler { delay_us } => ("alarm_handler", delay_us.into(), 0),
         SelectSleep { timeout_us } => ("select_sleep", timeout_us.into(), 0),
         KillHandler => ("kill_handler", 0, 0),
@@ -95,6 +96,7 @@ fn op_parse(name: &str, a: u32, bfield: u32) -> Option<ConfOp> {
             status: b8,
         },
         "fork_exec_wait" => ForkExecWait,
+        "fork_kill" => ForkKill { calls: a8 },
         "alarm_handler" => AlarmHandler { delay_us: a16 },
         "select_sleep" => SelectSleep { timeout_us: a16 },
         "kill_handler" => KillHandler,

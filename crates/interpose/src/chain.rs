@@ -1,8 +1,10 @@
 //! Each process's agent chain, kept in its [`ia_kernel::Process`] as its
-//! [`Emulation`], so it dies with the process and every kernel snapshot,
-//! branch and restore carries it. The functions here are the
-//! `task_set_emulation` surface; they take the kernel, which holds the
-//! chains.
+//! [`Emulation`], so every kernel snapshot, branch and restore carries it,
+//! and the kernel carries it from fork to exit: it asks the parent's chain
+//! for the child's after a `fork` ([`Emulation::fork`]) and tears the
+//! chain down after the process exits, however it died
+//! ([`Emulation::exit`]). The functions here are the `task_set_emulation`
+//! surface; they take the kernel, which holds the chains.
 
 use std::any::Any;
 
@@ -42,6 +44,38 @@ impl Emulation for Chain {
         };
         chain.recompute();
         Box::new(chain)
+    }
+
+    /// Clones every agent onto `child` and runs their `init_child` hooks —
+    /// what happens implicitly on Mach because agents share the client's
+    /// address space. An empty chain leaves the child bare.
+    fn fork(&self, k: &mut Kernel, child: Pid) -> Option<Box<dyn Emulation>> {
+        if self.agents.is_empty() {
+            return None;
+        }
+        let mut agents: Vec<Box<dyn Agent>> = self.agents.iter().map(|a| a.clone_box()).collect();
+        // Toolkit fork bookkeeping plus child-side agent initialization —
+        // the paper's "approximately 10 milliseconds" added to fork.
+        k.clock
+            .advance_ns(k.profile.agent_fork_ns + k.profile.agent_child_init_ns);
+        for i in 0..agents.len() {
+            let (cur, below) = agents.split_at_mut(i + 1);
+            let mut ctx = SysCtx::new(k, child, below, 0);
+            cur[i].init_child(&mut ctx);
+        }
+        let mut chain = Chain {
+            agents,
+            ..Chain::default()
+        };
+        chain.recompute();
+        Some(Box::new(chain))
+    }
+
+    fn exit(mut self: Box<Self>, k: &mut Kernel, pid: Pid) {
+        // Undelivered batched calls are observed before teardown.
+        self.flush(k, pid);
+        // Agent teardown: close logs, flush state, release objects.
+        k.clock.advance_ns(k.profile.agent_exit_ns);
     }
 }
 

@@ -4,13 +4,15 @@
 use ia_abi::{RawArgs, Signal, Sysno};
 use ia_kernel::{BatchCall, FastSpec, Kernel, Pid, SysOutcome, SyscallRouter};
 
-use crate::agent::{dispatch_chain, signal_chain, Agent, SysCtx};
-use crate::chain::{as_chain, chain, has_chain, into_chain, take_chain, Chain, PendingBatch};
+use crate::agent::{dispatch_chain, signal_chain};
+use crate::chain::{as_chain, chain, has_chain, into_chain, take_chain, PendingBatch};
 
 /// Maximum calls buffered in one vectored upcall before it is flushed.
 pub const BATCH_CAP: usize = 32;
 
-/// Counters describing what the router did, for experiments.
+/// Counters describing how the router sent traps, for experiments. Chain
+/// forks and teardowns are the kernel's (see [`ia_kernel::Emulation`]), so
+/// they are not counted here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
     /// Traps that entered an agent chain.
@@ -19,8 +21,6 @@ pub struct RouterStats {
     pub passthrough: u64,
     /// Traps on processes with no chain at all.
     pub unmanaged: u64,
-    /// Chains cloned into forked children.
-    pub chains_forked: u64,
 }
 
 /// A [`SyscallRouter`] that runs registered traps through per-process agent
@@ -51,32 +51,6 @@ impl InterposedRouter {
     pub fn new() -> InterposedRouter {
         InterposedRouter::default()
     }
-
-    /// Clones `parent`'s chain onto `child` and runs `init_child` hooks —
-    /// what happens implicitly on Mach because agents share the client's
-    /// address space.
-    fn fork_chain(&mut self, k: &mut Kernel, parent: Pid, child: Pid) {
-        let Some(pc) = chain(k, parent) else {
-            return;
-        };
-        let mut agents: Vec<Box<dyn Agent>> = pc.agents.iter().map(|a| a.clone_box()).collect();
-        // Toolkit fork bookkeeping plus child-side agent initialization —
-        // the paper's "approximately 10 milliseconds" added to fork.
-        k.clock
-            .advance_ns(k.profile.agent_fork_ns + k.profile.agent_child_init_ns);
-        for i in 0..agents.len() {
-            let (cur, below) = agents.split_at_mut(i + 1);
-            let mut ctx = SysCtx::new(k, child, below, 0);
-            cur[i].init_child(&mut ctx);
-        }
-        let mut chain = Chain {
-            agents,
-            ..Chain::default()
-        };
-        chain.recompute();
-        k.set_emulation(child, Box::new(chain));
-        self.stats.chains_forked += 1;
-    }
 }
 
 impl SyscallRouter for InterposedRouter {
@@ -88,7 +62,6 @@ impl SyscallRouter for InterposedRouter {
         args: RawArgs,
         restarts: u32,
     ) -> SysOutcome {
-        let first_new_pid = k.next_pid();
         let slot = k.proc_mut(pid).ok().map(|p| &mut p.emulation);
         // Agents run only in the intercepted branch below, with the chain
         // out of the process, so `managed` holds for the whole call.
@@ -103,8 +76,7 @@ impl SyscallRouter for InterposedRouter {
         let out = if interested {
             // The agents need `&mut Kernel`, so the chain leaves the
             // process while they run. It goes back even if the process
-            // is now a zombie, or is left behind if it was reaped, for
-            // `on_process_exit` to collect.
+            // is now a zombie, for the kernel's exit hook.
             let mut chain = slot
                 .and_then(Option::take)
                 .and_then(into_chain)
@@ -164,25 +136,14 @@ impl SyscallRouter for InterposedRouter {
             self.stats.passthrough += 1;
             k.syscall(pid, nr, args)
         };
-        if !managed {
-            return out;
-        }
-
         // A successful execve under an agent pays the reimplementation tax:
         // the toolkit rebuilds the exec sequence from lower-level
         // primitives (§3.5.1.2).
-        if matches!(out, SysOutcome::NoReturn) && Sysno::from_u32(nr) == Some(Sysno::Execve) {
+        if managed
+            && matches!(out, SysOutcome::NoReturn)
+            && Sysno::from_u32(nr) == Some(Sysno::Execve)
+        {
             k.clock.advance_ns(k.profile.agent_exec_ns);
-        }
-
-        // Any child created during this trap (fork, possibly issued from
-        // inside an agent or under a remapped number) inherits the chain.
-        // Pids are never reused, so the children are among the pids
-        // allocated during the call.
-        for child in first_new_pid..k.next_pid() {
-            if k.proc(child).is_ok_and(|p| p.ppid == pid) {
-                self.fork_chain(k, pid, child);
-            }
         }
         out
     }
@@ -205,15 +166,6 @@ impl SyscallRouter for InterposedRouter {
                 false
             }
             None => false,
-        }
-    }
-
-    fn on_process_exit(&mut self, k: &mut Kernel, pid: Pid) {
-        if let Some(mut chain) = take_chain(k, pid) {
-            // Undelivered batched calls are observed before teardown.
-            chain.flush(k, pid);
-            // Agent teardown: close logs, flush state, release objects.
-            k.clock.advance_ns(k.profile.agent_exit_ns);
         }
     }
 
@@ -246,7 +198,7 @@ impl SyscallRouter for InterposedRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::SignalVerdict;
+    use crate::agent::{Agent, SignalVerdict, SysCtx};
     use crate::chain::push_agent;
     use crate::interest::InterestSet;
     use ia_abi::Sysno;
@@ -376,13 +328,13 @@ mod tests {
         let seen = counter.seen.clone();
         push_agent(&mut k, pid, Box::new(counter));
         assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
-        assert_eq!(router.stats.chains_forked, 1);
         // fork + wait4 + exit (parent) + getpid + exit (child) — the
         // child's traps were intercepted too because the chain forked.
         // wait4 may be dispatched more than once if it blocked; require at
         // least the five logical calls.
         let n = seen.load(std::sync::atomic::Ordering::Relaxed);
         assert!(n >= 5, "saw {n}");
+        assert_eq!(router.stats.unmanaged, 0, "the child ran under the chain");
     }
 
     #[test]

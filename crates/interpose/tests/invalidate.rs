@@ -11,15 +11,15 @@
 //! path on, off, and on the reference (`Engine::Plain`, fast path off).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use ia_abi::{RawArgs, Sysno};
+use ia_abi::{RawArgs, Signal, Sysno};
 use ia_interpose::{
     flush_pending, with_chain, wrap_process, Agent, BatchCall, InterestSet, InterposedRouter,
     SysCtx,
 };
 use ia_kernel::{
-    run, Engine, Kernel, KernelBuilder, Observable, RunLimits, RunOutcome, SysOutcome,
+    run, Engine, Kernel, KernelBuilder, Observable, Pid, RunLimits, RunOutcome, SysOutcome,
 };
 
 /// Batchable full-coverage observer (counts calls seen, per-call or
@@ -290,10 +290,10 @@ fn chain_mutation_invalidates_fast_state_identically() {
     }
 }
 
-/// An orphan is reaped the moment it exits, so its chain waits in the
-/// kernel for the exit hook: the pending upcall is still delivered and the
-/// agent teardown still charged, whether the process ends by `exit`
-/// (routed through its chain) or by `halt` (never routed).
+/// An orphan is reaped at the settle pass after it exits, once its chain
+/// has been torn down: the pending upcall is still delivered and the agent
+/// teardown still charged, whether the process ends by `exit` (routed
+/// through its chain) or by `halt` (never routed).
 #[test]
 fn a_reaped_orphans_chain_is_torn_down() {
     for end in ["li r0, 0\n        sys exit", "halt"] {
@@ -336,4 +336,189 @@ loop:   addi r10, r10, -1
             "{end}: agent teardown not charged"
         );
     }
+}
+
+/// Batchable full-coverage observer that logs `(pid, number, calls)` for
+/// every vectored upcall it receives; its clones share the log.
+#[derive(Clone, Default)]
+struct Recorder {
+    log: Arc<Mutex<Vec<(Pid, u32, usize)>>>,
+}
+
+impl Recorder {
+    fn log(&self) -> Vec<(Pid, u32, usize)> {
+        self.log.lock().unwrap().clone()
+    }
+}
+
+impl Agent for Recorder {
+    fn name(&self) -> &'static str {
+        "recorder"
+    }
+    fn interests(&self) -> InterestSet {
+        InterestSet::ALL
+    }
+    fn batch_interests(&self) -> InterestSet {
+        InterestSet::ALL
+    }
+    fn syscall(&mut self, ctx: &mut SysCtx<'_>, nr: u32, args: RawArgs) -> SysOutcome {
+        ctx.down(nr, args)
+    }
+    fn syscall_batch(&mut self, ctx: &mut SysCtx<'_>, nr: u32, calls: &[BatchCall]) {
+        self.log.lock().unwrap().push((ctx.pid, nr, calls.len()));
+    }
+    fn clone_box(&self) -> Box<dyn Agent> {
+        Box::new(self.clone())
+    }
+}
+
+/// A kernel whose agent teardown costs 2^40 virtual ns, so the clock
+/// counts teardowns.
+fn teardown_counting_kernel() -> Kernel {
+    let mut profile = ia_kernel::I486_25;
+    profile.agent_exit_ns = 1 << 40;
+    KernelBuilder::new().profile(profile).build()
+}
+
+/// A process killed by another process's `SIGKILL` is torn down like one
+/// that exits: the child's five batched `getpid`s reach the agent and
+/// both the child's and the parent's teardown is charged, once each.
+#[test]
+fn a_sigkilled_childs_chain_is_torn_down() {
+    let src = "
+main:   sys fork
+        jz r0, child
+        mov r8, r0
+        li r10, 3000        ; let the child make its five calls
+burn:   addi r10, r10, -1
+        jnz r10, burn
+        mov r0, r8
+        li r1, 9            ; SIGKILL
+        sys kill
+        mov r0, r8
+        li r1, 0
+        li r2, 0
+        li r3, 0
+        sys wait4
+        li r0, 0
+        sys exit
+child:  li r10, 5
+loop:   addi r10, r10, -1
+        sys getpid
+        jnz r10, loop
+spin:   jmp spin
+";
+    let img = ia_vm::assemble(src).unwrap();
+    let mut k = teardown_counting_kernel();
+    let parent = k.spawn_image(&img, &[b"killer"], b"killer");
+    let recorder = Recorder::default();
+    wrap_process(
+        &mut k,
+        &mut InterposedRouter::new(),
+        parent,
+        Box::new(recorder.clone()),
+        &[],
+    );
+    assert_eq!(
+        k.run_with(&mut InterposedRouter::new()),
+        RunOutcome::AllExited
+    );
+    let child = parent + 1;
+    assert_eq!(
+        k.exit_status(child),
+        Some(ia_abi::signal::wait_status_signaled(Signal::SIGKILL))
+    );
+    assert!(
+        recorder.log().contains(&(child, Sysno::Getpid.number(), 5)),
+        "the killed child's batch was not delivered: {:?}",
+        recorder.log()
+    );
+    let teardowns = k.clock.elapsed_ns() >> 40;
+    assert_eq!(teardowns, 2, "one teardown per process");
+}
+
+/// A group `SIGKILL` of two orphans, sent from the host, tears each down
+/// once, in ascending pid order, before they are reaped.
+#[test]
+fn a_group_kill_of_orphans_tears_each_down_in_pid_order() {
+    let src = "
+main:   li r10, 3
+loop:   addi r10, r10, -1
+        sys getpid
+        jnz r10, loop
+spin:   jmp spin
+";
+    let img = ia_vm::assemble(src).unwrap();
+    let mut k = teardown_counting_kernel();
+    let recorder = Recorder::default();
+    let a = k.spawn_image(&img, &[b"a"], b"a");
+    let b = k.spawn_image(&img, &[b"b"], b"b");
+    k.proc_mut(b).unwrap().pgrp = a;
+    for pid in [a, b] {
+        wrap_process(
+            &mut k,
+            &mut InterposedRouter::new(),
+            pid,
+            Box::new(recorder.clone()),
+            &[],
+        );
+    }
+    let mut router = InterposedRouter::new();
+    assert_eq!(
+        run(&mut k, &mut router, RunLimits { max_steps: 2_000 }),
+        RunOutcome::StepLimit
+    );
+    assert!(recorder.log().is_empty(), "both batches still pending");
+    let before = k.clock.elapsed_ns();
+    assert_eq!(k.post_signal_pgrp(a, Signal::SIGKILL, 0), 2);
+    assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
+    let getpid = Sysno::Getpid.number();
+    assert_eq!(recorder.log(), [(a, getpid, 3), (b, getpid, 3)]);
+    assert_eq!((k.clock.elapsed_ns() - before) >> 40, 2, "once each");
+    assert!(k.proc(a).is_err() && k.proc(b).is_err(), "both reaped");
+}
+
+/// `kill(0, SIGKILL)` over a three-process group tears the group down in
+/// ascending pid order, the same in every kernel, whatever order the
+/// process table iterates in.
+#[test]
+fn a_group_kill_tears_down_in_the_same_order_in_every_kernel() {
+    let src = "
+main:   sys fork
+        jz r0, child
+        sys fork
+        jz r0, child
+        li r0, 0
+        li r1, 9            ; SIGKILL, to the caller's own group
+        sys kill
+hang:   jmp hang
+child:  sys getpid
+        sys getpid
+spin:   jmp spin
+";
+    let img = ia_vm::assemble(src).unwrap();
+    let logs: Vec<Vec<(Pid, u32, usize)>> = (0..4)
+        .map(|_| {
+            let mut k = KernelBuilder::new().build();
+            let pid = k.spawn_image(&img, &[b"g"], b"g");
+            let recorder = Recorder::default();
+            wrap_process(
+                &mut k,
+                &mut InterposedRouter::new(),
+                pid,
+                Box::new(recorder.clone()),
+                &[],
+            );
+            assert_eq!(
+                k.run_with(&mut InterposedRouter::new()),
+                RunOutcome::AllExited
+            );
+            recorder.log()
+        })
+        .collect();
+    assert!(logs.windows(2).all(|w| w[0] == w[1]), "{logs:?}");
+    // The teardowns are the last three upcalls: the killer's pending
+    // `kill`, then each child's pending `getpid`s.
+    let order: Vec<Pid> = logs[0].iter().rev().take(3).rev().map(|e| e.0).collect();
+    assert_eq!(order, [1, 2, 3], "{:?}", logs[0]);
 }

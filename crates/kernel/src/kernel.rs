@@ -216,10 +216,10 @@ pub struct Kernel {
     pub(crate) next_pid: Pid,
     pub(crate) wakeups: Vec<WakeEvent>,
     pub(crate) exit_log: HashMap<Pid, u32>,
-    /// The [`Emulation`] of the last process reaped the moment it exited
-    /// (an orphan has no table entry to hold it), kept under its pid until
-    /// [`Kernel::take_emulation`] collects it for the exit hook.
-    pub(crate) departed: Option<(Pid, Box<dyn Emulation>)>,
+    /// `(parent, child)` of every fork since the last [`Kernel::settle`].
+    pub(crate) forks: Vec<(Pid, Pid)>,
+    /// Every pid terminated since the last [`Kernel::settle`].
+    pub(crate) exits: Vec<Pid>,
     pub(crate) flocks: HashMap<Ino, FlockState>,
     /// Scheduler hot-path counters (host-side; see [`PerfCounters`]).
     pub perf: PerfCounters,
@@ -395,7 +395,8 @@ impl KernelBuilder {
             next_pid: 1,
             wakeups: Vec::new(),
             exit_log: HashMap::new(),
-            departed: None,
+            forks: Vec::new(),
+            exits: Vec::new(),
             flocks: HashMap::new(),
             perf: PerfCounters::default(),
             total_syscalls: 0,
@@ -572,33 +573,51 @@ impl Kernel {
         self.procs.get_mut(&pid).ok_or(Errno::ESRCH)
     }
 
-    /// Takes `pid`'s [`Emulation`] out: the process's own, or, for a
-    /// process reaped when it exited, the one it left behind.
+    /// Takes `pid`'s [`Emulation`] out of its process.
     pub fn take_emulation(&mut self, pid: Pid) -> Option<Box<dyn Emulation>> {
-        match self.procs.get_mut(&pid) {
-            Some(p) => p.emulation.take(),
-            None => self
-                .departed
-                .take_if(|(dead, _)| *dead == pid)
-                .map(|(_, e)| e),
-        }
+        self.procs.get_mut(&pid)?.emulation.take()
     }
 
-    /// Gives `pid` its [`Emulation`] back. If the process was reaped in
-    /// the meantime, it is left behind for [`Kernel::take_emulation`].
+    /// Gives `pid` its [`Emulation`] (back); dropped if there is no such
+    /// process.
     pub fn set_emulation(&mut self, pid: Pid, emulation: Box<dyn Emulation>) {
-        match self.procs.get_mut(&pid) {
-            Some(p) => p.emulation = Some(emulation),
-            None => self.departed = Some((pid, emulation)),
+        if let Some(p) = self.procs.get_mut(&pid) {
+            p.emulation = Some(emulation);
         }
     }
 
-    /// The pid the next `fork` or spawn will be given. Pids are never
-    /// reused, so a process created after this reading has a pid at or
-    /// above it.
-    #[must_use]
-    pub fn next_pid(&self) -> Pid {
-        self.next_pid
+    /// The settle pass: runs [`Emulation::fork`] for every fork, then
+    /// [`Emulation::exit`] for every exit since the last pass (and for any
+    /// the hooks cause), in order, then reaps every parentless zombie. So a
+    /// process is torn down before it can be reaped.
+    pub(crate) fn settle(&mut self) {
+        if self.forks.is_empty() && self.exits.is_empty() {
+            return;
+        }
+        while !(self.forks.is_empty() && self.exits.is_empty()) {
+            for (parent, child) in std::mem::take(&mut self.forks) {
+                if let Some(e) = self.take_emulation(parent) {
+                    let forked = e.fork(self, child);
+                    self.set_emulation(parent, e);
+                    if let Some(c) = forked {
+                        self.set_emulation(child, c);
+                    }
+                }
+            }
+            for pid in std::mem::take(&mut self.exits) {
+                if let Some(e) = self.take_emulation(pid) {
+                    e.exit(self, pid);
+                }
+            }
+        }
+        let exit_log = &mut self.exit_log;
+        self.procs.retain(|&pid, p| match p.state {
+            ProcState::Zombie(st) if p.ppid == 0 => {
+                exit_log.insert(pid, st);
+                false
+            }
+            _ => true,
+        });
     }
 
     /// Live pids (including zombies), in ascending order.
@@ -660,16 +679,17 @@ impl Kernel {
         Ok(())
     }
 
-    /// Posts a signal to every member of a process group. Returns how many
-    /// processes were signalled.
+    /// Posts a signal to every member of a process group, in ascending pid
+    /// order. Returns how many processes were signalled.
     pub fn post_signal_pgrp(&mut self, pgrp: Pid, sig: Signal, sender: Pid) -> usize {
-        let targets: Vec<Pid> = self
+        let mut targets: Vec<Pid> = self
             .procs
             .values()
             .filter(|p| p.pgrp == pgrp && p.pid != 0)
             .filter(|p| self.procs.get(&sender).is_none_or(|s| s.can_signal(p)))
             .map(|p| p.pid)
             .collect();
+        targets.sort_unstable();
         let n = targets.len();
         for t in targets {
             let _ = self.post_signal(t, sig);
@@ -678,7 +698,10 @@ impl Kernel {
     }
 
     /// Terminates a process with the given wait-status word: releases its
-    /// descriptors, reparents its children, notifies the parent.
+    /// descriptors, makes it a zombie, reparents its children to "nobody",
+    /// notifies the parent, and records the exit for the next
+    /// [`Kernel::settle`], which tears it down and reaps it if nobody will
+    /// wait for it.
     pub(crate) fn terminate(&mut self, pid: Pid, status: u32) {
         let Some(p) = self.procs.get_mut(&pid) else {
             return;
@@ -690,31 +713,14 @@ impl Kernel {
         for e in entries {
             self.release_file(e.file);
         }
-        // Reparent children to "nobody"; auto-reap any zombies among them.
-        let children: Vec<Pid> = self
-            .procs
-            .values()
-            .filter(|c| c.ppid == pid)
-            .map(|c| c.pid)
-            .collect();
-        for c in children {
-            let child = self.procs.get_mut(&c).expect("listed");
+        for child in self.procs.values_mut().filter(|c| c.ppid == pid) {
             child.ppid = 0;
-            if let ProcState::Zombie(st) = child.state {
-                self.exit_log.insert(c, st);
-                self.procs.remove(&c);
-            }
         }
         if ppid != 0 && self.procs.contains_key(&ppid) {
             let _ = self.post_signal(ppid, Signal::SIGCHLD);
             self.wakeups.push(WakeEvent::ChildOf(ppid));
-        } else {
-            // Orphan: nobody will wait; reap immediately.
-            self.exit_log.insert(pid, status);
-            if let Some(e) = self.procs.remove(&pid).and_then(|p| p.emulation) {
-                self.departed = Some((pid, e));
-            }
         }
+        self.exits.push(pid);
     }
 
     // ---- open-file plumbing ----------------------------------------------
@@ -889,9 +895,13 @@ mod tests {
             .sig
             .pending
             .contains(Signal::SIGCHLD));
-        // Parent dies; the zombie child is auto-reaped.
+        // Parent dies; the orphaned zombie child is reaped at the settle
+        // pass, along with the parent, which has no parent of its own.
         k.terminate(parent, 0);
+        assert_eq!(k.proc(child).unwrap().ppid, 0, "reparented");
+        k.settle();
         assert!(k.proc(child).is_err());
+        assert!(k.proc(parent).is_err());
         assert_eq!(
             k.exit_status(child),
             Some(ia_abi::signal::wait_status_exited(3))

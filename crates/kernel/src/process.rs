@@ -10,6 +10,7 @@ use ia_vfs::Ino;
 use ia_vm::{AddressSpace, FusedProgram, Insn, VmState};
 
 use crate::files::FdTable;
+use crate::kernel::Kernel;
 
 /// Process identifier.
 pub type Pid = u32;
@@ -145,11 +146,16 @@ pub struct Usage {
 /// A process's interposition state — the paper's per-task emulation
 /// vector. The kernel carries it without interpreting it: ia-interpose
 /// keeps its agent chain here and gets it back by an [`Any`] downcast. It
-/// dies with the process, is captured by every kernel snapshot and branch,
-/// and is not copied by `fork` (the interposition layer forks it itself).
+/// is captured by every kernel snapshot and branch. The kernel runs its
+/// fork and exit hooks, whatever ended the process, at the settle pass:
+/// the top of every scheduler round, the end of `run`, the start of `wait4`.
 pub trait Emulation: Any + Send {
     /// A copy for a snapshot, branch or restore of the kernel.
     fn clone_box(&self) -> Box<dyn Emulation>;
+    /// The emulation of `child`, just forked from this one's process.
+    fn fork(&self, k: &mut Kernel, child: Pid) -> Option<Box<dyn Emulation>>;
+    /// Teardown after `pid` exited, while it is still a zombie.
+    fn exit(self: Box<Self>, k: &mut Kernel, pid: Pid);
 }
 
 impl Clone for Box<dyn Emulation> {

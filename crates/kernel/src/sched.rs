@@ -73,8 +73,9 @@ pub trait SyscallRouter {
         true
     }
 
-    /// Notification that a process has terminated (for per-process state
-    /// cleanup, e.g. agent chains).
+    /// A no-op that nothing in this workspace calls: the kernel tears each
+    /// [`crate::Emulation`] down itself. It remains only because an
+    /// out-of-workspace delegating router (the `perfbench` probe) forwards it.
     fn on_process_exit(&mut self, _k: &mut Kernel, _pid: Pid) {}
 
     /// The in-loop fast-path answer table for `pid`, consulted at the entry
@@ -156,11 +157,19 @@ pub enum RunOutcome {
 /// [`Engine`]; accounting (virtual clock, `user_insns`, total instruction
 /// count) is charged once per round by the batched retired count.
 /// Scheduling decisions are read off the process table, so no index can
-/// fall out of step with it.
+/// fall out of step with it. Every round starts with the kernel's settle
+/// pass and so does the return, so every fork and exit has had its hooks.
 pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) -> RunOutcome {
+    let outcome = run_rounds(k, router, limits);
+    k.settle();
+    outcome
+}
+
+fn run_rounds<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) -> RunOutcome {
     let mut steps: u64 = 0;
     let mut last_pid: Pid = 0;
     loop {
+        k.settle();
         fire_timers(k);
         apply_wakeups(k);
 
@@ -203,8 +212,7 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
         }
 
         // A restarted trap takes precedence over stepping the machine.
-        if let Some(trap) = k.procs.get(&pid).and_then(|p| p.pending_trap) {
-            k.procs.get_mut(&pid).expect("exists").pending_trap = None;
+        if let Some(trap) = k.procs.get_mut(&pid).and_then(|p| p.pending_trap.take()) {
             dispatch(k, router, pid, trap.nr, trap.args, trap.restarts + 1);
             steps += 1;
             if steps >= limits.max_steps {
@@ -321,7 +329,6 @@ pub fn run<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimits) 
                     .map(|p| (p.vm.regs[0] & 0xff) as u8)
                     .unwrap_or(0);
                 k.terminate(pid, ia_abi::signal::wait_status_exited(status));
-                router.on_process_exit(k, pid);
             }
             SliceEnd::Fault(sig) => {
                 handle_fault(k, router, pid, sig);
@@ -402,15 +409,14 @@ fn dispatch<R: SyscallRouter>(
     }
     k.obs.trap_dispatch(pid, nr, restarts, k.clock.elapsed_ns());
     let outcome = router.route(k, pid, nr, args, restarts);
-    let Some(p) = k.procs.get_mut(&pid) else {
-        // The process vanished during the call (e.g. killed itself).
-        router.on_process_exit(k, pid);
+    // A process that exited or was killed during the call takes no result.
+    let Some(p) = k
+        .procs
+        .get_mut(&pid)
+        .filter(|p| !matches!(p.state, ProcState::Zombie(_)))
+    else {
         return;
     };
-    if matches!(p.state, ProcState::Zombie(_)) {
-        router.on_process_exit(k, pid);
-        return;
-    }
     match outcome {
         SysOutcome::Done(res) => {
             p.vm.apply_sysret(res);
@@ -443,7 +449,6 @@ fn handle_fault<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid, sig:
         deliver_signals(k, router, pid);
     } else {
         k.terminate(pid, ia_abi::signal::wait_status_signaled(sig));
-        router.on_process_exit(k, pid);
     }
 }
 
@@ -483,7 +488,6 @@ fn deliver_signals<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid) {
                 }
                 DefaultAction::Terminate => {
                     k.terminate(pid, ia_abi::signal::wait_status_signaled(sig));
-                    router.on_process_exit(k, pid);
                     return;
                 }
             },
@@ -510,7 +514,6 @@ fn deliver_signals<R: SyscallRouter>(k: &mut Kernel, router: &mut R, pid: Pid) {
                     // No room for the frame: the process dies as if the
                     // signal were uncatchable.
                     k.terminate(pid, ia_abi::signal::wait_status_signaled(sig));
-                    router.on_process_exit(k, pid);
                     return;
                 }
                 let mut mask = p.sig.mask.union(action.mask);
@@ -805,9 +808,12 @@ mod tests {
     fn terminated_process_is_never_picked() {
         let mut k = kernel_with_idle_procs(3);
         k.proc_mut(2).unwrap().ppid = 1;
-        // pid 2 stays a zombie for its parent; orphan pid 3 is reaped.
+        // pid 2 stays a zombie for its parent; orphan pid 3 is reaped at
+        // the settle pass.
         k.terminate(2, ia_abi::signal::wait_status_exited(0));
         k.terminate(3, ia_abi::signal::wait_status_exited(0));
+        assert!(matches!(k.proc(3).unwrap().state, ProcState::Zombie(_)));
+        k.settle();
         assert!(matches!(k.proc(2).unwrap().state, ProcState::Zombie(_)));
         assert!(k.proc(3).is_err());
         for last in 0..5 {

@@ -18,23 +18,21 @@ impl Kernel {
     /// `fork()` — duplicate the calling process. Returns the child pid to
     /// the parent; the child resumes with 0 in `r0`.
     pub(crate) fn sys_fork(&mut self, pid: Pid) -> SysOutcome {
-        if let Err(e) = self.proc(pid) {
-            return SysOutcome::err(e);
-        }
-        let child_pid = {
-            let p = self.next_pid;
-            self.next_pid += 1;
-            p
-        };
+        let child_pid = self.next_pid;
         // `fork_child` copies only the parent's written memory regions and
         // gives the child a 0 return value in its registers.
-        let child = self.proc(pid).expect("checked above").fork_child(child_pid);
+        let child = match self.proc(pid) {
+            Ok(p) => p.fork_child(child_pid),
+            Err(e) => return SysOutcome::err(e),
+        };
+        self.next_pid += 1;
         // Shared open files gain a reference per inherited descriptor.
         let shared: Vec<_> = child.fds.iter().map(|(_, e)| e.file).collect();
         for f in shared {
             self.files.incref(f);
         }
         self.procs.insert(child_pid, child);
+        self.forks.push((pid, child_pid));
         SysOutcome::Done(Ok([u64::from(child_pid), 0]))
     }
 
@@ -128,37 +126,37 @@ impl Kernel {
         SysOutcome::NoReturn
     }
 
-    /// `wait4(pid, status, options, rusage)` → pid of the reaped child
+    /// `wait4(pid, status, options, rusage)` → pid of the reaped child, the
+    /// lowest-pid zombie once the settle pass has torn down every exit.
     pub(crate) fn sys_wait4(&mut self, pid: Pid, args: &RawArgs) -> SysOutcome {
+        self.settle();
         let want = args[0] as i64;
-        let children: Vec<Pid> = self
+        let mut children = self
             .procs
             .values()
-            .filter(|p| p.ppid == pid)
-            .filter(|p| want <= 0 || p.pid as i64 == want)
-            .map(|p| p.pid)
-            .collect();
-        if children.is_empty() {
+            .filter(|p| p.ppid == pid && (want <= 0 || p.pid as i64 == want))
+            .peekable();
+        if children.peek().is_none() {
             return SysOutcome::err(Errno::ECHILD);
         }
-        let mut zombies: Vec<Pid> = children
-            .iter()
-            .copied()
-            .filter(|c| matches!(self.procs[c].state, ProcState::Zombie(_)))
-            .collect();
-        zombies.sort_unstable();
-        let Some(child) = zombies.first().copied() else {
+        let zombie = children
+            .filter_map(|p| match p.state {
+                ProcState::Zombie(status) => Some((p.pid, status)),
+                _ => None,
+            })
+            .min();
+        let Some((child, status)) = zombie else {
             if args[2] & WNOHANG != 0 {
                 return SysOutcome::ok1(0);
             }
             return SysOutcome::Block(WaitChannel::Child);
         };
-        let reaped = self.procs.remove(&child).expect("listed");
-        let ProcState::Zombie(status) = reaped.state else {
-            unreachable!("filtered for zombies")
-        };
+        let ru: Rusage = self
+            .procs
+            .remove(&child)
+            .map(|p| p.rusage(self.profile.insn_ns))
+            .unwrap_or_default();
         self.exit_log.insert(child, status);
-        let ru: Rusage = reaped.rusage(self.profile.insn_ns);
         let r = (|| {
             let p = self.proc_mut(pid)?;
             if args[1] != 0 {

@@ -28,11 +28,11 @@ fn main() {
     let outcome = k.run_with(&mut router);
     println!("outcome: {outcome:?}");
     println!(
-        "virtual time {:.1} s, {} syscalls, {} intercepted, {} chains forked",
+        "virtual time {:.1} s, {} syscalls, {} intercepted across {} processes",
         k.clock.elapsed_secs(),
         k.total_syscalls,
         router.stats.intercepted,
-        router.stats.chains_forked
+        k.exit_statuses().len()
     );
 
     println!("\n--- first 12 lines of the strace-style log ---");
