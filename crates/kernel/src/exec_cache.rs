@@ -5,9 +5,15 @@
 //! exec is pure waste under fork/exec storms (make8 re-execs the same
 //! eight binaries over and over). [`ExecCache::prepare`] is the whole
 //! prepare-to-execute pipeline — parse, gate verdict, decoded
-//! `Arc<Vec<Insn>>`, and the fused program — memoized by the image bytes'
-//! FNV-1a content digest ([`Fnv1a`], the VFS's digest family) plus the
-//! bytes themselves.
+//! `Arc<Vec<Insn>>`, and the fused program — memoized by the executable
+//! file's content digest ([`FileContent::digest`]) plus the content itself.
+//!
+//! It prepares from the file, not from a copy of its bytes. The digest is
+//! cached in the file's `Arc`'d trie leaf, so every kernel built from one
+//! base VFS, and every exec of an unchanged file, reuses one computation.
+//! A hit copies no image bytes and hashes nothing: it compares the file
+//! with the entry's copy, chunk by chunk, and chunks the two share compare
+//! by pointer.
 //!
 //! # The gate
 //!
@@ -29,9 +35,9 @@
 //! path takes only a shared read lock (read-mostly by construction: execs
 //! of already-seen images dominate); writers appear only on a miss.
 //!
-//! Digest collisions are handled by keeping the exact source bytes in each
-//! entry and comparing them on lookup: simulated user input never gets to
-//! alias another image.
+//! Digest collisions are handled by keeping the exact source content in
+//! each entry and comparing it on lookup: simulated user input never gets
+//! to alias another image.
 //!
 //! Like `FastPathStats`, the cache is host-side bookkeeping: never part of
 //! the virtual-time model and never captured by snapshots — reconstructing
@@ -45,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use ia_abi::Errno;
-use ia_vfs::Fnv1a;
+use ia_vfs::FileContent;
 use ia_vm::{FusedProgram, Image, Insn};
 
 /// A fully prepared executable: the parsed image (for segment loading and
@@ -76,12 +82,13 @@ impl PreparedImage {
 /// that errno.
 type ExecGate = dyn Fn(&Image) -> Result<(), Errno> + Send + Sync;
 
-/// One memoized prepare outcome: the exact source bytes (collision guard)
-/// and the outcome — including negative verdicts (`ENOEXEC`, gate
-/// refusals), so a rejected image doesn't get re-linted per exec either.
+/// One memoized prepare outcome: the exact source content (collision
+/// guard, sharing the file's chunks) and the outcome — including negative
+/// verdicts (`ENOEXEC`, gate refusals), so a rejected image doesn't get
+/// re-linted per exec either.
 #[derive(Debug)]
 struct Entry {
-    bytes: Vec<u8>,
+    content: FileContent,
     outcome: Result<Arc<PreparedImage>, Errno>,
 }
 
@@ -153,41 +160,42 @@ impl ExecCache {
         self.inner.misses.load(Ordering::Relaxed)
     }
 
-    /// The prepare-to-execute pipeline for `spawn`/`execve` bytes — parse,
-    /// gate verdict, decode, fuse — memoized: a second exec of the same
-    /// bytes reuses all four, or the same refusal.
-    pub fn prepare(&self, bytes: &[u8]) -> Result<Arc<PreparedImage>, Errno> {
-        if let Some(outcome) = self.lookup(bytes) {
+    /// The prepare-to-execute pipeline for an executable file's content —
+    /// parse, gate verdict, decode, fuse — memoized: a second exec of the
+    /// same content reuses all four, or the same refusal. Only a miss
+    /// copies the bytes out, to parse them.
+    pub fn prepare(&self, file: &FileContent) -> Result<Arc<PreparedImage>, Errno> {
+        let digest = file.digest();
+        if let Some(outcome) = self.lookup(digest, file) {
             return outcome;
         }
-        let outcome = Image::from_bytes(bytes).and_then(|image| {
+        let outcome = Image::from_bytes(&file.to_vec()).and_then(|image| {
             if let Some(gate) = &self.inner.gate {
                 gate(&image)?;
             }
             Ok(Arc::new(PreparedImage::prepare(image)))
         });
-        self.insert(bytes, outcome.clone());
+        self.insert(digest, file, outcome.clone());
         outcome
     }
 
-    /// Looks up the memoized outcome for `bytes`, counting a hit on
+    /// Looks up the memoized outcome for `file`, counting a hit on
     /// success. Takes only the shared read lock — the fleet's common case.
-    fn lookup(&self, bytes: &[u8]) -> Option<Result<Arc<PreparedImage>, Errno>> {
-        let digest = Fnv1a::digest(bytes);
+    fn lookup(&self, digest: u64, file: &FileContent) -> Option<Result<Arc<PreparedImage>, Errno>> {
         let map = self
             .inner
             .map
             .read()
             .expect("no panic while holding the cache lock");
-        let entry = map.get(&digest)?.iter().find(|e| e.bytes == bytes)?;
+        let entry = map.get(&digest)?.iter().find(|e| e.content == *file)?;
         self.inner.hits.fetch_add(1, Ordering::Relaxed);
         Some(entry.outcome.clone())
     }
 
     /// Memoizes a freshly computed prepare outcome, counting the miss.
-    /// Two sharers racing to insert the same bytes is harmless: entries
-    /// under one digest are scanned in order and byte-compared.
-    fn insert(&self, bytes: &[u8], outcome: Result<Arc<PreparedImage>, Errno>) {
+    /// Two sharers racing to insert the same content is harmless: entries
+    /// under one digest are scanned in order and compared.
+    fn insert(&self, digest: u64, file: &FileContent, outcome: Result<Arc<PreparedImage>, Errno>) {
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
         let mut map = self
             .inner
@@ -197,8 +205,8 @@ impl ExecCache {
         if map.len() >= Self::MAX_IMAGES {
             map.clear();
         }
-        map.entry(Fnv1a::digest(bytes)).or_default().push(Entry {
-            bytes: bytes.to_vec(),
+        map.entry(digest).or_default().push(Entry {
+            content: file.clone(),
             outcome,
         });
     }
@@ -208,21 +216,23 @@ impl ExecCache {
 mod tests {
     use super::*;
 
-    fn image_bytes(marker: u64) -> Vec<u8> {
-        Image {
-            entry: 0,
-            code: vec![Insn::Li(0, marker), Insn::Halt],
-            data: Vec::new(),
-        }
-        .to_bytes()
+    fn image_file(marker: u64) -> FileContent {
+        FileContent::from_vec(
+            Image {
+                entry: 0,
+                code: vec![Insn::Li(0, marker), Insn::Halt],
+                data: Vec::new(),
+            }
+            .to_bytes(),
+        )
     }
 
     #[test]
     fn hit_returns_the_same_shared_code() {
         let c = ExecCache::new();
-        let bytes = image_bytes(7);
-        let a = c.prepare(&bytes).unwrap();
-        let b = c.prepare(&bytes).unwrap();
+        let file = image_file(7);
+        let a = c.prepare(&file).unwrap();
+        let b = c.prepare(&file).unwrap();
         assert!(Arc::ptr_eq(&a.code, &b.code));
         assert!(Arc::ptr_eq(&a.fused, &b.fused));
         assert_eq!((c.hits(), c.misses()), (1, 1));
@@ -231,8 +241,9 @@ mod tests {
     #[test]
     fn negative_verdicts_are_cached_too() {
         let c = ExecCache::new();
-        assert_eq!(c.prepare(b"not an image").err(), Some(Errno::ENOEXEC));
-        assert_eq!(c.prepare(b"not an image").err(), Some(Errno::ENOEXEC));
+        let junk = FileContent::from_vec(b"not an image".to_vec());
+        assert_eq!(c.prepare(&junk).err(), Some(Errno::ENOEXEC));
+        assert_eq!(c.prepare(&junk).err(), Some(Errno::ENOEXEC));
         assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
@@ -244,9 +255,9 @@ mod tests {
             seen.fetch_add(1, Ordering::Relaxed);
             Err(Errno::EPERM)
         });
-        let bytes = image_bytes(3);
-        assert_eq!(c.prepare(&bytes).err(), Some(Errno::EPERM));
-        assert_eq!(c.prepare(&bytes).err(), Some(Errno::EPERM));
+        let file = image_file(3);
+        assert_eq!(c.prepare(&file).err(), Some(Errno::EPERM));
+        assert_eq!(c.prepare(&file).err(), Some(Errno::EPERM));
         assert_eq!(calls.load(Ordering::Relaxed), 1, "verdict memoized");
     }
 
@@ -255,8 +266,8 @@ mod tests {
         // Two different byte strings that the cache must never conflate,
         // even if their digests were to collide.
         let c = ExecCache::new();
-        let a = image_bytes(1);
-        let b = image_bytes(2);
+        let a = image_file(1);
+        let b = image_file(2);
         let pa = c.prepare(&a).unwrap();
         let pb = c.prepare(&b).unwrap();
         assert_ne!(pa.image, pb.image);
@@ -268,9 +279,9 @@ mod tests {
         let warm = ExecCache::new();
         let tenant = warm.clone();
         assert!(warm.shares_with(&tenant));
-        let bytes = image_bytes(9);
-        warm.prepare(&bytes).unwrap();
-        assert!(tenant.prepare(&bytes).is_ok(), "warmed by the other handle");
+        let file = image_file(9);
+        warm.prepare(&file).unwrap();
+        assert!(tenant.prepare(&file).is_ok(), "warmed by the other handle");
         assert_eq!((warm.hits(), warm.misses()), (1, 1));
     }
 }

@@ -557,10 +557,26 @@ impl Kernel {
 
     /// Spawns a process from an executable image file in the filesystem.
     pub fn spawn(&mut self, path: &[u8], argv: &[&[u8]]) -> Result<Pid, Errno> {
-        let bytes = self.read_file(path)?;
-        let prepared = self.exec_cache.prepare(&bytes)?;
+        let ino = self
+            .fs
+            .resolve(ia_vfs::inode::ROOT_INO, path, Cred::ROOT)?
+            .ino;
+        let prepared = self.prepare_file(ino)?;
         let name = path.rsplit(|&c| c == b'/').next().unwrap_or(path).to_vec();
         Ok(self.spawn_prepared(&prepared, argv, &name))
+    }
+
+    /// The exec pipeline's entry point, for `spawn` and `execve` alike:
+    /// prepares the regular file `ino` through the exec cache, from the
+    /// file itself, then sets its atime as reading it would. The digest is
+    /// taken before the atime write path-copies the inode, so it fills the
+    /// leaf this kernel may share with its base and every sibling.
+    pub(crate) fn prepare_file(&mut self, ino: Ino) -> Result<Arc<PreparedImage>, Errno> {
+        let file = self.fs.get(ino)?.as_file().ok_or(Errno::EINVAL)?;
+        let prepared = self.exec_cache.prepare(file);
+        let now = self.clock.now();
+        self.fs.accessed(ino, now)?;
+        prepared
     }
 
     /// Borrows a process.

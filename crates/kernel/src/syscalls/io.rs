@@ -1,28 +1,81 @@
 //! Descriptor I/O system calls.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 
 use ia_abi::signal::Signal;
 use ia_abi::types::IoVec;
 use ia_abi::{Errno, FcntlCmd, OpenFlags, RawArgs, Timeval, Whence};
 use ia_vfs::pipe::PipeIo;
-use ia_vfs::InodeKind;
+use ia_vfs::{Ino, InodeKind};
 
 use super::{done, SysOutcome};
 use crate::console::DevRead;
 use crate::files::{FdEntry, FileKind};
 use crate::kernel::{Kernel, WakeEvent};
-use crate::process::{Pid, WaitChannel};
+use crate::process::{Pid, Process, WaitChannel};
 use crate::socket::SockState;
 
 /// Upper bound on a single transfer, to keep simulated buffers sane.
 const MAX_IO: usize = 1 << 20;
 
-/// Internal outcome of a transfer attempt.
-enum Xfer {
-    Data(Vec<u8>),
+/// What a read found.
+enum ReadOut {
+    Ready(Data),
+    Block(WaitChannel),
+}
+
+/// The bytes a read found, still where it found them.
+enum Data {
+    /// Bytes taken from a pipe, socket or device.
+    Bytes(Vec<u8>),
+    /// `len` bytes of regular file `ino` from `off`, copied to the caller
+    /// straight from the file's chunks.
+    File { ino: Ino, off: usize, len: usize },
+}
+
+impl Data {
+    fn len(&self) -> usize {
+        match self {
+            Data::Bytes(d) => d.len(),
+            Data::File { len, .. } => *len,
+        }
+    }
+}
+
+/// What a write did.
+enum WriteOut {
     Wrote(usize),
     Block(WaitChannel),
+}
+
+/// Where the bytes of a write come from.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// `len` bytes of the caller's memory at `addr` (`write`), copied to
+    /// the file, pipe or device straight from there.
+    Guest { addr: u64, len: usize },
+    /// Bytes already gathered (`writev`).
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Src<'a> {
+    /// The bytes, borrowed from `pid`'s memory where they lie in one
+    /// segment. A field borrow, so the caller may hold the filesystem or
+    /// the console mutably meanwhile.
+    fn bytes<'m>(self, procs: &'m HashMap<Pid, Process>, pid: Pid) -> Result<Cow<'m, [u8]>, Errno>
+    where
+        'a: 'm,
+    {
+        match self {
+            Src::Guest { addr, len } => procs
+                .get(&pid)
+                .ok_or(Errno::ESRCH)?
+                .mem
+                .read_bytes(addr, len),
+            Src::Bytes(b) => Ok(Cow::Borrowed(b)),
+        }
+    }
 }
 
 impl Kernel {
@@ -37,7 +90,9 @@ impl Kernel {
         }
     }
 
-    fn do_read(&mut self, pid: Pid, fd: u64, len: usize) -> Result<Xfer, Errno> {
+    /// Takes a read's bookkeeping (offset, clock, `inblock`, atime) and
+    /// finds its bytes; the caller copies them out.
+    fn do_read(&mut self, pid: Pid, fd: u64, len: usize) -> Result<ReadOut, Errno> {
         let len = len.min(MAX_IO);
         let entry = self.proc(pid)?.fds.get(fd)?;
         let file = self.files.get(entry.file)?;
@@ -47,28 +102,31 @@ impl Kernel {
         let (kind, flags, offset) = (file.kind, file.flags, file.offset);
         match kind {
             FileKind::Vnode(ino) => {
-                match self.fs.get(ino)?.kind {
+                let n = match &self.fs.get(ino)?.kind {
                     InodeKind::Directory(_) => return Err(Errno::EISDIR),
-                    InodeKind::Regular(_) => {}
+                    InodeKind::Regular(data) => data.readable(offset as usize, len),
                     _ => return Err(Errno::EINVAL),
-                }
+                };
                 let now = self.clock.now();
-                let data = self.fs.read_at(ino, offset, len, now)?;
-                self.files.get_mut(entry.file)?.offset = offset + data.len() as u64;
-                self.clock
-                    .advance_ns(data.len() as u64 * self.profile.io_byte_ns());
+                self.fs.accessed(ino, now)?;
+                self.files.get_mut(entry.file)?.offset = offset + n as u64;
+                self.clock.advance_ns(n as u64 * self.profile.io_byte_ns());
                 self.proc_mut(pid)?.usage.inblock += 1;
-                Ok(Xfer::Data(data))
+                Ok(ReadOut::Ready(Data::File {
+                    ino,
+                    off: offset as usize,
+                    len: n,
+                }))
             }
             FileKind::PipeRead(id) => self.pipe_read(id, len, flags),
             FileKind::PipeWrite(_) => Err(Errno::EBADF),
             FileKind::Device(dev) => match self.console.device_read(dev, len)? {
-                DevRead::Data(d) => Ok(Xfer::Data(d)),
+                DevRead::Data(d) => Ok(ReadOut::Ready(Data::Bytes(d))),
                 DevRead::WouldBlock => {
                     if flags.has(OpenFlags::O_NONBLOCK) {
                         Err(Errno::EWOULDBLOCK)
                     } else {
-                        Ok(Xfer::Block(WaitChannel::TtyInput))
+                        Ok(ReadOut::Block(WaitChannel::TtyInput))
                     }
                 }
             },
@@ -79,32 +137,60 @@ impl Kernel {
         }
     }
 
+    /// Copies bytes `at..at + n` of what a read found into `pid`'s memory
+    /// at `addr`. `EFAULT` leaves that memory untouched.
+    fn copy_out(
+        &mut self,
+        pid: Pid,
+        data: &Data,
+        at: usize,
+        addr: u64,
+        n: usize,
+    ) -> Result<(), Errno> {
+        let mem = &mut self.procs.get_mut(&pid).ok_or(Errno::ESRCH)?.mem;
+        match data {
+            Data::Bytes(d) => mem.write_bytes(addr, &d[at..at + n]),
+            Data::File { ino, off, .. } => {
+                let file = self.fs.get(*ino)?.as_file().ok_or(Errno::EINVAL)?;
+                file.read_into(off + at, mem.slice_mut(addr, n)?);
+                Ok(())
+            }
+        }
+    }
+
     fn pipe_read(
         &mut self,
         id: ia_vfs::PipeId,
         len: usize,
         flags: OpenFlags,
-    ) -> Result<Xfer, Errno> {
+    ) -> Result<ReadOut, Errno> {
         let pipe = self.fs.pipes.get_mut(id).ok_or(Errno::EBADF)?;
         let mut out = Vec::new();
         match pipe.read(&mut out, len) {
             PipeIo::Done(_) => {
                 self.wakeups.push(WakeEvent::Pipe(id));
-                Ok(Xfer::Data(out))
+                Ok(ReadOut::Ready(Data::Bytes(out)))
             }
-            PipeIo::Hangup => Ok(Xfer::Data(Vec::new())),
+            PipeIo::Hangup => Ok(ReadOut::Ready(Data::Bytes(Vec::new()))),
             PipeIo::WouldBlock => {
                 if flags.has(OpenFlags::O_NONBLOCK) {
                     Err(Errno::EWOULDBLOCK)
                 } else {
-                    Ok(Xfer::Block(WaitChannel::PipeReadable(id)))
+                    Ok(ReadOut::Block(WaitChannel::PipeReadable(id)))
                 }
             }
         }
     }
 
-    fn do_write(&mut self, pid: Pid, fd: u64, data: &[u8]) -> Result<Xfer, Errno> {
-        let entry = self.proc(pid)?.fds.get(fd)?;
+    /// A write's whole transfer. A guest source faults `EFAULT` before the
+    /// descriptor is looked at; otherwise its bytes go to their sink
+    /// without an intermediate copy.
+    fn do_write(&mut self, pid: Pid, fd: u64, src: Src<'_>) -> Result<WriteOut, Errno> {
+        let p = self.proc(pid)?;
+        if let Src::Guest { addr, len } = src {
+            p.mem.check(addr, len)?;
+        }
+        let entry = p.fds.get(fd)?;
         let file = self.files.get(entry.file)?;
         if !file.flags.writable() {
             return Err(Errno::EBADF);
@@ -118,22 +204,24 @@ impl Kernel {
                 } else {
                     offset
                 };
-                let n = self.fs.write_at(ino, off, data, now)?;
+                let data = src.bytes(&self.procs, pid)?;
+                let n = self.fs.write_at(ino, off, &data, now)?;
                 self.files.get_mut(entry.file)?.offset = off + n as u64;
                 self.clock.advance_ns(n as u64 * self.profile.io_byte_ns());
                 self.proc_mut(pid)?.usage.oublock += 1;
-                Ok(Xfer::Wrote(n))
+                Ok(WriteOut::Wrote(n))
             }
-            FileKind::PipeWrite(id) => self.pipe_write(pid, id, data, flags),
+            FileKind::PipeWrite(id) => self.pipe_write(pid, id, src, flags),
             FileKind::PipeRead(_) => Err(Errno::EBADF),
             FileKind::Device(dev) => {
-                let n = self.console.device_write(dev, data)?;
+                let data = src.bytes(&self.procs, pid)?;
+                let n = self.console.device_write(dev, &data)?;
                 self.proc_mut(pid)?.usage.oublock += 1;
-                Ok(Xfer::Wrote(n))
+                Ok(WriteOut::Wrote(n))
             }
             FileKind::Socket(sid) => {
                 let (_, tx) = self.sock_pipes(sid)?;
-                self.pipe_write(pid, tx, data, flags)
+                self.pipe_write(pid, tx, src, flags)
             }
         }
     }
@@ -142,14 +230,15 @@ impl Kernel {
         &mut self,
         pid: Pid,
         id: ia_vfs::PipeId,
-        data: &[u8],
+        src: Src<'_>,
         flags: OpenFlags,
-    ) -> Result<Xfer, Errno> {
+    ) -> Result<WriteOut, Errno> {
         let pipe = self.fs.pipes.get_mut(id).ok_or(Errno::EBADF)?;
-        match pipe.write(data) {
+        let put = pipe.write(&src.bytes(&self.procs, pid)?);
+        match put {
             PipeIo::Done(n) => {
                 self.wakeups.push(WakeEvent::Pipe(id));
-                Ok(Xfer::Wrote(n))
+                Ok(WriteOut::Wrote(n))
             }
             PipeIo::Hangup => {
                 // Writing with no readers raises SIGPIPE and fails EPIPE.
@@ -160,7 +249,7 @@ impl Kernel {
                 if flags.has(OpenFlags::O_NONBLOCK) {
                     Err(Errno::EWOULDBLOCK)
                 } else {
-                    Ok(Xfer::Block(WaitChannel::PipeWritable(id)))
+                    Ok(WriteOut::Block(WaitChannel::PipeWritable(id)))
                 }
             }
         }
@@ -168,36 +257,27 @@ impl Kernel {
 
     /// `read(fd, buf, nbyte)`
     pub(crate) fn sys_read(&mut self, pid: Pid, args: &RawArgs) -> SysOutcome {
-        match self.do_read(pid, args[0], args[2] as usize) {
-            Ok(Xfer::Data(d)) => {
-                if let Err(e) = self
-                    .proc_mut(pid)
-                    .and_then(|p| p.mem.write_bytes(args[1], &d))
-                {
-                    return SysOutcome::err(e);
-                }
-                SysOutcome::ok1(d.len() as u64)
+        let r = match self.do_read(pid, args[0], args[2] as usize) {
+            Ok(ReadOut::Ready(data)) => {
+                let n = data.len();
+                self.copy_out(pid, &data, 0, args[1], n)
+                    .map(|()| [n as u64, 0])
             }
-            Ok(Xfer::Wrote(_)) => unreachable!("read never writes"),
-            Ok(Xfer::Block(ch)) => SysOutcome::Block(ch),
-            Err(e) => SysOutcome::err(e),
-        }
+            Ok(ReadOut::Block(ch)) => return SysOutcome::Block(ch),
+            Err(e) => Err(e),
+        };
+        done(r)
     }
 
     /// `write(fd, buf, nbyte)`
     pub(crate) fn sys_write(&mut self, pid: Pid, args: &RawArgs) -> SysOutcome {
-        let data = match self.proc(pid).and_then(|p| {
-            p.mem
-                .read_bytes(args[1], (args[2] as usize).min(MAX_IO))
-                .map(Cow::into_owned)
-        }) {
-            Ok(d) => d,
-            Err(e) => return SysOutcome::err(e),
+        let src = Src::Guest {
+            addr: args[1],
+            len: (args[2] as usize).min(MAX_IO),
         };
-        match self.do_write(pid, args[0], &data) {
-            Ok(Xfer::Wrote(n)) => SysOutcome::ok1(n as u64),
-            Ok(Xfer::Data(_)) => unreachable!("write never reads"),
-            Ok(Xfer::Block(ch)) => SysOutcome::Block(ch),
+        match self.do_write(pid, args[0], src) {
+            Ok(WriteOut::Wrote(n)) => SysOutcome::ok1(n as u64),
+            Ok(WriteOut::Block(ch)) => SysOutcome::Block(ch),
             Err(e) => SysOutcome::err(e),
         }
     }
@@ -221,28 +301,23 @@ impl Kernel {
             Err(e) => return SysOutcome::err(e),
         };
         let total: usize = iov.iter().map(|v| v.len as usize).sum();
-        match self.do_read(pid, args[0], total.min(MAX_IO)) {
-            Ok(Xfer::Data(d)) => {
-                let mut off = 0usize;
-                for v in &iov {
-                    if off >= d.len() {
-                        break;
-                    }
-                    let n = (v.len as usize).min(d.len() - off);
-                    if let Err(e) = self
-                        .proc_mut(pid)
-                        .and_then(|p| p.mem.write_bytes(v.base, &d[off..off + n]))
-                    {
-                        return SysOutcome::err(e);
-                    }
-                    off += n;
-                }
-                SysOutcome::ok1(d.len() as u64)
+        let data = match self.do_read(pid, args[0], total.min(MAX_IO)) {
+            Ok(ReadOut::Ready(data)) => data,
+            Ok(ReadOut::Block(ch)) => return SysOutcome::Block(ch),
+            Err(e) => return SysOutcome::err(e),
+        };
+        let mut off = 0usize;
+        for v in &iov {
+            if off >= data.len() {
+                break;
             }
-            Ok(Xfer::Block(ch)) => SysOutcome::Block(ch),
-            Ok(Xfer::Wrote(_)) => unreachable!(),
-            Err(e) => SysOutcome::err(e),
+            let n = (v.len as usize).min(data.len() - off);
+            if let Err(e) = self.copy_out(pid, &data, off, v.base, n) {
+                return SysOutcome::err(e);
+            }
+            off += n;
         }
+        SysOutcome::ok1(data.len() as u64)
     }
 
     /// `writev(fd, iov, iovcnt)` — gather write.
@@ -261,10 +336,9 @@ impl Kernel {
                 Err(e) => return SysOutcome::err(e),
             }
         }
-        match self.do_write(pid, args[0], &data) {
-            Ok(Xfer::Wrote(n)) => SysOutcome::ok1(n as u64),
-            Ok(Xfer::Block(ch)) => SysOutcome::Block(ch),
-            Ok(Xfer::Data(_)) => unreachable!(),
+        match self.do_write(pid, args[0], Src::Bytes(&data)) {
+            Ok(WriteOut::Wrote(n)) => SysOutcome::ok1(n as u64),
+            Ok(WriteOut::Block(ch)) => SysOutcome::Block(ch),
             Err(e) => SysOutcome::err(e),
         }
     }

@@ -65,12 +65,9 @@ impl Kernel {
             } else {
                 None
             };
-            let size = node.size() as usize;
-            let now = self.clock.now();
-            let bytes = self.fs.read_at(ino, 0, size, now)?;
             // Parse + gate + decode + fuse through the digest-keyed cache:
             // an exec storm over the same binary pays for all four once.
-            let prepared = self.exec_cache.prepare(&bytes)?;
+            let prepared = self.prepare_file(ino)?;
 
             // Decode argv (a NULL-terminated pointer array) before the
             // address space is destroyed.

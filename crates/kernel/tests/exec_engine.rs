@@ -292,3 +292,128 @@ fn default_run_fuses_and_answers_traps_in_one_loop() {
     assert_eq!(reference.fusion_stats.total(), 0);
     assert_eq!(reference.fast_stats.hits(), 0);
 }
+
+fn exit_code(k: &Kernel, pid: ia_kernel::Pid) -> Option<WaitStatus> {
+    WaitStatus::decode(k.exit_status(pid).unwrap())
+}
+
+/// A binary rewritten in place — by the host, then by a guest `write(2)`
+/// at the same path and the same length — misses the cache and runs the
+/// new code: the file's cached digest went with the old bytes.
+#[test]
+fn a_binary_rewritten_in_place_misses_and_runs_the_new_code() {
+    let mut k = boot();
+    let tool = |code: u8| assemble(&format!("main: li r0, {code}\n sys exit\n")).unwrap();
+    k.install_image(b"/bin/tool", &tool(1)).unwrap();
+    let first = k.spawn(b"/bin/tool", &[b"tool"]).unwrap();
+    k.write_file(b"/bin/tool", &tool(2).to_bytes()).unwrap();
+    let second = k.spawn(b"/bin/tool", &[b"tool"]).unwrap();
+    assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+    assert_eq!(exit_code(&k, first), Some(WaitStatus::Exited(1)));
+    assert_eq!(exit_code(&k, second), Some(WaitStatus::Exited(2)));
+    assert_eq!(k.exec_cache_stats(), (0, 2), "(hits, misses)");
+
+    // A guest overwrites the file with the bytes of `tool(3)`, staged at
+    // 0x8000, and execs it.
+    let new = tool(3).to_bytes();
+    assert_eq!(new.len(), tool(2).to_bytes().len(), "same length");
+    let rewriter = assemble(&format!(
+        r#"
+        .data
+        path: .asciz "/bin/tool"
+        .text
+        main:
+            la r0, path
+            li r1, 1        ; O_WRONLY, no O_TRUNC
+            li r2, 0
+            sys open
+            mov r12, r0
+            li r1, 0x8000
+            li r2, {}
+            sys write
+            mov r0, r12
+            sys close
+            la r0, path
+            li r1, 0
+            li r2, 0
+            sys execve
+            li r0, 99
+            sys exit
+        "#,
+        new.len()
+    ))
+    .unwrap();
+    let pid = k.spawn_image(&rewriter, &[b"r"], b"r");
+    k.proc_mut(pid)
+        .unwrap()
+        .mem
+        .write_bytes(0x8000, &new)
+        .unwrap();
+    assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+    assert_eq!(exit_code(&k, pid), Some(WaitStatus::Exited(3)));
+    assert_eq!(k.exec_cache_stats(), (0, 3), "(hits, misses)");
+}
+
+/// An identical copy of a binary at another path — written separately, so
+/// it shares no chunk with the first — hits the first one's entry.
+#[test]
+fn an_identical_copy_at_another_path_hits() {
+    let mut k = boot();
+    let img = assemble("main: li r0, 5\n sys exit\n").unwrap();
+    k.install_image(b"/bin/tool", &img).unwrap();
+    k.mkdir_p(b"/usr/bin").unwrap();
+    k.install_image(b"/usr/bin/copy", &img).unwrap();
+    let a = k.spawn(b"/bin/tool", &[b"tool"]).unwrap();
+    let b = k.spawn(b"/usr/bin/copy", &[b"copy"]).unwrap();
+    assert_eq!(k.exec_cache_stats(), (1, 1), "(hits, misses)");
+    assert!(Arc::ptr_eq(
+        &k.proc(a).unwrap().code,
+        &k.proc(b).unwrap().code
+    ));
+    assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+    assert_eq!(exit_code(&k, b), Some(WaitStatus::Exited(5)));
+}
+
+/// `spawn` and `execve` both set the binary's atime, as reading it does,
+/// on a cache hit as on a miss, and leave its mtime alone.
+#[test]
+fn exec_sets_the_binarys_atime() {
+    let mut k = boot();
+    let img = assemble("main: li r0, 0\n sys exit\n").unwrap();
+    let ino = k.install_image(b"/bin/tool", &img).unwrap();
+    let installed = k.fs.stat(ino).unwrap();
+    for _ in 0..2 {
+        k.clock.advance_ns(3_000_000_000);
+        k.spawn(b"/bin/tool", &[b"tool"]).unwrap();
+        let st = k.fs.stat(ino).unwrap();
+        assert_eq!(st.atime, k.clock.now(), "spawn read the file now");
+        assert_eq!(st.mtime, installed.mtime);
+    }
+    assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+
+    let launcher = assemble(
+        r#"
+        .data
+        path: .asciz "/bin/tool"
+        .text
+        main:
+            la r0, path
+            li r1, 0
+            li r2, 0
+            sys execve
+            li r0, 99
+            sys exit
+        "#,
+    )
+    .unwrap();
+    k.clock.advance_ns(3_000_000_000);
+    let before = k.fs.stat(ino).unwrap().atime;
+    let pid = k.spawn_image(&launcher, &[b"l"], b"l");
+    assert_eq!(k.run_to_completion(), RunOutcome::AllExited);
+    assert_eq!(exit_code(&k, pid), Some(WaitStatus::Exited(0)));
+    let st = k.fs.stat(ino).unwrap();
+    assert!(st.atime > before, "execve read the file");
+    assert!(st.atime <= k.clock.now());
+    assert_eq!(st.mtime, installed.mtime);
+    assert_eq!(k.exec_cache_stats(), (2, 1), "(hits, misses)");
+}

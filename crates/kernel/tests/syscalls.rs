@@ -823,3 +823,124 @@ fn hard_links_visible_through_descriptor_io() {
     ok_val(call(&mut k, pid, Sysno::Unlink, [p1, 0, 0, 0, 0, 0]));
     assert_eq!(k.read_file(b"/tmp/alias").unwrap(), b"shared-bytes");
 }
+
+/// A read into an unmapped buffer fails `EFAULT` only after the transfer's
+/// bookkeeping: the file offset, the clock and `inblock` move as for a
+/// read that succeeded, and no byte of guest memory changes.
+#[test]
+fn read_into_an_unmapped_buffer_faults_after_the_offset_moves() {
+    let (mut k, pid) = boot_with_proc();
+    k.write_file(b"/tmp/f", b"0123456789").unwrap();
+    let p = stage(&mut k, pid, 0x2000, b"/tmp/f");
+    let fd = ok_val(call(&mut k, pid, Sysno::Open, [p, 0, 0, 0, 0, 0]));
+    let size = k.proc(pid).unwrap().mem.size() as u64;
+    let base = k.profile.syscall_base_ns(Sysno::Read);
+    let per_byte = k.profile.io_byte_ns();
+    let inblock = |k: &Kernel| k.proc(pid).unwrap().usage.inblock;
+    let offset = |k: &mut Kernel| ok_val(call(k, pid, Sysno::Lseek, [fd, 0, 1, 0, 0, 0]));
+
+    // Straddles the end of the space: its first two bytes are mapped.
+    let top = |k: &Kernel| {
+        k.proc(pid)
+            .unwrap()
+            .mem
+            .read_bytes(size - 2, 2)
+            .unwrap()
+            .to_vec()
+    };
+    let before = top(&k);
+    let (t0, b0) = (k.clock.elapsed_ns(), inblock(&k));
+    expect_err(
+        call(&mut k, pid, Sysno::Read, [fd, size - 2, 4, 0, 0, 0]),
+        Errno::EFAULT,
+    );
+    assert_eq!(k.clock.elapsed_ns() - t0, base + 4 * per_byte);
+    assert_eq!(inblock(&k), b0 + 1);
+    assert_eq!(top(&k), before, "nothing written");
+    assert_eq!(offset(&mut k), 4, "the offset moved past the lost bytes");
+
+    // Wholly wild.
+    let t0 = k.clock.elapsed_ns();
+    expect_err(
+        call(&mut k, pid, Sysno::Read, [fd, u64::MAX - 4096, 3, 0, 0, 0]),
+        Errno::EFAULT,
+    );
+    assert_eq!(k.clock.elapsed_ns() - t0, base + 3 * per_byte);
+    assert_eq!(offset(&mut k), 7);
+
+    // At end of file a zero-byte read still checks the pointer.
+    ok_val(call(&mut k, pid, Sysno::Lseek, [fd, 10, 0, 0, 0, 0]));
+    let (t0, b0) = (k.clock.elapsed_ns(), inblock(&k));
+    expect_err(
+        call(&mut k, pid, Sysno::Read, [fd, size + 1, 8, 0, 0, 0]),
+        Errno::EFAULT,
+    );
+    assert_eq!(k.clock.elapsed_ns() - t0, base);
+    assert_eq!(inblock(&k), b0 + 1);
+    assert_eq!(offset(&mut k), 10);
+}
+
+/// A write from an unmapped buffer fails `EFAULT` before the descriptor is
+/// looked at, and moves neither the file, its offset nor `oublock`.
+#[test]
+fn write_from_an_unmapped_buffer_faults_before_anything_moves() {
+    let (mut k, pid) = boot_with_proc();
+    let size = k.proc(pid).unwrap().mem.size() as u64;
+    expect_err(
+        call(&mut k, pid, Sysno::Write, [47, size - 2, 4, 0, 0, 0]),
+        Errno::EFAULT,
+    );
+    k.write_file(b"/tmp/w", b"abc").unwrap();
+    let p = stage(&mut k, pid, 0x2000, b"/tmp/w");
+    let fd = ok_val(call(
+        &mut k,
+        pid,
+        Sysno::Open,
+        [p, u64::from(OpenFlags::O_RDWR), 0, 0, 0, 0],
+    ));
+    let oublock = k.proc(pid).unwrap().usage.oublock;
+    let t0 = k.clock.elapsed_ns();
+    expect_err(
+        call(&mut k, pid, Sysno::Write, [fd, size - 2, 4, 0, 0, 0]),
+        Errno::EFAULT,
+    );
+    assert_eq!(
+        k.clock.elapsed_ns() - t0,
+        k.profile.syscall_base_ns(Sysno::Write)
+    );
+    assert_eq!(k.proc(pid).unwrap().usage.oublock, oublock);
+    assert_eq!(
+        ok_val(call(&mut k, pid, Sysno::Lseek, [fd, 0, 1, 0, 0, 0])),
+        0
+    );
+    assert_eq!(k.read_file(b"/tmp/w").unwrap(), b"abc");
+}
+
+/// `readv` fills its vectors in order: one that is unmapped fails the call
+/// `EFAULT` after the vectors before it were filled and the offset moved.
+#[test]
+fn readv_faults_at_the_first_unmapped_vector() {
+    let (mut k, pid) = boot_with_proc();
+    k.write_file(b"/tmp/v", b"abcdefg").unwrap();
+    let p = stage(&mut k, pid, 0x2000, b"/tmp/v");
+    let fd = ok_val(call(&mut k, pid, Sysno::Open, [p, 0, 0, 0, 0, 0]));
+    {
+        let mem = &mut k.proc_mut(pid).unwrap().mem;
+        mem.write_u64(0x4000, 0x5000).unwrap();
+        mem.write_u64(0x4008, 3).unwrap();
+        mem.write_u64(0x4010, u64::MAX - 4096).unwrap();
+        mem.write_u64(0x4018, 16).unwrap();
+    }
+    expect_err(
+        call(&mut k, pid, Sysno::Readv, [fd, 0x4000, 2, 0, 0, 0]),
+        Errno::EFAULT,
+    );
+    assert_eq!(
+        &k.proc(pid).unwrap().mem.read_bytes(0x5000, 3).unwrap()[..],
+        b"abc"
+    );
+    assert_eq!(
+        ok_val(call(&mut k, pid, Sysno::Lseek, [fd, 0, 1, 0, 0, 0])),
+        7
+    );
+}

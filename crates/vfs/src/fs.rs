@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use ia_abi::{DirEntry, Errno, Stat, Timeval};
 
-use crate::fnv::Fnv1a;
+use crate::digest::Digest;
 use crate::inode::{Cred, Ino, Inode, InodeKind, ROOT_INO};
 use crate::path::{self, is_absolute, split_components};
 use crate::pipe::PipeTable;
@@ -654,7 +654,8 @@ impl Fs {
 
     // ---- data I/O -----------------------------------------------------
 
-    /// Reads up to `len` bytes at `off` from a regular file.
+    /// Reads up to `len` bytes at `off` from a regular file into a new
+    /// vector, marking it [`Self::accessed`].
     pub fn read_at(
         &mut self,
         ino: Ino,
@@ -664,9 +665,19 @@ impl Fs {
     ) -> Result<Vec<u8>, Errno> {
         let n = self.get_mut(ino)?;
         let data = n.as_file().ok_or(Errno::EINVAL)?;
-        let out = data.read_at(off as usize, len);
+        let mut out = vec![0; data.readable(off as usize, len)];
+        data.read_into(off as usize, &mut out);
         n.meta.atime = now;
         Ok(out)
+    }
+
+    /// Sets a regular file's atime to `now`, as a read of it does. For
+    /// readers that take the bytes straight from [`FileContent`].
+    pub fn accessed(&mut self, ino: Ino, now: Timeval) -> Result<(), Errno> {
+        let n = self.get_mut(ino)?;
+        n.as_file().ok_or(Errno::EINVAL)?;
+        n.meta.atime = now;
+        Ok(())
     }
 
     /// Writes `data` at `off` in a regular file, zero-filling any hole.
@@ -801,7 +812,7 @@ impl Fs {
     /// tree reachable from the root: paths, node types, permission bits,
     /// ownership, link counts, file contents and symlink targets.
     ///
-    /// File contents enter as each file's cached FNV-1a digest
+    /// File contents enter as each file's cached digest
     /// ([`FileContent::digest`]), not as their bytes, so a digest over a
     /// tree that shares most files with an already-digested one hashes
     /// only the paths, metadata and the files changed since.
@@ -813,12 +824,12 @@ impl Fs {
     /// and therefore also excluded.
     #[must_use]
     pub fn content_digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Digest::new();
         self.digest_walk(&mut Vec::new(), ROOT_INO, &mut h);
         h.finish()
     }
 
-    fn digest_walk(&self, path: &mut Vec<u8>, ino: Ino, h: &mut Fnv1a) {
+    fn digest_walk(&self, path: &mut Vec<u8>, ino: Ino, h: &mut Digest) {
         let Ok(node) = self.get(ino) else { return };
         h.mix(path);
         h.mix(&[0]);

@@ -21,14 +21,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fnv;
+pub mod digest;
 pub mod fs;
 pub mod inode;
 pub mod path;
 pub mod pipe;
 pub mod pstore;
 
-pub use fnv::Fnv1a;
+pub use digest::Digest;
 pub use fs::{Fs, FsSnapshot, FsStats, Resolved};
 pub use inode::{Cred, Ino, Inode, InodeKind, NodeMeta};
 pub use path::{is_absolute, join, normalize, split_components};

@@ -11,7 +11,7 @@
 //!   subtree, so "what changed since this snapshot" costs what changed.
 //! * [`FileContent`] — regular-file bytes held as a vector of `Arc`'d
 //!   chunks, so a write into a snapshotted file copies one chunk (at most
-//!   [`CHUNK_SIZE`] bytes), not the whole file. Its FNV-1a digest is
+//!   [`CHUNK_SIZE`] bytes), not the whole file. Its [`Digest`] is
 //!   cached beside the bytes, so every version sharing the file hashes it
 //!   at most once.
 //!
@@ -19,7 +19,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::fnv::Fnv1a;
+use crate::digest::Digest;
 
 /// Radix-trie fanout is 2^BITS.
 const BITS: u32 = 5;
@@ -339,7 +339,7 @@ pub const CHUNK_SIZE: usize = 4096;
 pub struct FileContent {
     chunks: Vec<Arc<Vec<u8>>>,
     len: usize,
-    /// FNV-1a over the bytes, filled by [`Self::digest`] and reset by
+    /// The [`Digest`] of the bytes, filled by [`Self::digest`] and reset by
     /// every `&mut` method. The content lives in an `Arc`'d trie leaf, so
     /// one fill serves every snapshot and branch that shares the leaf.
     digest: OnceLock<u64>,
@@ -389,31 +389,35 @@ impl FileContent {
         out
     }
 
-    /// Reads up to `want` bytes at `off`; short (or empty) past EOF.
+    /// Bytes a read of up to `want` bytes at `off` gets: short (or none)
+    /// past EOF.
     #[must_use]
-    pub fn read_at(&self, off: usize, want: usize) -> Vec<u8> {
-        if off >= self.len {
-            return Vec::new();
-        }
-        let end = (off + want).min(self.len);
-        let mut out = Vec::with_capacity(end - off);
-        let mut pos = off;
-        while pos < end {
-            let chunk = &self.chunks[pos / CHUNK_SIZE];
-            let co = pos % CHUNK_SIZE;
-            let take = (end - pos).min(chunk.len() - co);
-            out.extend_from_slice(&chunk[co..co + take]);
-            pos += take;
-        }
-        out
+    pub fn readable(&self, off: usize, want: usize) -> usize {
+        self.len.saturating_sub(off).min(want)
     }
 
-    /// FNV-1a over the file's bytes, computed on first use and cached
-    /// until the next mutation.
+    /// Copies the bytes at `off` into `out`, straight from the chunks, and
+    /// returns how many: [`Self::readable`] of `out.len()`.
+    pub fn read_into(&self, off: usize, out: &mut [u8]) -> usize {
+        let n = self.readable(off, out.len());
+        let mut done = 0;
+        while done < n {
+            let pos = off + done;
+            let chunk = &self.chunks[pos / CHUNK_SIZE];
+            let co = pos % CHUNK_SIZE;
+            let take = (n - done).min(chunk.len() - co);
+            out[done..done + take].copy_from_slice(&chunk[co..co + take]);
+            done += take;
+        }
+        n
+    }
+
+    /// The [`Digest`] of the file's bytes, computed on first use and
+    /// cached until the next mutation.
     #[must_use]
     pub fn digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
-            let mut h = Fnv1a::new();
+            let mut h = Digest::new();
             for c in &self.chunks {
                 h.mix(c);
             }
@@ -557,14 +561,24 @@ mod tests {
         assert_eq!(*a.get(3).unwrap(), 99);
     }
 
+    fn read(f: &FileContent, off: usize, want: usize) -> Vec<u8> {
+        let mut out = vec![0; f.readable(off, want)];
+        f.read_into(off, &mut out);
+        out
+    }
+
     #[test]
     fn content_read_write_roundtrip() {
         let mut f = FileContent::new();
         f.write_at(0, b"hello world");
         assert_eq!(f.len(), 11);
-        assert_eq!(f.read_at(0, 64), b"hello world");
-        assert_eq!(f.read_at(6, 5), b"world");
-        assert_eq!(f.read_at(11, 5), b"");
+        assert_eq!(read(&f, 0, 64), b"hello world");
+        assert_eq!(read(&f, 6, 5), b"world");
+        assert_eq!(read(&f, 11, 5), b"");
+        assert_eq!(read(&f, usize::MAX, 5), b"");
+        let mut across = FileContent::from_vec(vec![1; CHUNK_SIZE]);
+        across.write_at(CHUNK_SIZE, b"23");
+        assert_eq!(read(&across, CHUNK_SIZE - 1, 8), b"\x0123");
         f.write_at(6, b"chunk");
         assert_eq!(f.to_vec(), b"hello chunk");
     }
@@ -727,13 +741,13 @@ mod tests {
     }
 
     #[test]
-    fn content_digest_is_fnv_of_the_bytes_and_resets_on_write() {
+    fn content_digest_is_the_digest_of_the_bytes_and_resets_on_write() {
         let mut f = FileContent::from_vec(b"hello".to_vec());
-        assert_eq!(f.digest(), Fnv1a::digest(b"hello"));
+        assert_eq!(f.digest(), Digest::of(b"hello"));
         f.write_at(0, b"J");
-        assert_eq!(f.digest(), Fnv1a::digest(b"Jello"));
+        assert_eq!(f.digest(), Digest::of(b"Jello"));
         f.write_at(5, b"!");
-        assert_eq!(f.digest(), Fnv1a::digest(b"Jello!"));
+        assert_eq!(f.digest(), Digest::of(b"Jello!"));
     }
 
     #[test]
@@ -741,11 +755,47 @@ mod tests {
         let mut f = FileContent::from_vec(vec![9u8; CHUNK_SIZE + 10]);
         let _ = f.digest();
         f.resize(3);
-        assert_eq!(f.digest(), Fnv1a::digest(&[9, 9, 9]));
+        assert_eq!(f.digest(), Digest::of(&[9, 9, 9]));
         f.resize(5);
-        assert_eq!(f.digest(), Fnv1a::digest(&[9, 9, 9, 0, 0]));
+        assert_eq!(f.digest(), Digest::of(&[9, 9, 9, 0, 0]));
         f.resize(0);
-        assert_eq!(f.digest(), Fnv1a::digest(b""));
+        assert_eq!(f.digest(), Digest::of(b""));
+    }
+
+    /// The cached digest always equals the digest of the flat bytes,
+    /// across writes, resizes and truncations on and across chunk
+    /// boundaries, and across clones that share chunks.
+    #[test]
+    fn content_digest_is_the_flat_digest_after_every_mutation() {
+        let lens = [0, 1, 7, 8, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1];
+        ia_prng::run_cases(40, |_, rng| {
+            let mut f = FileContent::new();
+            let mut flat: Vec<u8> = Vec::new();
+            for _ in 0..24 {
+                let at = rng.below(3) as usize * CHUNK_SIZE + *rng.pick(&lens);
+                let len = *rng.pick(&lens);
+                match rng.below(3) {
+                    0 => {
+                        let data = rng.bytes(len);
+                        f.write_at(at, &data);
+                        if flat.len() < at + data.len() {
+                            flat.resize(at + data.len(), 0);
+                        }
+                        flat[at..at + data.len()].copy_from_slice(&data);
+                    }
+                    1 => {
+                        f.resize(at);
+                        flat.resize(at, 0);
+                    }
+                    _ => {
+                        let copy = f.clone();
+                        assert_eq!(copy.digest(), Digest::of(&flat), "a clone");
+                    }
+                }
+                assert_eq!(f.to_vec(), flat);
+                assert_eq!(f.digest(), Digest::of(&flat));
+            }
+        });
     }
 
     #[test]
@@ -755,7 +805,7 @@ mod tests {
         let b = a.clone();
         a.write_at(0, b"S");
         assert_eq!(b.digest(), warm, "the clone keeps its cached digest");
-        assert_eq!(a.digest(), Fnv1a::digest(b"Shared"));
+        assert_eq!(a.digest(), Digest::of(b"Shared"));
         assert_ne!(a.digest(), b.digest());
     }
 

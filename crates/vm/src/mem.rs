@@ -113,7 +113,9 @@ impl AddressSpace {
         self.brk = brk0;
     }
 
-    fn check(&self, addr: u64, len: usize) -> Result<usize, Errno> {
+    /// Checks that `[addr, addr + len)` lies inside the space, returning
+    /// `addr` as an index; `EFAULT` otherwise.
+    pub fn check(&self, addr: u64, len: usize) -> Result<usize, Errno> {
         let a = usize::try_from(addr).map_err(|_| Errno::EFAULT)?;
         let end = a.checked_add(len).ok_or(Errno::EFAULT)?;
         if end > self.size {
@@ -161,23 +163,30 @@ impl AddressSpace {
         Ok(Cow::Owned(out))
     }
 
-    /// Writes `data` at `addr`. This is the single choke point every
-    /// mutation goes through, so it is where the segments grow.
-    pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), Errno> {
-        let a = self.check(addr, data.len())?;
-        if data.is_empty() {
-            return Ok(());
+    /// The `len` bytes at `addr` as one writable slice, for the caller to
+    /// fill. This is the single choke point every mutation goes through,
+    /// so it is where the segments grow.
+    #[inline]
+    pub fn slice_mut(&mut self, addr: u64, len: usize) -> Result<&mut [u8], Errno> {
+        let a = self.check(addr, len)?;
+        if len == 0 {
+            return Ok(&mut []);
         }
-        let e = a + data.len();
+        let e = a + len;
         if e > self.lo.len() && a < self.hi_start() {
             self.cover(a, e);
         }
         if e <= self.lo.len() {
-            self.lo[a..e].copy_from_slice(data);
+            Ok(&mut self.lo[a..e])
         } else {
             let hs = self.hi_start();
-            self.hi[a - hs..e - hs].copy_from_slice(data);
+            Ok(&mut self.hi[a - hs..e - hs])
         }
+    }
+
+    /// Writes `data` at `addr`.
+    pub fn write_bytes(&mut self, addr: u64, data: &[u8]) -> Result<(), Errno> {
+        self.slice_mut(addr, data.len())?.copy_from_slice(data);
         Ok(())
     }
 

@@ -240,6 +240,22 @@ mod tests {
         assert!(s(&union) < 8.0, "all slowdowns small: {:.2}%", s(&union));
     }
 
+    /// On make8's trace row, the log the agent writes through the interface
+    /// holds exactly the text its host-side handle captured.
+    #[test]
+    fn make8_trace_log_matches_the_handle() {
+        let mut k = KernelBuilder::new().profile(I486_25).build();
+        crate::make8::setup(&mut k);
+        let pid = crate::make8::spawn(&mut k);
+        let mut router = InterposedRouter::new();
+        let (agent, handle) = TraceAgent::new();
+        ia_interpose::wrap_process(&mut k, &mut router, pid, Box::new(agent), &[]);
+        assert_eq!(k.run_with(&mut router), RunOutcome::AllExited);
+        assert!(handle.lines() > 20_000, "{} lines", handle.lines());
+        let log = k.read_file(TraceAgent::DEFAULT_LOG).unwrap();
+        assert!(log == handle.text().as_bytes(), "log and handle differ");
+    }
+
     #[test]
     fn table_3_3_shape_holds() {
         // Paper: base 16.0 s; timex +19%, union +82%, trace +107%.
