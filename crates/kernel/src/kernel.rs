@@ -2,7 +2,7 @@
 //! and socket tables, the console and the virtual clock, and implements the
 //! bottom instance of the system interface.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -105,7 +105,7 @@ pub struct PerfCounters {
 #[derive(Debug, Clone, Default)]
 pub struct FastPathStats {
     /// `(pid, raw syscall number) → (hits, misses)`.
-    pub counts: HashMap<(Pid, u32), (u64, u64)>,
+    pub counts: BTreeMap<(Pid, u32), (u64, u64)>,
 }
 
 impl FastPathStats {
@@ -135,9 +135,7 @@ impl FastPathStats {
     /// then syscall number, for stable reports.
     #[must_use]
     pub fn rows(&self) -> Vec<((Pid, u32), (u64, u64))> {
-        let mut v: Vec<_> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable_by_key(|&(k, _)| k);
-        v
+        self.counts.iter().map(|(&k, &c)| (k, c)).collect()
     }
 }
 
@@ -212,10 +210,12 @@ pub struct Kernel {
     pub files: OpenFiles,
     /// Socket table.
     pub sockets: SocketTable,
-    pub(crate) procs: HashMap<Pid, Process>,
+    /// The process table, in pid order. Each process is boxed, so a
+    /// B-tree node holds pointers rather than whole processes.
+    pub(crate) procs: BTreeMap<Pid, Box<Process>>,
     pub(crate) next_pid: Pid,
     pub(crate) wakeups: Vec<WakeEvent>,
-    pub(crate) exit_log: HashMap<Pid, u32>,
+    pub(crate) exit_log: BTreeMap<Pid, u32>,
     /// `(parent, child)` of every fork since the last [`Kernel::settle`].
     pub(crate) forks: Vec<(Pid, Pid)>,
     /// Every pid terminated since the last [`Kernel::settle`].
@@ -391,10 +391,10 @@ impl KernelBuilder {
             console: Console::new(),
             files: OpenFiles::new(),
             sockets: SocketTable::new(),
-            procs: HashMap::new(),
+            procs: BTreeMap::new(),
             next_pid: 1,
             wakeups: Vec::new(),
-            exit_log: HashMap::new(),
+            exit_log: BTreeMap::new(),
             forks: Vec::new(),
             exits: Vec::new(),
             flocks: HashMap::new(),
@@ -525,7 +525,7 @@ impl Kernel {
             .expect("empty table");
         }
 
-        let proc = Process {
+        let proc = Box::new(Process {
             pid,
             ppid: 0,
             pgrp: pid,
@@ -550,7 +550,7 @@ impl Kernel {
             priority: 0,
             select_deadline: None,
             emulation: None,
-        };
+        });
         self.procs.insert(pid, proc);
         pid
     }
@@ -581,12 +581,15 @@ impl Kernel {
 
     /// Borrows a process.
     pub fn proc(&self, pid: Pid) -> Result<&Process, Errno> {
-        self.procs.get(&pid).ok_or(Errno::ESRCH)
+        self.procs.get(&pid).map(|p| &**p).ok_or(Errno::ESRCH)
     }
 
     /// Mutably borrows a process.
     pub fn proc_mut(&mut self, pid: Pid) -> Result<&mut Process, Errno> {
-        self.procs.get_mut(&pid).ok_or(Errno::ESRCH)
+        self.procs
+            .get_mut(&pid)
+            .map(|p| &mut **p)
+            .ok_or(Errno::ESRCH)
     }
 
     /// Takes `pid`'s [`Emulation`] out of its process.
@@ -639,9 +642,7 @@ impl Kernel {
     /// Live pids (including zombies), in ascending order.
     #[must_use]
     pub fn pids(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = self.procs.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.procs.keys().copied().collect()
     }
 
     /// Number of processes that are not zombies.
@@ -698,14 +699,13 @@ impl Kernel {
     /// Posts a signal to every member of a process group, in ascending pid
     /// order. Returns how many processes were signalled.
     pub fn post_signal_pgrp(&mut self, pgrp: Pid, sig: Signal, sender: Pid) -> usize {
-        let mut targets: Vec<Pid> = self
+        let targets: Vec<Pid> = self
             .procs
             .values()
             .filter(|p| p.pgrp == pgrp && p.pid != 0)
             .filter(|p| self.procs.get(&sender).is_none_or(|s| s.can_signal(p)))
             .map(|p| p.pid)
             .collect();
-        targets.sort_unstable();
         let n = targets.len();
         for t in targets {
             let _ = self.post_signal(t, sig);

@@ -13,8 +13,11 @@
 //! workload runs more than a handful at once), and charges the virtual
 //! clock once by the batched retired count (bit-identical to
 //! per-instruction charging, since the per-instruction cost is a
-//! constant). A select's timeout lives in
-//! [`Process::select_deadline`] alone.
+//! constant). The table is a pid-ordered `BTreeMap` of boxed processes,
+//! so the round-robin pick is one walk from just past the last pid and
+//! the `Deadlock` list comes out in pid order without a sort; only the
+//! due timers are sorted, by `(deadline, pid)`. A select's timeout
+//! lives in [`Process::select_deadline`] alone.
 //! The [`Engine`] picks the loop a round runs:
 //!
 //! * [`Engine::Fused`] — production. When nothing could preempt between
@@ -185,13 +188,12 @@ fn run_rounds<R: SyscallRouter>(k: &mut Kernel, router: &mut R, limits: RunLimit
                 wake_expired_selects(k);
                 continue;
             }
-            let mut blocked: Vec<Pid> = k
+            let blocked: Vec<Pid> = k
                 .procs
                 .values()
                 .filter(|p| matches!(p.state, ProcState::Blocked(_)))
                 .map(|p| p.pid)
                 .collect();
-            blocked.sort_unstable();
             if !blocked.is_empty() {
                 return RunOutcome::Deadlock { blocked };
             }
@@ -623,18 +625,14 @@ fn earliest_deadline(k: &Kernel) -> Option<u64> {
 }
 
 /// Round-robin pick: the lowest runnable pid strictly greater than
-/// `last`, wrapping to the lowest runnable pid.
+/// `last`, wrapping to the lowest runnable pid. One walk of the
+/// pid-ordered table, starting just past `last`.
 fn pick_runnable(k: &Kernel, last: Pid) -> Option<Pid> {
-    let runnable = || {
-        k.procs
-            .values()
-            .filter(|p| p.state == ProcState::Runnable)
-            .map(|p| p.pid)
-    };
-    runnable()
-        .filter(|&pid| pid > last)
-        .min()
-        .or_else(|| runnable().min())
+    k.procs
+        .range(last + 1..)
+        .chain(k.procs.range(..=last))
+        .find(|(_, p)| p.state == ProcState::Runnable)
+        .map(|(&pid, _)| pid)
 }
 
 impl Kernel {
@@ -790,18 +788,115 @@ mod tests {
         assert_eq!(earliest_deadline(&k), None);
     }
 
+    /// A kernel with one idle process per entry of `states`: pid `i + 1`
+    /// in state `states[i]`.
+    fn kernel_with_states(states: &[ProcState]) -> Kernel {
+        let mut k = kernel_with_idle_procs(states.len());
+        for (pid, &state) in (1..).zip(states) {
+            k.proc_mut(pid).unwrap().state = state;
+        }
+        k
+    }
+
+    /// 48 processes, several B-tree nodes' worth: by `pid % 4`, runnable
+    /// (1), blocked (2), stopped (3) and zombie (0).
+    fn many_node_states() -> Vec<ProcState> {
+        (1..=48)
+            .map(|pid| match pid % 4 {
+                1 => ProcState::Runnable,
+                2 => ProcState::Blocked(WaitChannel::Child),
+                3 => ProcState::Stopped,
+                _ => ProcState::Zombie(0),
+            })
+            .collect()
+    }
+
     #[test]
     fn pick_is_round_robin_with_wrap() {
-        let mut k = kernel_with_idle_procs(4);
-        k.proc_mut(3).unwrap().state = ProcState::Blocked(WaitChannel::Child);
-        k.proc_mut(4).unwrap().state = ProcState::Stopped;
-        k.spawn_image(&ia_vm::assemble("main: halt\n").unwrap(), &[b"i"], b"i");
-        // Runnable: 1, 2, 5. The next runnable pid above `last`, wrapping.
-        let picks: Vec<_> = [0, 1, 2, 3, 5, 9]
-            .iter()
-            .map(|&last| pick_runnable(&k, last))
+        use ProcState::{Runnable as R, Stopped as S};
+        let b = ProcState::Blocked(WaitChannel::Child);
+        let many = many_node_states();
+        // (states, `last` values, the next runnable pid above each,
+        // wrapping).
+        let cases: [(&[ProcState], &[Pid], &[Pid]); 2] = [
+            // Runnable: 1, 2, 5.
+            (&[R, R, b, S, R], &[0, 1, 2, 3, 5, 9], &[1, 2, 5, 5, 1, 1]),
+            // Runnable: 1, 5, …, 45, spread over several nodes.
+            (
+                &many,
+                &[0, 1, 4, 5, 11, 12, 44, 45, 47, 48, 60],
+                &[1, 5, 5, 9, 13, 13, 45, 1, 1, 1, 1],
+            ),
+        ];
+        for (states, lasts, picks) in cases {
+            let k = kernel_with_states(states);
+            let got: Vec<_> = lasts.iter().map(|&last| pick_runnable(&k, last)).collect();
+            assert_eq!(got, picks.iter().copied().map(Some).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_table_of_many_nodes_walks_in_pid_order() {
+        let every = |from: Pid, step: usize| (from..=48).step_by(step).collect::<Vec<Pid>>();
+        let mut k = kernel_with_states(&many_node_states());
+        assert_eq!(k.pids(), every(1, 1));
+
+        // Round robin visits each runnable pid once, ascending, then wraps.
+        let cycle: Vec<Pid> =
+            std::iter::successors(pick_runnable(&k, 0), |&last| pick_runnable(&k, last))
+                .take(13)
+                .collect();
+        assert_eq!(cycle, [every(1, 4), vec![1]].concat());
+
+        // A process group's signal reaches its members in pid order;
+        // its zombies count but take nothing.
+        for pid in every(3, 3) {
+            k.proc_mut(pid).unwrap().pgrp = 3;
+        }
+        assert_eq!(k.post_signal_pgrp(3, Signal::SIGUSR1, 1), 16);
+        let signalled: Vec<Pid> = k
+            .take_wakeups()
+            .into_iter()
+            .map(|ev| match ev {
+                WakeEvent::SignalTo(pid) => pid,
+                other => panic!("{other:?}"),
+            })
             .collect();
-        assert_eq!(picks, [1, 2, 5, 5, 1, 1].map(Some));
+        let members: Vec<Pid> = every(3, 3)
+            .into_iter()
+            .filter(|p| !p.is_multiple_of(4))
+            .collect();
+        assert_eq!(signalled, members);
+
+        // `wait4` reaps the lowest-pid zombie first, then finds none.
+        for pid in 2..=48 {
+            k.proc_mut(pid).unwrap().ppid = 1;
+        }
+        let wnohang = 1;
+        let wait_any = [u64::MAX, 0, wnohang, 0, 0, 0];
+        let reaped: Vec<u64> = (0..13)
+            .map(|_| match k.syscall(1, Sysno::Wait4.number(), wait_any) {
+                SysOutcome::Done(Ok([child, _])) => child,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let zombies = every(4, 4).into_iter().map(u64::from);
+        assert_eq!(reaped, zombies.chain([0]).collect::<Vec<_>>());
+        let live: Vec<Pid> = every(1, 1)
+            .into_iter()
+            .filter(|p| !p.is_multiple_of(4))
+            .collect();
+        assert_eq!(k.pids(), live);
+
+        // Once the runnable processes halt, the blocked ones deadlock, and
+        // are listed in pid order.
+        let mut k = kernel_with_states(&many_node_states());
+        assert_eq!(
+            run(&mut k, &mut KernelRouter, RunLimits::default()),
+            RunOutcome::Deadlock {
+                blocked: every(2, 4)
+            }
+        );
     }
 
     #[test]

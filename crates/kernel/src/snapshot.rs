@@ -146,15 +146,8 @@ impl Kernel {
             }
         }
         self.fs.restore_reconciled(snap, &live_refs);
-        let dead: Vec<Ino> = self
-            .flocks
-            .keys()
-            .filter(|ino| !self.fs.exists(**ino))
-            .copied()
-            .collect();
-        for ino in dead {
-            self.flocks.remove(&ino);
-        }
+        let fs = &self.fs;
+        self.flocks.retain(|&ino, _| fs.exists(ino));
     }
 
     /// Snapshots the full observable state.
@@ -184,7 +177,7 @@ impl Kernel {
     /// Wait-status of every exited process (reaped or zombie), by pid.
     #[must_use]
     pub fn exit_statuses(&self) -> BTreeMap<Pid, u32> {
-        let mut m: BTreeMap<Pid, u32> = self.exit_log.iter().map(|(&p, &s)| (p, s)).collect();
+        let mut m = self.exit_log.clone();
         for p in self.procs.values() {
             if let ProcState::Zombie(st) = p.state {
                 m.insert(p.pid, st);
@@ -255,8 +248,33 @@ impl Kernel {
 mod tests {
 
     use crate::kernel::KernelBuilder;
+    use crate::process::ProcState;
     use crate::sched::RunOutcome;
     use ia_vm::assemble;
+
+    #[test]
+    fn kernels_built_alike_list_their_violations_alike_in_pid_order() {
+        // Every even pid of twenty is a zombie that still holds its
+        // descriptors.
+        let violations = || {
+            let mut k = KernelBuilder::new().build();
+            let img = assemble("main: halt\n").unwrap();
+            for _ in 0..20 {
+                let pid = k.spawn_image(&img, &[b"z"], b"z");
+                if pid.is_multiple_of(2) {
+                    k.proc_mut(pid).unwrap().state = ProcState::Zombie(0);
+                }
+            }
+            k.check_invariants()
+        };
+        let (a, b) = (violations(), violations());
+        assert_eq!(a, b);
+        let expected: Vec<String> = (2..=20)
+            .step_by(2)
+            .map(|pid| format!("zombie pid {pid} still holds descriptors"))
+            .collect();
+        assert_eq!(a, expected);
+    }
 
     #[test]
     fn fresh_kernel_is_consistent_and_quiescent() {

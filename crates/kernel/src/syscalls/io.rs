@@ -1,7 +1,7 @@
 //! Descriptor I/O system calls.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ia_abi::signal::Signal;
 use ia_abi::types::IoVec;
@@ -63,7 +63,11 @@ impl<'a> Src<'a> {
     /// The bytes, borrowed from `pid`'s memory where they lie in one
     /// segment. A field borrow, so the caller may hold the filesystem or
     /// the console mutably meanwhile.
-    fn bytes<'m>(self, procs: &'m HashMap<Pid, Process>, pid: Pid) -> Result<Cow<'m, [u8]>, Errno>
+    fn bytes<'m>(
+        self,
+        procs: &'m BTreeMap<Pid, Box<Process>>,
+        pid: Pid,
+    ) -> Result<Cow<'m, [u8]>, Errno>
     where
         'a: 'm,
     {

@@ -8,7 +8,7 @@ use ia_abi::{Errno, FileMode, RawArgs, Rusage};
 use ia_vm::VmState;
 
 use super::{done, SysOutcome};
-use crate::kernel::{push_args, Kernel, WakeEvent};
+use crate::kernel::{push_args, Kernel};
 use crate::process::{Pid, ProcState, WaitChannel};
 
 /// `wait4` option: don't block.
@@ -31,7 +31,7 @@ impl Kernel {
         for f in shared {
             self.files.incref(f);
         }
-        self.procs.insert(child_pid, child);
+        self.procs.insert(child_pid, Box::new(child));
         self.forks.push((pid, child_pid));
         SysOutcome::Done(Ok([u64::from(child_pid), 0]))
     }
@@ -136,12 +136,10 @@ impl Kernel {
         if children.peek().is_none() {
             return SysOutcome::err(Errno::ECHILD);
         }
-        let zombie = children
-            .filter_map(|p| match p.state {
-                ProcState::Zombie(status) => Some((p.pid, status)),
-                _ => None,
-            })
-            .min();
+        let zombie = children.find_map(|p| match p.state {
+            ProcState::Zombie(status) => Some((p.pid, status)),
+            _ => None,
+        });
         let Some((child, status)) = zombie else {
             if args[2] & WNOHANG != 0 {
                 return SysOutcome::ok1(0);
@@ -366,5 +364,3 @@ impl Kernel {
 
 // Waking parents is done by `terminate`; wait4's Block(Child) channel is
 // matched against `WakeEvent::ChildOf` in the scheduler.
-#[allow(unused_imports)]
-use WakeEvent as _WakeEventDocAnchor;
