@@ -948,6 +948,7 @@ mod tests {
     use super::*;
     use crate::insn::Reg;
     use crate::machine::run_slice;
+    use ia_prng::Prng;
     use Insn::*;
 
     /// One fused turn of at most `max` constituents, answering nothing:
@@ -966,18 +967,53 @@ mod tests {
         }
     }
 
-    /// Runs `code` to completion (halt/fault) under both engines with the
-    /// given slice budget, dispatching every trap with a canned `Ok([7, 0])`
-    /// sysret, and asserts the full machine state and every slice result
-    /// agree — the vm-level differential oracle.
-    fn assert_engines_agree(code: &[Insn], budget: u64) -> [u64; FUSED_KINDS] {
+    /// A machine to start a differential run from.
+    #[derive(Clone)]
+    struct Start {
+        vm: VmState,
+        mem: AddressSpace,
+    }
+
+    /// The zeroed 4 KiB machine the directed cases start from.
+    fn fresh() -> Start {
+        Start {
+            vm: VmState::new(0, 4096),
+            mem: AddressSpace::new(4096, 64),
+        }
+    }
+
+    fn assert_same_memory(a: &AddressSpace, b: &AddressSpace, what: &str) {
+        let (a, b) = (a.read_bytes(0, a.size()), b.read_bytes(0, b.size()));
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!(a.len(), b.len(), "memory size diverged {what}");
+        if let Some(at) = a.iter().zip(b.iter()).position(|(x, y)| x != y) {
+            panic!("memory diverged at {at} {what}");
+        }
+    }
+
+    /// Runs `code` from `start` under both engines with the given slice
+    /// budget for at most `turns` turns, dispatching every trap with a
+    /// canned `Ok([7, 0])` sysret, and asserts the full machine state and
+    /// every slice result agree — the vm-level differential oracle.
+    /// Returns the fused hit counters once the program halts or faults, or
+    /// `None` if it is still running after `turns` turns.
+    fn assert_engines_agree(
+        code: &[Insn],
+        start: &Start,
+        budget: u64,
+        turns: u64,
+    ) -> Option<[u64; FUSED_KINDS]> {
         let prog = FusedProgram::fuse(code);
         let mut hits = [0u64; FUSED_KINDS];
-        let mut vm_p = VmState::new(0, 4096);
-        let mut mem_p = AddressSpace::new(4096, 64);
-        let mut vm_f = VmState::new(0, 4096);
-        let mut mem_f = AddressSpace::new(4096, 64);
-        for turn in 0..100_000 {
+        let Start {
+            vm: mut vm_p,
+            mem: mut mem_p,
+        } = start.clone();
+        let Start {
+            vm: mut vm_f,
+            mem: mut mem_f,
+        } = start.clone();
+        for turn in 0..turns {
             let rp = run_slice(&mut vm_p, &mut mem_p, code, budget);
             let rf = run_slice_fused(&mut vm_f, &mut mem_f, &prog, budget, &mut hits);
             assert_eq!(
@@ -988,29 +1024,24 @@ mod tests {
                 vm_p, vm_f,
                 "vm state diverged at turn {turn} (budget {budget})"
             );
-            for addr in (0..4096).step_by(8) {
-                assert_eq!(
-                    mem_p.read_u64(addr),
-                    mem_f.read_u64(addr),
-                    "memory diverged at {addr} on turn {turn}"
-                );
-            }
+            assert_same_memory(&mem_p, &mem_f, &format!("on turn {turn}"));
             match rp.end {
                 SliceEnd::Expired => {}
                 SliceEnd::Syscall { .. } => {
                     vm_p.apply_sysret(Ok([7, 0]));
                     vm_f.apply_sysret(Ok([7, 0]));
                 }
-                SliceEnd::Halted | SliceEnd::Fault(_) => return hits,
+                SliceEnd::Halted | SliceEnd::Fault(_) => return Some(hits),
             }
         }
-        panic!("program did not finish in 100k turns");
+        None
     }
 
     fn diff_all_budgets(code: &[Insn]) -> [u64; FUSED_KINDS] {
         let mut last = [0; FUSED_KINDS];
         for budget in [1, 2, 3, 5, 7, 100] {
-            last = assert_engines_agree(code, budget);
+            last = assert_engines_agree(code, &fresh(), budget, 100_000)
+                .expect("program did not finish in 100k turns");
         }
         last
     }
@@ -1311,15 +1342,18 @@ mod tests {
         diff_all_budgets(&[Nop, Nop]);
     }
 
-    /// Runs `code` to the first non-`Expired` end under (a) one
-    /// [`run_burst_fused`] call and (b) a loop of [`run_slice_fused`]
-    /// turns, asserting identical machine state, totals, hit counters and
-    /// turn counts — the burst-vs-turns oracle.
-    fn assert_burst_matches_turn_loop(code: &[Insn], slice: u64, max: u64) {
+    /// Runs `code` from `start` to the first non-`Expired` end, or until
+    /// `max` constituents retire, under (a) one [`run_burst_fused`] call
+    /// and (b) a loop of [`run_slice_fused`] turns, asserting identical
+    /// machine state, totals, hit counters and turn counts — the
+    /// burst-vs-turns oracle.
+    fn assert_burst_matches_turn_loop(code: &[Insn], start: &Start, slice: u64, max: u64) {
         let prog = FusedProgram::fuse(code);
 
-        let mut vm_b = VmState::new(0, 4096);
-        let mut mem_b = AddressSpace::new(4096, 64);
+        let Start {
+            vm: mut vm_b,
+            mem: mut mem_b,
+        } = start.clone();
         let mut hits_b = [0u64; FUSED_KINDS];
         let burst = run_burst_fused(
             &mut vm_b,
@@ -1331,8 +1365,10 @@ mod tests {
             &mut hits_b,
         );
 
-        let mut vm_t = VmState::new(0, 4096);
-        let mut mem_t = AddressSpace::new(4096, 64);
+        let Start {
+            vm: mut vm_t,
+            mem: mut mem_t,
+        } = start.clone();
         let mut hits_t = [0u64; FUSED_KINDS];
         let mut retired = 0u64;
         let mut turns = 0u64;
@@ -1353,9 +1389,7 @@ mod tests {
         assert_eq!(burst.end_turn_retired, last.retired, "final turn diverged");
         assert_eq!(hits_b, hits_t, "fusion hit counters diverged");
         assert_eq!(vm_b, vm_t, "vm state diverged");
-        for addr in (0..4096).step_by(8) {
-            assert_eq!(mem_b.read_u64(addr), mem_t.read_u64(addr));
-        }
+        assert_same_memory(&mem_b, &mem_t, "after the burst");
     }
 
     #[test]
@@ -1372,10 +1406,10 @@ mod tests {
             Sys,
             Halt,
         ];
-        assert_burst_matches_turn_loop(&code, 100, u64::MAX);
+        assert_burst_matches_turn_loop(&code, &fresh(), 100, u64::MAX);
         // Odd slice lengths shift the boundary phase.
-        assert_burst_matches_turn_loop(&code, 7, u64::MAX);
-        assert_burst_matches_turn_loop(&code, 3, u64::MAX);
+        assert_burst_matches_turn_loop(&code, &fresh(), 7, u64::MAX);
+        assert_burst_matches_turn_loop(&code, &fresh(), 3, u64::MAX);
     }
 
     #[test]
@@ -1383,7 +1417,7 @@ mod tests {
         let code = [Li(13, 900), Addi(13, 13, -1), Jnz(13, 1), Halt];
         // Budgets that end mid-turn, on a turn edge, and mid-split-pair.
         for max in [1, 2, 99, 100, 101, 150, 199, 200, 1000] {
-            assert_burst_matches_turn_loop(&code, 100, max);
+            assert_burst_matches_turn_loop(&code, &fresh(), 100, max);
         }
     }
 
@@ -1454,29 +1488,35 @@ mod tests {
         ]
     }
 
-    /// Runs `code` as one answering burst and as a loop of plain
-    /// `run_slice` turns that answers each table-covered trap the way the
-    /// kernel does (clock = entry + instructions + base costs so far),
-    /// asserting identical machine state, memory, totals and turn
-    /// accounting.
+    /// Runs `code` from `start` as one answering burst of at most `max`
+    /// constituents and as a loop of plain `run_slice` turns that answers
+    /// each table-covered trap the way the kernel does (clock = entry +
+    /// instructions + base costs so far), asserting identical machine
+    /// state, memory, totals and turn accounting.
     fn assert_answering_burst_matches_routed_turns(
         code: &[Insn],
+        start: &Start,
         slice: u64,
+        max: u64,
         t: &AnswerTable,
     ) -> FusedBurst {
         let prog = FusedProgram::fuse(code);
-        let mut vm_b = VmState::new(0, 4096);
-        let mut mem_b = AddressSpace::new(4096, 64);
+        let Start {
+            vm: mut vm_b,
+            mem: mut mem_b,
+        } = start.clone();
         let mut hits = [0u64; FUSED_KINDS];
-        let b = run_burst_fused(&mut vm_b, &mut mem_b, &prog, slice, u64::MAX, t, &mut hits);
+        let b = run_burst_fused(&mut vm_b, &mut mem_b, &prog, slice, max, t, &mut hits);
 
-        let mut vm = VmState::new(0, 4096);
-        let mut mem = AddressSpace::new(4096, 64);
+        let Start { mut vm, mut mem } = start.clone();
         let (mut retired, mut cost, mut turns, mut full, mut answered) = (0, 0, 0, 0, 0);
         let last = loop {
-            let r = run_slice(&mut vm, &mut mem, code, slice);
+            let r = run_slice(&mut vm, &mut mem, code, slice.min(max - retired));
             retired += r.retired;
             turns += 1;
+            if retired >= max {
+                break r;
+            }
             let SliceEnd::Syscall { nr: n, args } = r.end else {
                 if r.end != SliceEnd::Expired {
                     break r;
@@ -1509,9 +1549,7 @@ mod tests {
         assert_eq!(b.answered(), answered);
         assert_eq!(b.cost_ns, cost);
         assert_eq!(vm_b, vm, "vm state diverged (slice {slice})");
-        for addr in (0..4096).step_by(8) {
-            assert_eq!(mem_b.read_u64(addr), mem.read_u64(addr));
-        }
+        assert_same_memory(&mem_b, &mem, "after the answering burst");
         b
     }
 
@@ -1519,7 +1557,13 @@ mod tests {
     fn answering_burst_matches_routing_every_trap() {
         let t = table(true, true);
         for slice in [100, 7, 3, 2] {
-            let b = assert_answering_burst_matches_routed_turns(&mixed_trap_loop(), slice, &t);
+            let b = assert_answering_burst_matches_routed_turns(
+                &mixed_trap_loop(),
+                &fresh(),
+                slice,
+                u64::MAX,
+                &t,
+            );
             assert_eq!(b.direct_getpid, 40);
             assert_eq!(b.direct_gtod, 40);
             assert!(
@@ -1529,7 +1573,13 @@ mod tests {
         }
         // With only one number in the table, the other one ends the burst.
         let t = table(true, false);
-        let b = assert_answering_burst_matches_routed_turns(&mixed_trap_loop(), 100, &t);
+        let b = assert_answering_burst_matches_routed_turns(
+            &mixed_trap_loop(),
+            &fresh(),
+            100,
+            u64::MAX,
+            &t,
+        );
         assert_eq!((b.answered(), b.direct_getpid), (1, 1));
         assert!(matches!(b.end, SliceEnd::Syscall { nr: 116, .. }));
     }
@@ -1590,5 +1640,194 @@ mod tests {
         assert_eq!(b.answered(), 2);
         assert!(matches!(b.end, SliceEnd::Syscall { nr: 20, .. }));
         assert_eq!(vm.pc, 2, "pc past the unanswered trap");
+    }
+
+    /// Registers the random programs mostly draw from, so instructions
+    /// feed each other: a few scratch registers, the syscall-number
+    /// register and the stack pointer.
+    const POOL: [Reg; 6] = [0, 1, 2, 3, SYS_NR_REG as Reg, SP];
+
+    fn reg(rng: &mut Prng) -> Reg {
+        if rng.below(8) == 0 {
+            rng.below(NREGS as u64) as Reg
+        } else {
+            *rng.pick(&POOL)
+        }
+    }
+
+    /// A register or memory value: zero-ish, an address inside a `size`
+    /// byte space, one near its end, or anything.
+    fn value(rng: &mut Prng, size: u64) -> u64 {
+        match rng.below(4) {
+            0 => rng.below(4),
+            1 => rng.below(size),
+            2 => size - rng.below(16),
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// A load/store offset: mostly small, sometimes far enough to fault.
+    fn offset(rng: &mut Prng) -> i64 {
+        match rng.below(6) {
+            0 => 1 << 40,
+            1 => rng.next_u64() as i64,
+            _ => rng.range_i64(-16, 64),
+        }
+    }
+
+    /// A branch target placeholder; [`random_program`] retargets it.
+    const TBD: u64 = u64::MAX;
+
+    /// One of the five superinstruction shapes, fields drawn at random.
+    fn random_pair(rng: &mut Prng) -> [Insn; 2] {
+        type Cmp = fn(Reg, Reg, Reg) -> Insn;
+        type Br = fn(Reg, u64) -> Insn;
+        let rd = reg(rng);
+        match rng.below(5) {
+            0 => {
+                let cmp: Cmp = *rng.pick(&[Seq as Cmp, Sltu, Slt]);
+                let br: Br = *rng.pick(&[Jz as Br, Jnz]);
+                [cmp(rd, reg(rng), reg(rng)), br(rd, TBD)]
+            }
+            1 => {
+                let br: Br = *rng.pick(&[Jz as Br, Jnz]);
+                [Addi(rd, reg(rng), rng.range_i64(-3, 3)), br(rd, TBD)]
+            }
+            2 => [Addi(rd, reg(rng), rng.range_i64(-3, 3)), Jmp(TBD)],
+            3 => {
+                let nr = match rng.below(4) {
+                    0 => nr(Sysno::Gettimeofday),
+                    1 => rng.below(200),
+                    _ => nr(Sysno::Getpid),
+                };
+                [Li(SYS_NR_REG as Reg, nr), Sys]
+            }
+            _ => {
+                let alu: Cmp = *rng.pick(&[Add as Cmp, Sub, Mul, And, Or, Xor]);
+                [
+                    Ld(rd, reg(rng), offset(rng)),
+                    alu(reg(rng), reg(rng), reg(rng)),
+                ]
+            }
+        }
+    }
+
+    /// One plain instruction, biased toward faults, control flow and
+    /// memory traffic.
+    fn random_insn(rng: &mut Prng, size: u64) -> Insn {
+        let (a, b, c) = (reg(rng), reg(rng), reg(rng));
+        match rng.below(20) {
+            0 => Li(a, value(rng, size)),
+            1 => Mov(a, b),
+            2 => Ld(a, b, offset(rng)),
+            3 => St(a, b, offset(rng)),
+            4 => Ldb(a, b, offset(rng)),
+            5 => Stb(a, b, offset(rng)),
+            6 => Div(a, b, c),
+            7 => Rem(a, b, c),
+            8 => Addi(a, b, rng.range_i64(-8, 8)),
+            9 => *rng.pick(&[Add(a, b, c), Sub(a, b, c), Mul(a, b, c), And(a, b, c)]),
+            10 => *rng.pick(&[Or(a, b, c), Xor(a, b, c), Shl(a, b, c), Shr(a, b, c)]),
+            11 => *rng.pick(&[Sltu(a, b, c), Slt(a, b, c), Seq(a, b, c)]),
+            12 => *rng.pick(&[Jmp(TBD), Jz(a, TBD), Jnz(a, TBD)]),
+            13 => Call(TBD),
+            14 => Ret,
+            15 => Sys,
+            16 => Halt,
+            _ => Nop,
+        }
+    }
+
+    /// A random program of 2–25 instructions, about half of them in
+    /// fusable pairs. Branch targets land on a pair's second slot, past
+    /// the end of the code, or anywhere.
+    fn random_program(rng: &mut Prng, size: u64) -> Vec<Insn> {
+        let len = rng.range_usize(2, 24);
+        let mut code = Vec::with_capacity(len + 1);
+        let mut seconds = Vec::new();
+        while code.len() < len {
+            if rng.bool() {
+                seconds.push(code.len() as u64 + 1);
+                code.extend(random_pair(rng));
+            } else {
+                code.push(random_insn(rng, size));
+            }
+        }
+        let n = code.len() as u64;
+        for insn in &mut code {
+            let target = match rng.below(8) {
+                0..=1 if !seconds.is_empty() => *rng.pick(&seconds),
+                2 => n + rng.below(2),
+                _ => rng.below(n),
+            };
+            if let Jmp(t) | Jz(_, t) | Jnz(_, t) | Call(t) = insn {
+                *t = target;
+            }
+        }
+        code
+    }
+
+    /// A machine of a random size with random registers and a few random
+    /// words of memory.
+    fn random_start(rng: &mut Prng) -> Start {
+        let size = *rng.pick(&[256u64, 1024, 4096]);
+        let mut mem = AddressSpace::new(size as usize, 64);
+        for _ in 0..rng.below(8) {
+            let v = value(rng, size);
+            mem.write_u64(rng.below(size - 7), v).unwrap();
+        }
+        let mut vm = VmState::new(0, size as usize);
+        for r in 0..NREGS {
+            if r != usize::from(SP) || rng.bool() {
+                vm.regs[r] = value(rng, size);
+            }
+        }
+        Start { vm, mem }
+    }
+
+    fn random_table(rng: &mut Prng) -> AnswerTable {
+        AnswerTable {
+            spec: FastSpec {
+                getpid: rng.bool(),
+                gtod: rng.bool(),
+            },
+            pid: rng.below(1000),
+            getpid_cost_ns: rng.below(50_000),
+            gtod_cost_ns: rng.below(50_000),
+            insn_ns: rng.below(10_000),
+            clock_base_ns: rng.below(1 << 40),
+            epoch_secs: rng.below(1 << 31) as i64,
+        }
+    }
+
+    /// Names the failing draw when a driver panics inside it.
+    struct Draw<'a>(u64, &'a [Insn]);
+
+    impl Drop for Draw<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!("random draw {} diverged on {:?}", self.0, self.1);
+            }
+        }
+    }
+
+    /// The random-code differential: seeded programs biased toward the
+    /// fusion shapes, branches into a pair's second slot and faulting
+    /// first constituents, from random machines, through all three
+    /// oracles with random slices, step budgets and answer tables. A draw
+    /// that never finishes stops at the cap without failing.
+    #[test]
+    fn random_code_agrees_under_every_driver() {
+        ia_prng::run_cases(3000, |case, rng| {
+            let start = random_start(rng);
+            let code = random_program(rng, start.mem.size() as u64);
+            let _draw = Draw(case, &code);
+            let slice = *rng.pick(&[1, 2, 3, 4, 5, 6, 7, 100]);
+            let max = rng.range_u64(1, 600);
+            let table = random_table(rng);
+            assert_engines_agree(&code, &start, slice, 64);
+            assert_burst_matches_turn_loop(&code, &start, slice, max);
+            assert_answering_burst_matches_routed_turns(&code, &start, slice, max, &table);
+        });
     }
 }
