@@ -54,12 +54,13 @@ use ia_abi::Errno;
 use ia_vfs::FileContent;
 use ia_vm::{FusedProgram, Image, Insn};
 
-/// A fully prepared executable: the parsed image (for segment loading and
-/// entry point), the decoded code every process running these bytes
-/// shares, and the fused program the sliced engine executes.
+/// A fully prepared executable: the parsed image's data and entry point
+/// (for segment loading), the decoded code every process running these
+/// bytes shares, and the fused program the sliced engine executes.
 #[derive(Debug)]
 pub struct PreparedImage {
-    /// The parsed image, for `load_into` and entry point.
+    /// The parsed image with its code moved out into [`Self::code`]: the
+    /// data segment for `load_into`, and the entry point.
     pub image: Image,
     /// Decoded code, shared across processes (`Process::code`).
     pub code: Arc<Vec<Insn>>,
@@ -68,11 +69,11 @@ pub struct PreparedImage {
 }
 
 impl PreparedImage {
-    /// Decodes nothing — takes an already-parsed image and derives the
-    /// shared code and fused program once.
+    /// Decodes nothing — takes an already-parsed image, moves its code
+    /// into the shared `Arc` and derives the fused program once.
     #[must_use]
-    pub fn prepare(image: Image) -> PreparedImage {
-        let code = Arc::new(image.code.clone());
+    pub fn prepare(mut image: Image) -> PreparedImage {
+        let code = Arc::new(std::mem::take(&mut image.code));
         let fused = Arc::new(FusedProgram::fuse(&code));
         PreparedImage { image, code, fused }
     }
@@ -270,8 +271,8 @@ mod tests {
         let b = image_file(2);
         let pa = c.prepare(&a).unwrap();
         let pb = c.prepare(&b).unwrap();
-        assert_ne!(pa.image, pb.image);
-        assert_eq!(c.prepare(&a).unwrap().image, pa.image);
+        assert_ne!(pa.code, pb.code);
+        assert_eq!(c.prepare(&a).unwrap().code, pa.code);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The interpreter: registers, stepping, traps and faults. [`run_slice`]
-//! over [`step`] is the plain reference engine: every trap leaves the loop.
-//! The in-loop answer table ([`FastSpec`]) is consumed by the fused burst
-//! ([`crate::fuse::run_burst_fused`]).
+//! The interpreter: registers, stepping, traps and faults. [`exec`] is
+//! the one definition of what each instruction does. [`run_slice`] over
+//! [`step`] is the plain reference engine, where every trap leaves the
+//! loop; the fused burst ([`crate::fuse::run_burst_fused`]), the
+//! production engine, runs its instructions through the same [`exec`] and
+//! consumes the in-loop answer table ([`FastSpec`]).
 
 use ia_abi::{RawArgs, Signal, SysResult};
 
@@ -134,15 +136,14 @@ pub struct SliceResult {
     pub end: SliceEnd,
 }
 
-/// Executes up to `max` instructions in a tight loop, returning to the
+/// Executes up to `max` instructions with [`step`], returning to the
 /// caller only on a trap, halt, fault, or an exhausted budget.
 ///
-/// This is the interpreter's hot path: the scheduler calls it once per
-/// time slice instead of calling [`step`] per instruction, so `vm`, `mem`
-/// and `code` stay borrowed (and hot in registers) across the whole burst
-/// and the virtual clock can be advanced once by `retired` — bit-identical
-/// to `retired` separate advances, since the per-instruction charge is a
-/// constant number of nanoseconds.
+/// This is the reference engine the fused burst is held bit-identical to,
+/// and the engine `Engine::Plain` runs. The scheduler calls it once per
+/// time slice, so the virtual clock can be advanced once by `retired` —
+/// bit-identical to `retired` separate advances, since the
+/// per-instruction charge is a constant number of nanoseconds.
 pub fn run_slice(vm: &mut VmState, mem: &mut AddressSpace, code: &[Insn], max: u64) -> SliceResult {
     let mut retired = 0u64;
     while retired < max {
@@ -188,139 +189,130 @@ pub fn step(vm: &mut VmState, mem: &mut AddressSpace, code: &[Insn]) -> StepEven
     let Some(&insn) = code.get(vm.pc as usize) else {
         return StepEvent::Fault(Signal::SIGSEGV);
     };
-    exec_insn(vm, mem, insn)
+    match exec(&mut vm.regs, &mut vm.pc, mem, insn) {
+        Exec::Next => {
+            vm.insns_retired += 1;
+            StepEvent::Continue
+        }
+        Exec::Trap => {
+            vm.insns_retired += 1;
+            let (nr, args) = vm.trap_args();
+            StepEvent::Syscall { nr, args }
+        }
+        Exec::Halt => {
+            vm.insns_retired += 1;
+            vm.halted = true;
+            StepEvent::Halted
+        }
+        Exec::Fault(sig) => StepEvent::Fault(sig),
+    }
 }
 
-/// Executes one already-fetched instruction at the current pc — the body of
-/// [`step`] after the fetch. Also the reference semantics the fused engine
-/// falls back to when the slice budget cannot cover a whole superinstruction
-/// pair, so both paths retire a split pair through the same code.
-#[inline]
-pub(crate) fn exec_insn(vm: &mut VmState, mem: &mut AddressSpace, insn: Insn) -> StepEvent {
-    let next_pc = vm.pc + 1;
-    vm.insns_retired += 1;
+/// What [`exec`] did with one instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exec {
+    /// Retired; the pc names the next instruction.
+    Next,
+    /// Retired a `Sys`; the pc is past it and the registers hold the trap.
+    Trap,
+    /// Reached `Halt`; the pc stays on it.
+    Halt,
+    /// Faulted with nothing changed; the pc stays on the instruction.
+    Fault(Signal),
+}
 
-    macro_rules! fault {
-        ($sig:expr) => {{
-            vm.insns_retired -= 1;
-            return StepEvent::Fault($sig);
-        }};
+/// Executes one already-fetched instruction at `*pc`: the one place that
+/// says what each instruction does. [`step`] wraps it for the reference
+/// engine; the fused burst runs every plain slot and both halves of every
+/// superinstruction through it on its own locals, so inlining lets each
+/// of its arms fold to that instruction's code alone. Register numbers
+/// are masked (decode rejects any `>= NREGS`), so no access is
+/// bounds-checked.
+#[inline(always)]
+pub(crate) fn exec(
+    regs: &mut [u64; NREGS],
+    pc: &mut u64,
+    mem: &mut AddressSpace,
+    insn: Insn,
+) -> Exec {
+    macro_rules! r {
+        ($i:expr) => {
+            regs[usize::from($i) & (NREGS - 1)]
+        };
     }
     macro_rules! memop {
         ($e:expr) => {
             match $e {
                 Ok(v) => v,
-                Err(_) => fault!(Signal::SIGSEGV),
+                Err(_) => return Exec::Fault(Signal::SIGSEGV),
             }
         };
     }
-
+    let next = *pc + 1;
     use Insn::*;
     match insn {
-        Li(rd, v) => vm.regs[rd as usize] = v,
-        Mov(rd, rs) => vm.regs[rd as usize] = vm.regs[rs as usize],
-        Ld(rd, rs, off) => {
-            let addr = vm.regs[rs as usize].wrapping_add(off as u64);
-            vm.regs[rd as usize] = memop!(mem.read_u64(addr));
-        }
-        St(rd, rs, off) => {
-            let addr = vm.regs[rd as usize].wrapping_add(off as u64);
-            memop!(mem.write_u64(addr, vm.regs[rs as usize]));
-        }
+        Li(rd, v) => r!(rd) = v,
+        Mov(rd, rs) => r!(rd) = r!(rs),
+        Ld(rd, rs, off) => r!(rd) = memop!(mem.read_u64(r!(rs).wrapping_add(off as u64))),
+        St(rd, rs, off) => memop!(mem.write_u64(r!(rd).wrapping_add(off as u64), r!(rs))),
         Ldb(rd, rs, off) => {
-            let addr = vm.regs[rs as usize].wrapping_add(off as u64);
-            vm.regs[rd as usize] = u64::from(memop!(mem.read_u8(addr)));
+            r!(rd) = u64::from(memop!(mem.read_u8(r!(rs).wrapping_add(off as u64))));
         }
-        Stb(rd, rs, off) => {
-            let addr = vm.regs[rd as usize].wrapping_add(off as u64);
-            memop!(mem.write_u8(addr, vm.regs[rs as usize] as u8));
-        }
-        Add(rd, a, b) => {
-            vm.regs[rd as usize] = vm.regs[a as usize].wrapping_add(vm.regs[b as usize])
-        }
-        Sub(rd, a, b) => {
-            vm.regs[rd as usize] = vm.regs[a as usize].wrapping_sub(vm.regs[b as usize])
-        }
-        Mul(rd, a, b) => {
-            vm.regs[rd as usize] = vm.regs[a as usize].wrapping_mul(vm.regs[b as usize])
-        }
-        Div(rd, a, b) => {
-            let d = vm.regs[b as usize];
-            if d == 0 {
-                fault!(Signal::SIGFPE);
-            }
-            vm.regs[rd as usize] = vm.regs[a as usize] / d;
-        }
-        Rem(rd, a, b) => {
-            let d = vm.regs[b as usize];
-            if d == 0 {
-                fault!(Signal::SIGFPE);
-            }
-            vm.regs[rd as usize] = vm.regs[a as usize] % d;
-        }
-        Addi(rd, rs, imm) => vm.regs[rd as usize] = vm.regs[rs as usize].wrapping_add(imm as u64),
-        And(rd, a, b) => vm.regs[rd as usize] = vm.regs[a as usize] & vm.regs[b as usize],
-        Or(rd, a, b) => vm.regs[rd as usize] = vm.regs[a as usize] | vm.regs[b as usize],
-        Xor(rd, a, b) => vm.regs[rd as usize] = vm.regs[a as usize] ^ vm.regs[b as usize],
-        Shl(rd, a, b) => vm.regs[rd as usize] = vm.regs[a as usize] << (vm.regs[b as usize] & 63),
-        Shr(rd, a, b) => vm.regs[rd as usize] = vm.regs[a as usize] >> (vm.regs[b as usize] & 63),
-        Sltu(rd, a, b) => {
-            vm.regs[rd as usize] = u64::from(vm.regs[a as usize] < vm.regs[b as usize])
-        }
-        Slt(rd, a, b) => {
-            vm.regs[rd as usize] =
-                u64::from((vm.regs[a as usize] as i64) < (vm.regs[b as usize] as i64))
-        }
-        Seq(rd, a, b) => {
-            vm.regs[rd as usize] = u64::from(vm.regs[a as usize] == vm.regs[b as usize])
-        }
+        Stb(rd, rs, off) => memop!(mem.write_u8(r!(rd).wrapping_add(off as u64), r!(rs) as u8)),
+        Add(rd, a, b) => r!(rd) = r!(a).wrapping_add(r!(b)),
+        Sub(rd, a, b) => r!(rd) = r!(a).wrapping_sub(r!(b)),
+        Mul(rd, a, b) => r!(rd) = r!(a).wrapping_mul(r!(b)),
+        Div(rd, a, b) => match r!(b) {
+            0 => return Exec::Fault(Signal::SIGFPE),
+            d => r!(rd) = r!(a) / d,
+        },
+        Rem(rd, a, b) => match r!(b) {
+            0 => return Exec::Fault(Signal::SIGFPE),
+            d => r!(rd) = r!(a) % d,
+        },
+        Addi(rd, rs, imm) => r!(rd) = r!(rs).wrapping_add(imm as u64),
+        And(rd, a, b) => r!(rd) = r!(a) & r!(b),
+        Or(rd, a, b) => r!(rd) = r!(a) | r!(b),
+        Xor(rd, a, b) => r!(rd) = r!(a) ^ r!(b),
+        Shl(rd, a, b) => r!(rd) = r!(a) << (r!(b) & 63),
+        Shr(rd, a, b) => r!(rd) = r!(a) >> (r!(b) & 63),
+        Sltu(rd, a, b) => r!(rd) = u64::from(r!(a) < r!(b)),
+        Slt(rd, a, b) => r!(rd) = u64::from((r!(a) as i64) < (r!(b) as i64)),
+        Seq(rd, a, b) => r!(rd) = u64::from(r!(a) == r!(b)),
         Jmp(t) => {
-            vm.pc = t;
-            return StepEvent::Continue;
+            *pc = t;
+            return Exec::Next;
         }
         Jz(rs, t) => {
-            vm.pc = if vm.regs[rs as usize] == 0 {
-                t
-            } else {
-                next_pc
-            };
-            return StepEvent::Continue;
+            *pc = if r!(rs) == 0 { t } else { next };
+            return Exec::Next;
         }
         Jnz(rs, t) => {
-            vm.pc = if vm.regs[rs as usize] != 0 {
-                t
-            } else {
-                next_pc
-            };
-            return StepEvent::Continue;
+            *pc = if r!(rs) != 0 { t } else { next };
+            return Exec::Next;
         }
         Call(t) => {
-            let sp = vm.regs[SP as usize].wrapping_sub(8);
-            memop!(mem.write_u64(sp, next_pc));
-            vm.regs[SP as usize] = sp;
-            vm.pc = t;
-            return StepEvent::Continue;
+            let sp = r!(SP).wrapping_sub(8);
+            memop!(mem.write_u64(sp, next));
+            r!(SP) = sp;
+            *pc = t;
+            return Exec::Next;
         }
         Ret => {
-            let sp = vm.regs[SP as usize];
-            let ra = memop!(mem.read_u64(sp));
-            vm.regs[SP as usize] = sp + 8;
-            vm.pc = ra;
-            return StepEvent::Continue;
+            let sp = r!(SP);
+            *pc = memop!(mem.read_u64(sp));
+            r!(SP) = sp + 8;
+            return Exec::Next;
         }
         Sys => {
-            vm.pc = next_pc;
-            let (nr, args) = vm.trap_args();
-            return StepEvent::Syscall { nr, args };
+            *pc = next;
+            return Exec::Trap;
         }
-        Halt => {
-            vm.halted = true;
-            return StepEvent::Halted;
-        }
+        Halt => return Exec::Halt,
         Nop => {}
     }
-    vm.pc = next_pc;
-    StepEvent::Continue
+    *pc = next;
+    Exec::Next
 }
 
 /// The per-process answer table for the in-loop syscall fast path — the
