@@ -29,15 +29,26 @@ use ia_obs::report::{Json, Layout};
 use ia_vm::{Image, ProgramBuilder};
 use ia_workloads::micro::{self, MicroCall};
 
-/// Iterations of the 2-instruction compute loop (≈ 6M instructions with
-/// prologue).
+/// Iterations of the 3-instruction compute loop (≈ 9M instructions with
+/// prologue) on the reference.
 const COMPUTE_ITERS: u64 = 3_000_000;
-/// `getpid()` traps per trap-loop run.
+/// `getpid()` traps per trap-loop run on the reference.
 const TRAP_ITERS: u64 = 150_000;
 /// Timed repetitions per scenario, each running every configuration
 /// once; each row keeps its best (minimum-time) repetition, and each
 /// speedup is the median of the repetitions' paired ratios.
 const REPS: usize = 9;
+
+/// Iterations per configuration (reference, fused without the fast path,
+/// default) for the compute scenarios: the fused engine runs the loop
+/// about 2.5x faster, so it runs twice the iterations.
+const COMPUTE_SIZES: [u64; 3] = [COMPUTE_ITERS, 2 * COMPUTE_ITERS, 2 * COMPUTE_ITERS];
+/// Iterations per configuration for a trap scenario whose `getpid` the
+/// default answers in the loop, about 10x faster than routing it.
+const ANSWERED_TRAP_SIZES: [u64; 3] = [TRAP_ITERS, TRAP_ITERS, 10 * TRAP_ITERS];
+/// Iterations per configuration for a trap scenario whose agents send
+/// every trap out to the router on every configuration.
+const ROUTED_TRAP_SIZES: [u64; 3] = [TRAP_ITERS; 3];
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -137,27 +148,36 @@ const REFERENCE: Config = (false, false);
 /// The default configuration: fused engine, fast path on.
 const DEFAULT: Config = (true, true);
 
-/// Measures one scenario under each of `configs`, interleaved rep by rep
-/// (every repetition runs each configuration once, in order). Each row
-/// keeps its fastest repetition as its throughput and every repetition's
-/// time for [`paired_speedup`].
+fn trap_image(iters: u64) -> Image {
+    micro::loop_image(MicroCall::Getpid, iters)
+}
+
+/// Measures one scenario under each of `configs`, each running the loop
+/// `image(iterations)` builds, interleaved rep by rep (every repetition
+/// runs each configuration once, in order). Iterations are sized per
+/// configuration so that every row's repetition takes a similar time, and
+/// so shares the same host windows. Each row keeps its fastest repetition
+/// as its throughput and every repetition's time for [`paired_speedup`].
 fn interleaved<const N: usize>(
     name: &str,
-    img: &Image,
+    image: fn(u64) -> Image,
     agent: AgentCfg,
-    configs: [Config; N],
+    configs: [(Config, u64); N],
 ) -> [Scenario; N] {
+    let images = configs.map(|(_, iters)| image(iters));
     let mut counts = [(0, 0); N];
     let mut reps: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(REPS));
     for _ in 0..REPS {
-        for ((count, reps), &config) in counts.iter_mut().zip(&mut reps).zip(&configs) {
+        for (((count, reps), &(config, _)), img) in
+            counts.iter_mut().zip(&mut reps).zip(&configs).zip(&images)
+        {
             let (insns, traps, secs) = measure_once(img, agent, config);
             *count = (insns, traps);
             reps.push(secs);
         }
     }
     std::array::from_fn(|i| {
-        let ((fused, fast), (insns, traps)) = (configs[i], counts[i]);
+        let (((fused, fast), _), (insns, traps)) = (configs[i], counts[i]);
         let rep_secs = std::mem::take(&mut reps[i]);
         let host_secs = rep_secs.iter().copied().fold(f64::INFINITY, f64::min);
         Scenario {
@@ -175,16 +195,20 @@ fn interleaved<const N: usize>(
 }
 
 /// How many times faster `quick` ran than `slow`: the median over
-/// repetitions of the two rows' paired time ratio. The two sides of each
-/// pair were timed back to back, so a host window that speeds up or slows
-/// down one repetition cancels out of its ratio, and the median ignores
-/// the odd repetition that ran alone in one.
+/// repetitions of the two rows' paired throughput ratio, in simulated
+/// instructions per host second (each loop retires a fixed number of
+/// instructions per iteration, and the rows may run different iteration
+/// counts). The two sides of each pair were timed back to back, so a host
+/// window that speeds up or slows down one repetition cancels out of its
+/// ratio, and the median ignores the odd repetition that ran alone in
+/// one.
 fn paired_speedup(slow: &Scenario, quick: &Scenario) -> f64 {
+    let rate = |sc: &Scenario, secs: f64| sc.insns as f64 / secs.max(1e-9);
     let mut ratios: Vec<f64> = slow
         .rep_secs
         .iter()
         .zip(&quick.rep_secs)
-        .map(|(s, q)| s / q.max(1e-9))
+        .map(|(&s, &q)| rate(quick, q) / rate(slow, s))
         .collect();
     ratios.sort_by(f64::total_cmp);
     match ratios.len() {
@@ -202,26 +226,46 @@ fn paired_speedup(slow: &Scenario, quick: &Scenario) -> f64 {
 /// [`paired_speedup`] of rows measured in the same host windows.
 #[must_use]
 pub fn run_all() -> Vec<Scenario> {
-    let compute = compute_image(COMPUTE_ITERS);
-    let traps = micro::loop_image(MicroCall::Getpid, TRAP_ITERS);
+    let compute: fn(u64) -> Image = compute_image;
+    let traps: fn(u64) -> Image = trap_image;
     let mut out = Vec::new();
-    for (loop_name, img, agent) in [
-        ("compute/no_agent", &compute, AgentCfg::None),
+    for (loop_name, image, agent, [reference, nofast, default]) in [
+        ("compute/no_agent", compute, AgentCfg::None, COMPUTE_SIZES),
         (
             "compute/all_interest_agent",
-            &compute,
+            compute,
             AgentCfg::AllInterest,
+            COMPUTE_SIZES,
         ),
-        ("traps/no_agent", &traps, AgentCfg::None),
-        ("traps/all_interest_agent", &traps, AgentCfg::AllInterest),
-        ("traps/pass_through", &traps, AgentCfg::Observer),
-        ("traps/stacked3", &traps, AgentCfg::Stacked3),
+        ("traps/no_agent", traps, AgentCfg::None, ANSWERED_TRAP_SIZES),
+        (
+            "traps/all_interest_agent",
+            traps,
+            AgentCfg::AllInterest,
+            ROUTED_TRAP_SIZES,
+        ),
+        (
+            "traps/pass_through",
+            traps,
+            AgentCfg::Observer,
+            ROUTED_TRAP_SIZES,
+        ),
+        (
+            "traps/stacked3",
+            traps,
+            AgentCfg::Stacked3,
+            ANSWERED_TRAP_SIZES,
+        ),
     ] {
         out.extend(interleaved(
             loop_name,
-            img,
+            image,
             agent,
-            [REFERENCE, (true, false), DEFAULT],
+            [
+                (REFERENCE, reference),
+                ((true, false), nofast),
+                (DEFAULT, default),
+            ],
         ));
     }
     out
@@ -249,21 +293,25 @@ pub const SMOKE_COMPUTE_SCENARIO: &str = "compute/no_agent";
 /// divides the window out while still catching hot-path regressions.
 #[must_use]
 pub fn run_smoke() -> f64 {
-    let traps = micro::loop_image(MicroCall::Getpid, TRAP_ITERS);
-    let [reference, default] =
-        interleaved(SMOKE_SCENARIO, &traps, AgentCfg::None, [REFERENCE, DEFAULT]);
+    let [reference, _, default] = ANSWERED_TRAP_SIZES;
+    let [reference, default] = interleaved(
+        SMOKE_SCENARIO,
+        trap_image,
+        AgentCfg::None,
+        [(REFERENCE, reference), (DEFAULT, default)],
+    );
     paired_speedup(&reference, &default)
 }
 
 /// [`run_smoke`] for [`SMOKE_COMPUTE_SCENARIO`].
 #[must_use]
 pub fn run_smoke_compute() -> f64 {
-    let compute = compute_image(COMPUTE_ITERS);
+    let [reference, _, default] = COMPUTE_SIZES;
     let [reference, default] = interleaved(
         SMOKE_COMPUTE_SCENARIO,
-        &compute,
+        compute_image,
         AgentCfg::None,
-        [REFERENCE, DEFAULT],
+        [(REFERENCE, reference), (DEFAULT, default)],
     );
     paired_speedup(&reference, &default)
 }

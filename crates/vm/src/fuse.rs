@@ -518,12 +518,15 @@ pub fn run_burst_fused(
     // pseudo-step, which `step` counts in `insns_retired` but not in the
     // slice's `retired`. On a fault the pc stays parked at the faulting
     // (super)instruction, which at that point has retired none of its
-    // constituents — identical to the plain engine.
+    // constituents — identical to the plain engine. Each burst finishes
+    // once, so every exit is marked cold and the answered-trap path falls
+    // straight back into the loop.
     macro_rules! finish {
         ($end:expr) => {
             finish!($end, 0)
         };
         ($end:expr, $halt:expr) => {{
+            std::hint::cold_path();
             let retired = retired!();
             vm.pc = pc;
             vm.regs = regs;
@@ -615,8 +618,12 @@ pub fn run_burst_fused(
         // One headroom compare guards the whole cold edge: turn rollover
         // (no budget left) and pair splitting (one left). The hot path
         // falls through with at least two constituents of headroom, so the
-        // dispatch arms below never re-check the budget.
+        // dispatch arms below never re-check the budget. The edge is marked
+        // cold so that the hot path runs straight from the compare to the
+        // dispatch: left to itself, rustc laid the edge between them, and
+        // BENCH_1's default rows then swung ~10% with code alignment.
         if room < 2 {
+            std::hint::cold_path();
             if room == 0 {
                 // The turn expired: end the burst when the total budget is
                 // spent, else roll straight into the next (full) turn.
